@@ -14,7 +14,7 @@ tuples; they are the hot path shared with the recurrence engine.
 from __future__ import annotations
 
 import json
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DegeneratePeriod,
@@ -118,15 +118,23 @@ def _cycles(w: Window) -> list[list[int]]:
     return out
 
 
-def _length(w: Window) -> int:
+def _inversion_pairs(w: Window) -> Iterator[tuple[int, int]]:
+    """Pairs (i, j) with i in [0, n), i < j < i + n and f(i) > f(j), in order."""
     n = len(w)
-    total = 0
     for i in range(n):
         wi = w[i]
-        for j in range(i + 1, i + n):
-            if wi > _value_at(w, j):
-                total += 1
-    return total
+        for j in range(i + 1, n):
+            if wi > w[j]:
+                yield i, j
+        # f(j) = w[j - n] + n past the window
+        wi -= n
+        for j in range(n, i + n):
+            if wi > w[j - n]:
+                yield i, j
+
+
+def _length(w: Window) -> int:
+    return sum(1 for _ in _inversion_pairs(w))
 
 
 def _left_s(w: Window, i: int) -> Window:
@@ -249,6 +257,28 @@ def _has_double_crossing(w: Window, i: int, pos: Sequence[int]) -> bool:
     return i + 1 < c < d
 
 
+def _swap_split(w: Window, i: int, j: int) -> tuple[list[int], list[int]]:
+    """Swap the values at the crossing (i, j) and find the cycle through i.
+
+    Returns the swapped window g, with g(i) = f(j) and g(j) = f(i), and the
+    residues of the cycle of its reduction through i, in cycle order.  When
+    f is a single n-cycle the swap splits it in two, and the residues left
+    over form the cycle through j mod n.
+    """
+    n = len(w)
+    rj = j % n
+    t = (j - rj) // n
+    g = list(w)
+    g[i] = w[rj] + n * t
+    g[rj] = w[i] - n * t
+    cyc = [i]
+    x = g[i] % n
+    while x != i:
+        cyc.append(x)
+        x = g[x] % n
+    return g, cyc
+
+
 def _window_from_cycle(cycle: Sequence[int]) -> Window:
     """Strictly bounded lift of the n-cycle given as (0, j_1, ..., j_{n-1})."""
     n = len(cycle)
@@ -321,7 +351,7 @@ class CyclePerm:
 class BoundedAffinePerm:
     """Immutable bounded affine permutation, identified by its window."""
 
-    __slots__ = ("n", "window", "k", "_pos", "_length")
+    __slots__ = ("n", "window", "k", "_pos", "_length", "_theta")
 
     def __init__(self, window: Sequence[int], _validated: bool = False):
         w = tuple(int(v) for v in window)
@@ -340,6 +370,7 @@ class BoundedAffinePerm:
         self.k = sum(w[i] - i for i in range(n)) // n
         self._pos = _residue_positions(w)
         self._length: Optional[int] = None
+        self._theta: Optional[bool] = None
 
     # -- construction -------------------------------------------------------
 
@@ -413,8 +444,10 @@ class BoundedAffinePerm:
 
     @property
     def is_theta(self) -> bool:
-        """Strict bounds and a single n-cycle reduction."""
-        return _is_strictly_bounded(self.window) and self.cycle_count() == 1
+        """Strict bounds and a single n-cycle reduction, checked once."""
+        if self._theta is None:
+            self._theta = _is_strictly_bounded(self.window) and self.cycle_count() == 1
+        return self._theta
 
     def require_theta(self) -> None:
         if not self.is_theta:
@@ -440,15 +473,7 @@ class BoundedAffinePerm:
 
     def inversions(self) -> list[Inversion]:
         """All pairs (i, j) with i in [0, n), i < j < i + n, f(i) > f(j)."""
-        w = self.window
-        n = self.n
-        out = []
-        for i in range(n):
-            wi = w[i]
-            for j in range(i + 1, i + n):
-                if wi > _value_at(w, j):
-                    out.append(Inversion(i, j))
-        return out
+        return [Inversion(i, j) for i, j in _inversion_pairs(self.window)]
 
     def length(self) -> int:
         if self._length is None:
@@ -510,17 +535,9 @@ class BoundedAffinePerm:
         i, j = inv
         if not self.is_inversion(i, j):
             raise NotAnInversion(f"({i}, {j}) is not an inversion of {self!r}")
-        w = self.window
-        n = self.n
-        rj = j % n
-        t = (j - rj) // n
-        g = list(w)
-        g[i] = w[rj] + n * t
-        g[rj] = w[i] - n * t
-        gw = tuple(g)
-        cycs = _cycles(gw)
-        cyc1 = next(c for c in cycs if i in c)
-        cyc2 = next(c for c in cycs if rj in c)
+        gw, cyc1 = _swap_split(self.window, i, j)
+        in_cyc1 = set(cyc1)
+        cyc2 = [s for s in range(self.n) if s not in in_cyc1]
         f1 = BoundedAffinePerm(_relabel_restriction(gw, cyc1), _validated=True)
         f2 = BoundedAffinePerm(_relabel_restriction(gw, cyc2), _validated=True)
         return f1, f2, GammaPair(f1.gamma, f2.gamma)

@@ -169,36 +169,44 @@ def _main_theorem_chunk(windows: list[Window]) -> tuple[int, list[dict]]:
     engine = Engine()
     failures: list[dict] = []
     for w in windows:
-        perm = BoundedAffinePerm(w, _validated=True)
-        n, k = perm.n, perm.k
-        ms = inversion_multiset(perm)
-        sheared = ms.to_sheared()
-        # total multiplicity is the length
-        if ms.total() != perm.length():
-            failures.append(_fail(w, "total_multiplicity", perm.length(), ms.total()))
-        # central symmetry holds for every permutation
-        if not is_centrally_symmetric(ms):
-            failures.append(_fail(w, "central_symmetry", "symmetric", ms.points()))
-        # the geometric oracle agrees multiplicity by multiplicity
-        path_fset = fset_from_paths(perm)
-        if path_fset != sheared.entries:
-            failures.append(
-                _fail(w, "path_oracle", sorted(sheared.entries.items()),
-                      sorted(path_fset.items()))
-            )
-        # slope-equal points always occur
-        if not f_min(k, n) <= set(sheared.entries):
-            failures.append(
-                _fail(w, "f_min_subset", sorted(f_min(k, n)), sheared.points())
-            )
-        if ms.is_set():
-            if not is_convex(ms):
-                failures.append(_fail(w, "convexity", "convex", ms.points()))
-            catalan = engine.compute_C(perm)
-            dyck = count_avoiding_paths(k, n, sheared.points())
-            if catalan != dyck:
-                failures.append(_fail(w, "counting_formula", catalan, dyck))
+        try:
+            _main_theorem_checks(w, engine, failures)
+        except Exception as exc:  # report, do not abort the sweep
+            failures.append(_fail(w, "exception", None, repr(exc)))
     return len(windows), failures
+
+
+def _main_theorem_checks(w: Window, engine: Engine, failures: list[dict]) -> None:
+    """Run every main-theorem check on one window, appending failure records."""
+    perm = BoundedAffinePerm(w, _validated=True)
+    n, k = perm.n, perm.k
+    ms = inversion_multiset(perm)
+    sheared = ms.to_sheared()
+    # total multiplicity is the length
+    if ms.total() != perm.length():
+        failures.append(_fail(w, "total_multiplicity", perm.length(), ms.total()))
+    # central symmetry holds for every permutation
+    if not is_centrally_symmetric(ms):
+        failures.append(_fail(w, "central_symmetry", "symmetric", ms.points()))
+    # the geometric oracle agrees multiplicity by multiplicity
+    path_fset = fset_from_paths(perm)
+    if path_fset != sheared.entries:
+        failures.append(
+            _fail(w, "path_oracle", sorted(sheared.entries.items()),
+                  sorted(path_fset.items()))
+        )
+    # slope-equal points always occur
+    if not f_min(k, n) <= set(sheared.entries):
+        failures.append(
+            _fail(w, "f_min_subset", sorted(f_min(k, n)), sheared.points())
+        )
+    if ms.is_set():
+        if not is_convex(ms):
+            failures.append(_fail(w, "convexity", "convex", ms.points()))
+        catalan = engine.compute_C(perm)
+        dyck = count_avoiding_paths(k, n, sheared.points())
+        if catalan != dyck:
+            failures.append(_fail(w, "counting_formula", catalan, dyck))
 
 
 def verify_main_theorem(n_max: int, jobs: int = 1) -> VerificationReport:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .affine import BoundedAffinePerm
+from .affine import BoundedAffinePerm, _inversion_pairs, _swap_split
 from .errors import NotRepetitionFree, PosicatError, PreconditionViolated
 
 Point = tuple[int, int]
@@ -137,12 +137,21 @@ def parse_forbidden(text: str) -> list[Point]:
 # ---------------------------------------------------------------------------
 
 def inversion_multiset(perm: BoundedAffinePerm, frame: str = RECT) -> LatticeMultiset:
-    """Resolve every crossing and collect the first factor's type."""
+    """Resolve every crossing and collect the first factor's type.
+
+    The first factor is the cycle through i of the window swapped at the
+    inversion (i, j).  Its type (k_1, n_1 - k_1) is read off the raw window:
+    n_1 is the cycle's length and k_1 the sum of g(s) // n over its residues
+    s, which is what relabelling the cycle onto [0, n_1) would give as k.
+    """
     perm.require_theta()
+    w = perm.window
+    n = perm.n
     entries: dict[Point, int] = {}
-    for inv in perm.inversions():
-        _, _, gammas = perm.resolve_crossing(inv)
-        p = gammas.gamma1
+    for i, j in _inversion_pairs(w):
+        g, cyc = _swap_split(w, i, j)
+        k1 = sum(g[s] // n for s in cyc)
+        p = (k1, len(cyc) - k1)
         entries[p] = entries.get(p, 0) + 1
     ms = LatticeMultiset(RECT, (perm.k, perm.n - perm.k), entries)
     return ms.converted(frame)

@@ -6,6 +6,15 @@ stretch r = 0..n.  Counting how often the big path crosses its own translate
 by a lattice vector recovers the inversion multiset, which makes this module
 the geometric oracle against the crossing-resolution construction.
 
+The translate by (a, b) sits above the big path at abscissa r exactly when
+a*n exceeds E_b(r) = f^r(0) - f^(r-b)(0).  `fset_from_paths` therefore builds
+the orbit once and makes a single pass over (b, r): each a in [1, k-1] with
+E_b(r) < a*n < E_b(r+1) is one below-to-above crossing of the (a, b)
+translate.  That is O(n^2) work for the whole multiset, where asking
+`multiplicity_from_paths` for each shift in turn costs O(k n^2).  Only the
+orbit f^r(0) is read, never a crossing resolution, so the result stays an
+independent check on `inversion_multiset`.
+
 Points in the plane are written (a, b) with a the vertical (k-) coordinate
 and b the horizontal (n-) coordinate; this convention is applied once here,
 and accessors are named rather than positional to keep the axes straight.
@@ -67,9 +76,14 @@ class RatPath:
 
 def _orbit(perm: BoundedAffinePerm) -> list[int]:
     """[f^r(0) for r = 0..n]; ends at k*n for a single n-cycle."""
-    o = [0]
-    for _ in range(perm.n):
-        o.append(perm(o[-1]))
+    w = perm.window
+    n = perm.n
+    x = 0
+    o = [x]
+    for _ in range(n):
+        r = x % n
+        x = w[r] + x - r
+        o.append(x)
     return o
 
 
@@ -131,15 +145,40 @@ def multiplicity_from_paths(perm: BoundedAffinePerm, alpha: tuple[int, int]) -> 
 
 
 def fset_from_paths(perm: BoundedAffinePerm) -> dict[tuple[int, int], int]:
-    """Sheared-frame inversion multiset {(a, b): multiplicity} via crossings."""
+    """Sheared-frame inversion multiset {(a, b): multiplicity} via crossings.
+
+    One pass over b in [1, n-1] and r in [0, n] of the gap
+    E_b(r) = f^r(0) - f^(r-b)(0) between the big path and its horizontal
+    translate by b, all scaled by n.  Lifting that translate by a puts it
+    above the path where E_b(r) < a*n, so an a in [1, k-1] with
+    E_b(r) < a*n < E_b(r+1) is one below-to-above crossing of the (a, b)
+    translate, and equality is an integer point on the path, which raises
+    AlphaOnDeltaLine as `multiplicity_from_paths` does.  The orbit f^r(0) is
+    the only input, so the multiset stays independent of crossing
+    resolution.  Entries come in the order of (a, b), with a outermost.
+    """
     perm.require_theta()
-    out: dict[tuple[int, int], int] = {}
-    for a in range(1, perm.k):
-        for b in range(1, perm.n):
-            m = multiplicity_from_paths(perm, (a, b))
-            if m:
-                out[(a, b)] = m
-    return out
+    n = perm.n
+    k = perm.k
+    orbit = _orbit(perm)
+    kn = k * n
+    # f^s(0) for s = -n..n sits at index s + n
+    ext = [v - kn for v in orbit[:n]] + orbit
+    counts: dict[tuple[int, int], int] = {}
+    for b in range(1, n):
+        prev = None  # E_b(r - 1)
+        for r in range(n + 1):
+            e = ext[n + r] - ext[n + r - b]
+            if 0 < e < kn and e % n == 0:
+                raise AlphaOnDeltaLine(f"alpha={(e // n, b)} meets an integer point of the path")
+            # path steps lie in [1, n-1], so E_b moves by less than n per
+            # step and at most one a*n lies strictly between prev and e
+            if prev is not None and e > prev:
+                a = (e - 1) // n
+                if a * n > prev and 0 < a < k:
+                    counts[(a, b)] = counts.get((a, b), 0) + 1
+            prev = e
+    return {p: counts[p] for p in sorted(counts)}
 
 
 def nu(perm: BoundedAffinePerm) -> int:

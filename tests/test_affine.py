@@ -161,6 +161,32 @@ def test_cyclic_shift_properties():
         assert s.length() == f.length()
 
 
+def test_is_theta_is_cached(monkeypatch):
+    import posicat.affine as affine
+
+    perms = {
+        BoundedAffinePerm.from_window(FIG2): True,
+        BoundedAffinePerm.from_window((1, 4, 3, 6)): False,
+        BoundedAffinePerm.from_window((0, 1)): False,
+    }
+    for f, expected in perms.items():
+        assert f.is_theta is expected
+
+    def rescan(*args):
+        raise AssertionError("is_theta rescanned the window")
+
+    monkeypatch.setattr(affine, "_is_strictly_bounded", rescan)
+    monkeypatch.setattr(affine, "_cycles", rescan)
+    for f, expected in perms.items():
+        for _ in range(3):
+            assert f.is_theta is expected
+        if expected:
+            f.require_theta()
+        else:
+            with pytest.raises(NotTheta):
+                f.require_theta()
+
+
 def test_theta_count_3_7():
     assert sum(1 for _ in enumerate_theta(3, 7)) == 302
 

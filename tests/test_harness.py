@@ -56,6 +56,26 @@ def test_verify_main_theorem_small():
     assert set(payload) == {"suite", "params", "checked", "failures", "passed", "elapsed"}
 
 
+def test_verify_main_theorem_records_exception_and_continues(monkeypatch):
+    import posicat.harness as harness
+
+    bad = (2, 4, 3, 5)
+    original = harness.fset_from_paths
+
+    def flaky(perm):
+        if perm.window == bad:
+            raise RuntimeError("injected")
+        return original(perm)
+
+    monkeypatch.setattr(harness, "fset_from_paths", flaky)
+    report = verify_main_theorem(5)
+    assert report.checked == sum(math.factorial(n - 1) for n in range(2, 6))
+    assert report.failures == [
+        {"window": list(bad), "check": "exception", "expected": None,
+         "actual": "RuntimeError('injected')"}
+    ]
+
+
 def test_verify_main_theorem_parallel_matches_serial():
     serial = verify_main_theorem(5, jobs=1)
     parallel = verify_main_theorem(5, jobs=2)

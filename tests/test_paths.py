@@ -55,6 +55,25 @@ def test_small_path_requires_theta():
         small_path(BoundedAffinePerm.from_window([1, 4, 3, 6]))
 
 
+@pytest.mark.parametrize(
+    "route",
+    [
+        fset_from_paths,
+        inversion_multiset,
+        lambda f: f.resolve_crossing((1, 2)),
+        small_path,
+        nu,
+    ],
+    ids=["fset_from_paths", "inversion_multiset", "resolve_crossing", "small_path", "nu"],
+)
+@pytest.mark.parametrize("window", [(1, 4, 3, 6), (0, 1)], ids=["two_cycles", "not_strict"])
+def test_routes_require_theta(route, window):
+    f = BoundedAffinePerm.from_window(window)
+    for _ in range(2):  # the second call reads the cached verdict
+        with pytest.raises(NotTheta):
+            route(f)
+
+
 def test_path_json_and_svg():
     path = small_path(FIG3)
     assert path.as_json()[1] == [1, 1, 2]
