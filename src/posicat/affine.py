@@ -285,13 +285,8 @@ def _window_from_cycle(cycle: Sequence[int]) -> Window:
     img = [0] * n
     for idx, x in enumerate(cycle):
         img[x] = cycle[(idx + 1) % n]
-    out = []
-    for i in range(n):
-        v = img[i]
-        while v <= i:
-            v += n
-        out.append(v)
-    return tuple(out)
+    # no residue is fixed, so one period lifts every value into (i, i + n)
+    return tuple(v if v > i else v + n for i, v in enumerate(img))
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +331,12 @@ class CyclePerm:
 
     def to_bounded(self) -> "BoundedAffinePerm":
         """The unique strictly bounded lift; requires a single n-cycle."""
-        if not self.is_n_cycle():
+        cycles = self.cycles()
+        if len(cycles) != 1:
             raise NotNCycle(f"{self!r} is not an n-cycle")
         if self.n == 1:
             raise DegeneratePeriod("period 1 admits no strictly bounded lift")
-        out = []
-        for i, v in enumerate(self.image):
-            while v <= i:
-                v += self.n
-            out.append(v)
-        return BoundedAffinePerm.from_window(out)
+        return BoundedAffinePerm(_window_from_cycle(cycles[0]), _validated=True)
 
 
 class BoundedAffinePerm:
@@ -579,11 +570,17 @@ class BoundedAffinePerm:
         return set(members)
 
 
-def _c_class_windows(w: Window, limit: Optional[int] = None) -> list[Window]:
-    """Raw-window BFS over length-preserving bounded simple conjugations."""
+def _c_class_members(w: Window) -> Iterator[Window]:
+    """Raw-window BFS over length-preserving bounded simple conjugations.
+
+    Yields w first, then each member as it is discovered (not when it is
+    dequeued), with conjugation indices in increasing order; consumers that
+    stop early skip the rest of the search.
+    """
     n = len(w)
     seen = {w}
     queue = [w]
+    yield w
     qi = 0
     while qi < len(queue):
         cur = queue[qi]
@@ -596,9 +593,19 @@ def _c_class_windows(w: Window, limit: Optional[int] = None) -> list[Window]:
                 continue
             seen.add(g)
             queue.append(g)
-            if limit is not None and len(seen) > limit:
-                raise LimitExceeded(f"conjugation class exceeds {limit} members")
-    return queue
+            yield g
+
+
+def _c_class_windows(w: Window, limit: Optional[int] = None) -> list[Window]:
+    """The whole class of w in discovery order; more than `limit` members
+    raise LimitExceeded."""
+    members = _c_class_members(w)
+    out = [next(members)]
+    for g in members:
+        out.append(g)
+        if limit is not None and len(out) > limit:
+            raise LimitExceeded(f"conjugation class exceeds {limit} members")
+    return out
 
 
 def min_length_witness(k: int, n: int) -> BoundedAffinePerm:

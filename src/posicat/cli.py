@@ -32,6 +32,7 @@ from .invsets import (
     a_sequence,
     lambda_partition,
     parse_forbidden,
+    rect_to_sheared,
     sheared_to_rect,
 )
 from .paths import nu, nu_bar
@@ -124,7 +125,7 @@ def _cmd_compute(args) -> int:
 def _forbidden_sheared(args) -> set:
     points = parse_forbidden(args.forbid)
     if args.coords == RECT:
-        return {(a, a + b) for a, b in points}
+        return {rect_to_sheared(p) for p in points}
     return set(points)
 
 

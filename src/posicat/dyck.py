@@ -32,10 +32,12 @@ from .errors import (
     TooManyPaths,
 )
 from .invsets import (
+    LatticeMultiset,
     Point,
     inversion_multiset,
     is_convex_points,
     rect_to_sheared,
+    sheared_to_rect,
 )
 
 # ---------------------------------------------------------------------------
@@ -212,7 +214,7 @@ def _require_cs_convex(points: set[Point], k: int, n: int) -> None:
             raise PosicatError(f"point {(a, b)} outside [1,{k - 1}]x[1,{n - 1}]")
         if (delta[0] - a, delta[1] - b) not in points:
             raise NotCentrallySymmetric(f"missing mirror of {(a, b)}")
-    rect = {(a, b - a) for a, b in points}
+    rect = {sheared_to_rect(p) for p in points}
     if not is_convex_points(rect, k, n - k):
         raise NotConvex(f"{sorted(points)} misses lattice points of its hull")
 
@@ -251,30 +253,47 @@ def synthesize_profile(
     raise SynthesisFailed(f"schedule exhausted for {sorted(points)} in ({k}, {n})")
 
 
+def _synthesis_failures(
+    perm: BoundedAffinePerm, ms: LatticeMultiset, profile: ConcaveProfile,
+    rect: set[Point],
+) -> list[tuple[str, object, object]]:
+    """The postconditions of synthesis that `perm` misses, as (check,
+    expected, actual): `repetition_free`, `fset_roundtrip` (its inversion
+    multiset `ms`, computed by the caller, equals the requested rectangular
+    set) and `orbit_floor` (its orbit floors match the profile floors)."""
+    failures: list[tuple[str, object, object]] = []
+    if not ms.is_set():
+        failures.append(("repetition_free", True, False))
+    if set(ms.points()) != rect:
+        failures.append(("fset_roundtrip", sorted(rect), ms.points()))
+    n = profile.n
+    orbit_value = 0
+    for r in range(n + 1):
+        if orbit_value // n != math.floor(profile.heights[r]):
+            failures.append(("orbit_floor", r, orbit_value // n))
+            break
+        if r < n:
+            orbit_value = perm(orbit_value)
+    return failures
+
+
 def synthesize_perm(
     forbidden_rect: Iterable[Point], k: int, n: int
 ) -> BoundedAffinePerm:
     """A repetition-free permutation with the given rectangular-frame
     inversion set; the set must be centrally symmetric and convex.
 
-    Postconditions are asserted: the result is repetition-free, its
-    inversion set equals the input, and its orbit floors match the profile
-    floors.
+    The postconditions of `_synthesis_failures` are checked, and a miss
+    raises SynthesisFailed: the result is repetition-free, its inversion set
+    equals the input, and its orbit floors match the profile floors.
     """
     rect = {(int(a), int(b)) for a, b in forbidden_rect}
     sheared = {rect_to_sheared(p) for p in rect}
     profile = synthesize_profile(sheared, k, n)
     perm = profile_to_perm(profile)
-    ms = inversion_multiset(perm)
-    assert ms.is_set(), "synthesized permutation has repeated inversion types"
-    assert set(ms.points()) == rect, (
-        f"synthesized set {ms.points()} differs from requested {sorted(rect)}"
-    )
-    orbit_value = 0
-    for r in range(n + 1):
-        assert orbit_value // n == math.floor(profile.heights[r]), (
-            f"orbit floor mismatch at r={r}"
+    failures = _synthesis_failures(perm, inversion_multiset(perm), profile, rect)
+    if failures:
+        raise SynthesisFailed(
+            f"{perm!r} misses postconditions (check, expected, actual): {failures}"
         )
-        if r < n:
-            orbit_value = perm(orbit_value)
     return perm

@@ -1,17 +1,26 @@
-"""Memoized recurrences for the point-count polynomial R and its q = 1 value.
+"""Memoized recurrence for the normalised point count R~ and its q = 1 value.
 
-Both quantities obey the same reduction order on a window w:
+R~_f(q) = R_f(q) / (q-1)^(n-c), where c counts the cycles of the reduction
+of f; the Catalan number is C_f = R~_f(1).  One reduction computes R~ on a
+window w, reading three constants of the ring it evaluates in: one, q and
+(q-1)^2.
 
-  1. period 1: R = 1, C = 1;
-  2. the reduction has fixed residues: drop them all and recurse;
+  1. period 1: R~ = 1;
+  2. the reduction has fixed residues: drop them all and recurse (R~ is
+     unchanged);
   3. some i has f(i) = i + 1 or f(i+1) = i + n: recurse on s_i f, which
-     acquires a fixed residue (R picks up a factor q - 1, C is unchanged);
+     acquires a fixed residue (R~ is unchanged);
   4. some i makes g = s_i f s_i bounded with a double crossing at i (then g
-     is two steps longer): R(f) = (q-1) R(f s_i) + q R(g), while
-     C(f) = C(f s_i) + C(g) when i, i+1 share a cycle of the reduction of g
-     and C(f) = C(g) otherwise;
+     is two steps longer): R~(f) = R~(f s_i) + q R~(g) when i, i+1 share a
+     cycle of the reduction of g, and R~(f) = (q-1)^2 R~(f s_i) + q R~(g)
+     otherwise;
   5. otherwise search the conjugation class of f breadth-first for a member
-     where a step applies; both quantities are constant on the class.
+     where a step applies; R~ is constant on the class.
+
+The polynomial ring uses (1, q, (q-1)^2) and gives R~; the integer ring uses
+(1, 1, 0) and gives C directly.  A zero coefficient skips its branch rather
+than evaluating it, which keeps C far cheaper than R~.  R itself is
+R~ (q-1)^(n-c).
 
 Steps scan i = 0..n-1 and take the first applicable index, so traces are
 reproducible.  Each recursion reduces the period or increases the length at
@@ -19,10 +28,10 @@ fixed period, and length is bounded by k(n-k), so the recursion terminates;
 a class with no applicable member would contradict the constructive
 reduction, hence IrreducibleElement signals a bug.
 
-Values are cached per sigma-orbit: both R and C are invariant under the
-cyclic shift, and the lex-min rotation of the displacement word identifies
-the orbit.  For a class-search hit, every visited member shares the value
-and is cached as well.
+Values are cached per sigma-orbit: R~ is invariant under the cyclic shift,
+and the lex-min rotation of the displacement word identifies the orbit.  For
+a class-search hit, every visited member shares the value and is cached as
+well.
 """
 
 from __future__ import annotations
@@ -32,10 +41,9 @@ from typing import Callable, Optional
 
 from .affine import (
     BoundedAffinePerm,
+    _c_class_members,
     _canonical_key,
-    _conj_delta,
     _conj_s,
-    _cycles,
     _has_double_crossing,
     _is_bounded,
     _left_s,
@@ -45,20 +53,42 @@ from .affine import (
     _value_at,
     Window,
 )
-from .errors import IrreducibleElement, PreconditionViolated
+from .errors import IrreducibleElement, NotBounded, PreconditionViolated
 from .polynomial import IntPoly, ONE, Q, Q_MINUS_1
 
 TraceHook = Callable[[dict], None]
+
+
+class _Ring:
+    """The constants (one, q, (q-1)^2) of one ring, with its memo table."""
+
+    __slots__ = ("one", "q", "q_minus_1_sq", "cache", "hits", "misses")
+
+    def __init__(self, one, q, q_minus_1_sq):
+        self.one = one
+        self.q = q
+        self.q_minus_1_sq = q_minus_1_sq
+        self.cache: dict[Window, object] = {}
+        self.hits = self.misses = 0
+
+
+def _same_cycle(w: Window, i: int) -> bool:
+    """Whether residues i and i+1 lie on one cycle of the reduction (n >= 2):
+    walk from i until the walk meets i or i+1."""
+    n = len(w)
+    j = (i + 1) % n
+    x = w[i] % n
+    while x != i and x != j:
+        x = w[x] % n
+    return x == j
 
 
 class Engine:
     """Holds the memo tables; computations are pure given the cache state."""
 
     def __init__(self, trace_hook: Optional[TraceHook] = None):
-        self._r_cache: dict[Window, IntPoly] = {}
-        self._c_cache: dict[Window, int] = {}
-        self.r_hits = self.r_misses = 0
-        self.c_hits = self.c_misses = 0
+        self._rtilde = _Ring(ONE, Q, Q_MINUS_1 * Q_MINUS_1)
+        self._catalan = _Ring(1, 1, 0)
         self._trace = trace_hook
         # reductions may nest across n levels and up to k(n-k) lengths
         if sys.getrecursionlimit() < 20000:
@@ -67,20 +97,20 @@ class Engine:
     # -- public API -------------------------------------------------------------
 
     def compute_R(self, perm: BoundedAffinePerm) -> IntPoly:
-        """Point-count polynomial R_f(q)."""
-        return self._r(perm.window)
+        """Point-count polynomial R_f(q) = R~_f(q) (q - 1)^(n - c)."""
+        exponent = perm.n - perm.cycle_count()
+        return self._value(perm.window, self._rtilde) * Q_MINUS_1 ** exponent
 
     def compute_Rtilde(self, perm: BoundedAffinePerm) -> IntPoly:
-        """R_f(q) / (q - 1)^(n - c) where c counts cycles of the reduction;
-        the division is exact and a remainder signals an engine bug."""
-        r = self._r(perm.window)
-        exponent = perm.n - perm.cycle_count()
-        return r.exact_div(Q_MINUS_1 ** exponent)
+        """R_f(q) / (q - 1)^(n - c) where c counts cycles of the reduction,
+        computed directly by the recurrence in the polynomial ring."""
+        return self._value(perm.window, self._rtilde)
 
     def compute_C(self, perm: BoundedAffinePerm) -> int:
         """The integer invariant; equals compute_Rtilde(f) at q = 1."""
-        value = self._c(perm.window)
-        assert value >= 1, f"nonpositive C for {perm!r}: recurrence bug"
+        value = self._value(perm.window, self._catalan)
+        if value < 1:
+            raise IrreducibleElement(f"nonpositive C = {value} for {perm!r}: recurrence bug")
         return value
 
     def compute_C_decoupled(self, perm: BoundedAffinePerm) -> int:
@@ -99,22 +129,24 @@ class Engine:
             raise PreconditionViolated(f"no double crossing at {i}")
         f1, f2, _ = perm.resolve_crossing((i, i + 1))
         conj = perm.conjugate_s(i)
-        assert conj.bounded and conj.perm is not None
+        if conj.perm is None:
+            raise NotBounded(f"conjugate of {perm!r} at {i} is unbounded: {list(conj.window)}")
         lhs = self.compute_C(conj.perm)
         return lhs == self.compute_C(f1) * self.compute_C(f2) + self.compute_C(perm)
 
     @property
     def stats(self) -> dict[str, int]:
+        """Cache counters: r_* for the R~ table, c_* for the C table."""
         return {
-            "r_hits": self.r_hits,
-            "r_misses": self.r_misses,
-            "c_hits": self.c_hits,
-            "c_misses": self.c_misses,
-            "r_entries": len(self._r_cache),
-            "c_entries": len(self._c_cache),
+            "r_hits": self._rtilde.hits,
+            "r_misses": self._rtilde.misses,
+            "c_hits": self._catalan.hits,
+            "c_misses": self._catalan.misses,
+            "r_entries": len(self._rtilde.cache),
+            "c_entries": len(self._catalan.cache),
         }
 
-    # -- shared reduction ---------------------------------------------------------
+    # -- the reduction --------------------------------------------------------------
 
     def _emit(self, rule: str, w: Window, **extra) -> None:
         if self._trace is not None:
@@ -122,103 +154,62 @@ class Engine:
             record.update(extra)
             self._trace(record)
 
-    def _r(self, w: Window) -> IntPoly:
+    def _value(self, w: Window, ring: _Ring):
         key = _canonical_key(w)
-        cached = self._r_cache.get(key)
+        cached = ring.cache.get(key)
         if cached is not None:
-            self.r_hits += 1
+            ring.hits += 1
             return cached
-        self.r_misses += 1
-        value = self._reduce(w, self._r_step)
-        self._r_cache[key] = value
+        ring.misses += 1
+        value = self._reduce(w, ring)
+        ring.cache[key] = value
         return value
 
-    def _c(self, w: Window) -> int:
-        key = _canonical_key(w)
-        cached = self._c_cache.get(key)
-        if cached is not None:
-            self.c_hits += 1
-            return cached
-        self.c_misses += 1
-        value = self._reduce(w, self._c_step)
-        self._c_cache[key] = value
-        return value
-
-    def _r_step(self, w: Window):
+    def _step(self, w: Window, ring: _Ring):
+        """R~(w) in `ring` by the first rule that applies, or None."""
         n = len(w)
         if n == 1:
             self._emit("base", w)
-            return ONE
+            return ring.one
         reduced, _ = _remove_fixed(w)
         if reduced != w:
             self._emit("remove_fixed_points", w)
-            return self._r(reduced)
+            return self._value(reduced, ring)
         for i in range(n):
             if w[i] == i + 1 or _value_at(w, i + 1) == i + n:
                 self._emit("simple_factor", w, i=i)
-                return Q_MINUS_1 * self._r(_left_s(w, i))
+                return self._value(_left_s(w, i), ring)
         for i in range(n):
             g = _conj_s(w, i)
             if _is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g)):
-                self._emit("double_move", w, i=i)
-                return Q_MINUS_1 * self._r(_right_s(w, i)) + Q * self._r(g)
-        return None
-
-    def _c_step(self, w: Window):
-        n = len(w)
-        if n == 1:
-            self._emit("base", w)
-            return 1
-        reduced, _ = _remove_fixed(w)
-        if reduced != w:
-            self._emit("remove_fixed_points", w)
-            return self._c(reduced)
-        for i in range(n):
-            if w[i] == i + 1 or _value_at(w, i + 1) == i + n:
-                self._emit("simple_factor", w, i=i)
-                return self._c(_left_s(w, i))
-        for i in range(n):
-            g = _conj_s(w, i)
-            if _is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g)):
-                cycle_of_i = next(c for c in _cycles(g) if i in c)
-                same_cycle = (i + 1) % n in cycle_of_i
+                same_cycle = _same_cycle(g, i)
                 self._emit("double_move", w, i=i, same_cycle=same_cycle)
                 if same_cycle:
-                    return self._c(_right_s(w, i)) + self._c(g)
-                return self._c(g)
+                    return self._value(_right_s(w, i), ring) + ring.q * self._value(g, ring)
+                if ring.q_minus_1_sq:
+                    return (ring.q_minus_1_sq * self._value(_right_s(w, i), ring)
+                            + ring.q * self._value(g, ring))
+                return ring.q * self._value(g, ring)
         return None
 
-    def _reduce(self, w: Window, step):
-        value = step(w)
+    def _reduce(self, w: Window, ring: _Ring):
+        value = self._step(w, ring)
         if value is not None:
             return value
-        # class search: the quantity is constant on the conjugation class, so
-        # the first member admitting a step determines the value.  Members are
-        # discovered breadth-first with conjugation indices in increasing
-        # order and tried on discovery; all members seen so far share the
-        # value and are cached with it.
+        # class search: R~ is constant on the conjugation class, so the first
+        # member admitting a step determines the value.  Members are tried in
+        # discovery order; all members seen so far share the value and are
+        # cached with it.
         self._emit("class_search", w)
-        n = len(w)
-        seen = {w}
-        queue = [w]
-        qi = 0
-        while qi < len(queue):
-            cur = queue[qi]
-            qi += 1
-            for i in range(n):
-                if _conj_delta(cur, i) != 0:
-                    continue
-                g = _conj_s(cur, i)
-                if g in seen or not _is_bounded(g):
-                    continue
-                seen.add(g)
-                queue.append(g)
-                value = step(g)
-                if value is not None:
-                    cache = self._r_cache if isinstance(value, IntPoly) else self._c_cache
-                    for member in seen:
-                        cache.setdefault(_canonical_key(member), value)
-                    return value
+        members = _c_class_members(w)
+        seen = [next(members)]  # w itself
+        for g in members:
+            seen.append(g)
+            value = self._step(g, ring)
+            if value is not None:
+                for member in seen:
+                    ring.cache.setdefault(_canonical_key(member), value)
+                return value
         raise IrreducibleElement(
             f"no reduction applies anywhere in the class of {list(w)}"
         )

@@ -52,10 +52,11 @@ class InexactDivision(PosicatError):
 # --- engine ---
 
 class IrreducibleElement(PosicatError):
-    """No reduction step applies anywhere in the conjugation class.
+    """No reduction step applies anywhere in the conjugation class, or the
+    reduction produced a nonpositive C.
 
-    The constructive reduction is guaranteed to make progress, so this
-    exception always indicates an implementation bug.
+    The constructive reduction is guaranteed to make progress and C counts
+    Dyck paths, so this exception always indicates an implementation bug.
     """
 
 

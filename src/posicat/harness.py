@@ -27,10 +27,16 @@ from .affine import (
     _c_class_windows,
     _k_of,
     _length,
+    _window_from_cycle,
     min_length_witness,
     Window,
 )
-from .dyck import count_avoiding_paths, profile_to_perm, synthesize_profile
+from .dyck import (
+    _synthesis_failures,
+    count_avoiding_paths,
+    profile_to_perm,
+    synthesize_profile,
+)
 from .engine import Engine
 from .invsets import (
     f_min,
@@ -47,21 +53,13 @@ from .paths import fset_from_paths, nu_bar
 
 def enumerate_cyc(n: int) -> Iterator[CyclePerm]:
     """All (n-1)! single n-cycles, as cycles (0, p_1, ..., p_{n-1})."""
-    for rest in itertools.permutations(range(1, n)):
-        image = [0] * n
-        cycle = (0,) + rest
-        for idx, x in enumerate(cycle):
-            image[x] = cycle[(idx + 1) % n]
-        yield CyclePerm(image)
+    for window in _theta_windows(n):
+        yield CyclePerm([v % n for v in window])
 
 
 def _theta_windows(n: int, k: Optional[int] = None) -> Iterator[Window]:
     for rest in itertools.permutations(range(1, n)):
-        cycle = (0,) + rest
-        image = [0] * n
-        for idx, x in enumerate(cycle):
-            image[x] = cycle[(idx + 1) % n]
-        window = tuple(v if v > i else v + n for i, v in enumerate(image))
+        window = _window_from_cycle((0,) + rest)
         if k is None or _k_of(window) == k:
             yield window
 
@@ -157,6 +155,22 @@ def _run_chunked(worker, items: list, jobs: int) -> tuple[int, list[dict]]:
     return checked, failures
 
 
+def _checked_chunk(windows: list[Window], checks) -> tuple[int, list[dict]]:
+    """Run `checks(w, engine, failures)` on each window with one engine.
+
+    A window whose checks raise is recorded as an `exception` failure and
+    the sweep goes on, so every window counts as checked.
+    """
+    engine = Engine()
+    failures: list[dict] = []
+    for w in windows:
+        try:
+            checks(w, engine, failures)
+        except Exception as exc:  # report, do not abort the sweep
+            failures.append(_fail(w, "exception", None, repr(exc)))
+    return len(windows), failures
+
+
 def _sort_failures(failures: list[dict]) -> list[dict]:
     return sorted(failures, key=lambda f: (len(f["window"]), f["window"], f["check"]))
 
@@ -166,14 +180,7 @@ def _sort_failures(failures: list[dict]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _main_theorem_chunk(windows: list[Window]) -> tuple[int, list[dict]]:
-    engine = Engine()
-    failures: list[dict] = []
-    for w in windows:
-        try:
-            _main_theorem_checks(w, engine, failures)
-        except Exception as exc:  # report, do not abort the sweep
-            failures.append(_fail(w, "exception", None, repr(exc)))
-    return len(windows), failures
+    return _checked_chunk(windows, _main_theorem_checks)
 
 
 def _main_theorem_checks(w: Window, engine: Engine, failures: list[dict]) -> None:
@@ -273,22 +280,10 @@ def _synthesis_chunk(tasks: list) -> tuple[int, list[dict]]:
                  "expected": sorted(rect), "actual": repr(exc)}
             )
             continue
-        ms = inversion_multiset(perm)
-        if not ms.is_set():
-            failures.append(_fail(perm.window, "repetition_free", True, False))
-        if set(ms.points()) != rect:
-            failures.append(
-                _fail(perm.window, "fset_roundtrip", sorted(rect), ms.points())
-            )
-        orbit_value = 0
-        for r in range(n + 1):
-            if orbit_value // n != math.floor(profile.heights[r]):
-                failures.append(
-                    _fail(perm.window, "orbit_floor", r, orbit_value // n)
-                )
-                break
-            if r < n:
-                orbit_value = perm(orbit_value)
+        for check, expected, actual in _synthesis_failures(
+            perm, inversion_multiset(perm), profile, rect
+        ):
+            failures.append(_fail(perm.window, check, expected, actual))
     return len(tasks), failures
 
 
@@ -315,70 +310,82 @@ def verify_synthesis(n_max: int, jobs: int = 1) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _engine_theta_chunk(windows: list[Window]) -> tuple[int, list[dict]]:
-    engine = Engine()
-    failures: list[dict] = []
-    for w in windows:
-        perm = BoundedAffinePerm(w, _validated=True)
-        c = engine.compute_C(perm)
-        rt = engine.compute_Rtilde(perm)
-        if rt.eval_at(1) != c:
-            failures.append(_fail(w, "rtilde_at_1", c, rt.eval_at(1)))
-        shifted = perm.cyclic_shift()
-        if engine.compute_C(shifted) != c:
-            failures.append(_fail(w, "sigma_C", c, engine.compute_C(shifted)))
-        if engine.compute_Rtilde(shifted) != rt:
-            failures.append(
-                _fail(w, "sigma_Rtilde", list(rt.coeffs),
-                      list(engine.compute_Rtilde(shifted).coeffs))
-            )
-        for i in range(perm.n):
-            if perm.has_double_crossing_at(i):
-                if not engine.double_crossing_recurrence_check(perm, i):
-                    failures.append(_fail(w, f"double_crossing_identity_{i}", True, False))
-    return len(windows), failures
+    return _checked_chunk(windows, _engine_theta_checks)
+
+
+def _engine_theta_checks(w: Window, engine: Engine, failures: list[dict]) -> None:
+    perm = BoundedAffinePerm(w, _validated=True)
+    c = engine.compute_C(perm)
+    rt = engine.compute_Rtilde(perm)
+    if rt.eval_at(1) != c:
+        failures.append(_fail(w, "rtilde_at_1", c, rt.eval_at(1)))
+    shifted = perm.cyclic_shift()
+    if engine.compute_C(shifted) != c:
+        failures.append(_fail(w, "sigma_C", c, engine.compute_C(shifted)))
+    if engine.compute_Rtilde(shifted) != rt:
+        failures.append(
+            _fail(w, "sigma_Rtilde", list(rt.coeffs),
+                  list(engine.compute_Rtilde(shifted).coeffs))
+        )
+    for i in range(perm.n):
+        if perm.has_double_crossing_at(i):
+            if not engine.double_crossing_recurrence_check(perm, i):
+                failures.append(_fail(w, f"double_crossing_identity_{i}", True, False))
 
 
 def _engine_class_chunk(windows: list[Window]) -> tuple[int, list[dict]]:
     """Class invariance: every member of each conjugation class shares C and
-    the normalised polynomial.  Chunks carry class representatives."""
+    the normalised polynomial.  Chunks carry class representatives; every
+    member counts as checked, and a class whose checks raise is recorded as
+    an `exception` failure of its representative."""
     engine = Engine()
     failures: list[dict] = []
     checked = 0
     for w in windows:
-        perm = BoundedAffinePerm(w, _validated=True)
-        c = engine.compute_C(perm)
-        rt = engine.compute_Rtilde(perm)
-        for member_window in _c_class_windows(w):
-            checked += 1
-            member = BoundedAffinePerm(member_window, _validated=True)
-            if engine.compute_C(member) != c:
-                failures.append(
-                    _fail(member_window, "class_C", c, engine.compute_C(member))
-                )
-            if engine.compute_Rtilde(member) != rt:
-                failures.append(
-                    _fail(member_window, "class_Rtilde", list(rt.coeffs),
-                          list(engine.compute_Rtilde(member).coeffs))
-                )
+        members = _c_class_windows(w)
+        checked += len(members)
+        try:
+            _engine_class_checks(w, members, engine, failures)
+        except Exception as exc:  # report, do not abort the sweep
+            failures.append(_fail(w, "exception", None, repr(exc)))
     return checked, failures
 
 
+def _engine_class_checks(
+    w: Window, members: list[Window], engine: Engine, failures: list[dict]
+) -> None:
+    perm = BoundedAffinePerm(w, _validated=True)
+    c = engine.compute_C(perm)
+    rt = engine.compute_Rtilde(perm)
+    for member_window in members:
+        member = BoundedAffinePerm(member_window, _validated=True)
+        if engine.compute_C(member) != c:
+            failures.append(
+                _fail(member_window, "class_C", c, engine.compute_C(member))
+            )
+        if engine.compute_Rtilde(member) != rt:
+            failures.append(
+                _fail(member_window, "class_Rtilde", list(rt.coeffs),
+                      list(engine.compute_Rtilde(member).coeffs))
+            )
+
+
 def _engine_bounded_chunk(windows: list[Window]) -> tuple[int, list[dict]]:
-    engine = Engine()
-    failures: list[dict] = []
-    for w in windows:
-        perm = BoundedAffinePerm(w, _validated=True)
-        c = engine.compute_C(perm)
-        if c < 1:
-            failures.append(_fail(w, "positivity", ">= 1", c))
-        rt = engine.compute_Rtilde(perm)
-        if rt.eval_at(1) != c:
-            failures.append(_fail(w, "rtilde_at_1", c, rt.eval_at(1)))
-        if perm.cycle_count() > 1:
-            decoupled = engine.compute_C_decoupled(perm)
-            if decoupled != c:
-                failures.append(_fail(w, "decoupling", c, decoupled))
-    return len(windows), failures
+    return _checked_chunk(windows, _engine_bounded_checks)
+
+
+def _engine_bounded_checks(w: Window, engine: Engine, failures: list[dict]) -> None:
+    perm = BoundedAffinePerm(w, _validated=True)
+    c = engine.compute_C(perm)
+    if c < 1:
+        failures.append(_fail(w, "positivity", ">= 1", c))
+    rt = engine.compute_Rtilde(perm)
+    if rt.eval_at(1) != c:
+        failures.append(_fail(w, "rtilde_at_1", c, rt.eval_at(1)))
+    if perm.cycle_count() > 1:
+        decoupled = engine.compute_C_decoupled(perm)
+        if decoupled != c:
+            failures.append(_fail(w, "decoupling", c, decoupled))
 
 
 def _class_representatives(n: int) -> list[Window]:
@@ -394,8 +401,10 @@ def _class_representatives(n: int) -> list[Window]:
 
 
 def verify_engine(n_max: int, jobs: int = 1) -> VerificationReport:
-    """Engine consistency: the q = 1 evaluation, exact division, shift and
-    conjugation invariance, decoupling, and the double-crossing identity."""
+    """Engine consistency: R~ at q = 1 against the integer-ring value C,
+    shift and conjugation invariance, decoupling, and the double-crossing
+    identity.  Both values come from the one R~ recurrence, evaluated in the
+    polynomial and the integer ring."""
     start = time.time()
     report = VerificationReport("engine", {"n_max": n_max, "jobs": jobs})
     theta = [w for n in range(2, n_max + 1) for w in _theta_windows(n)]

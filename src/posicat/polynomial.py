@@ -1,10 +1,10 @@
 """Dense univariate integer polynomials in the variable q.
 
 Coefficients are arbitrary-precision Python ints stored in ascending degree
-with no trailing zeros; the zero polynomial is the empty tuple.  The only
-non-ring operation is exact_div, which the point-count normalisation
-R / (q-1)^(n-c) relies on: a nonzero remainder there signals a recurrence bug
-rather than a user error.
+with no trailing zeros; the zero polynomial is the empty tuple.  The engine
+uses only ring operations: it computes R~ directly and R as R~ (q-1)^(n-c).
+The one non-ring operation, exact_div, is for callers that divide R back
+down to R~; a nonzero remainder there raises InexactDivision.
 """
 
 from __future__ import annotations

@@ -135,7 +135,7 @@ def test_criterion_6_engine_consistency():
     assert report.elapsed < 300, f"took {report.elapsed:.1f}s, budget is 5min"
     announce(
         6,
-        f"q=1 evaluation, exact division, shift/conjugation invariance, "
+        f"R~ at q=1 equals C, shift/conjugation invariance, "
         f"decoupling and the double-crossing identity hold over "
         f"{report.checked} instances with n <= 7 in {report.elapsed:.1f}s",
     )

@@ -22,6 +22,7 @@ from posicat.errors import (
     InvalidProfile,
     NotCentrallySymmetric,
     NotConvex,
+    SynthesisFailed,
     TooManyPaths,
 )
 
@@ -137,6 +138,16 @@ def test_synthesize_perm_fig2_set():
     assert inversion_multiset(perm).entries == {(1, 1): 1, (2, 3): 1}
     assert compute_C(perm) == 3
     assert count_avoiding_paths(3, 7, {(1, 2), (2, 5)}) == 3
+
+
+def test_synthesize_perm_raises_on_missed_postcondition(monkeypatch):
+    # an explicit raise, so the postconditions also hold under python -O
+    import posicat.dyck as dyck
+
+    wrong = BoundedAffinePerm.from_window([1, 4, 3, 6, 5, 8])
+    monkeypatch.setattr(dyck, "profile_to_perm", lambda profile: wrong)
+    with pytest.raises(SynthesisFailed):
+        synthesize_perm({(1, 1), (1, 2), (1, 3)}, 2, 6)
 
 
 def test_synthesize_perm_rejects_asymmetric():

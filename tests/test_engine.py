@@ -12,8 +12,9 @@ from posicat import (
     enumerate_theta,
     parse_perm,
 )
-from posicat.errors import PreconditionViolated
-from posicat.polynomial import IntPoly
+from posicat.affine import MulResult
+from posicat.errors import NotBounded, PosicatError, PreconditionViolated
+from posicat.polynomial import IntPoly, ONE
 
 FIG2 = BoundedAffinePerm.from_window([3, 6, 4, 5, 7, 8, 9])
 FIG3 = BoundedAffinePerm.from_cycle([0, 3, 2, 5, 1, 4])
@@ -49,6 +50,28 @@ def test_rtilde_at_one_is_catalan(engine):
     for n in range(2, 7):
         for f in enumerate_theta(None, n):
             assert engine.compute_Rtilde(f).eval_at(1) == engine.compute_C(f)
+
+
+def _q_factorial(m):
+    out = ONE
+    for j in range(1, m + 1):
+        out = out * IntPoly([1] * j)
+    return out
+
+
+def test_translation_rtilde_is_rational_q_catalan(engine):
+    # for coprime k, n the translation's R~ is [n-1]!_q / ([k]!_q [n-k]!_q)
+    # (Armstrong, Loehr and Warrington, arXiv:1403.1845), which fixes every
+    # coefficient where the q = 1 checks see only the sum
+    frames = 0
+    for n in range(2, 11):
+        for k in range(1, n):
+            if math.gcd(k, n) != 1:
+                continue
+            expected = _q_factorial(n - 1).exact_div(_q_factorial(k) * _q_factorial(n - k))
+            assert engine.compute_Rtilde(BoundedAffinePerm.translation(k, n)) == expected, (k, n)
+            frames += 1
+    assert frames == 31
 
 
 def test_exact_division_by_full_power(engine):
@@ -108,6 +131,22 @@ def test_double_crossing_recurrence_exhaustive(engine):
                     assert engine.double_crossing_recurrence_check(f, i)
                     checked += 1
     assert checked == 94
+
+
+def test_nonpositive_C_raises_posicat_error(monkeypatch):
+    # the check is an explicit raise, so it also holds under python -O
+    engine = Engine()
+    monkeypatch.setattr(engine, "_reduce", lambda w, ring: 0)
+    with pytest.raises(PosicatError):
+        engine.compute_C(BoundedAffinePerm.translation(2, 5))
+
+
+def test_double_crossing_recurrence_unbounded_conjugate_raises(monkeypatch, engine):
+    g = BoundedAffinePerm.from_window([1, 4, 3, 5, 7])
+    unbounded = MulResult((0, 4, 3, 5, 8), False, 2, None)
+    monkeypatch.setattr(BoundedAffinePerm, "conjugate_s", lambda self, i: unbounded)
+    with pytest.raises(NotBounded):
+        engine.double_crossing_recurrence_check(g, 1)
 
 
 def test_double_crossing_recurrence_precondition(engine):

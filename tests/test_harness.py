@@ -2,7 +2,11 @@ import itertools
 import json
 import math
 
+import pytest
+
 from posicat import (
+    BoundedAffinePerm,
+    Engine,
     classes_census,
     census_report,
     cs_convex_subsets,
@@ -74,6 +78,51 @@ def test_verify_main_theorem_records_exception_and_continues(monkeypatch):
         {"window": list(bad), "check": "exception", "expected": None,
          "actual": "RuntimeError('injected')"}
     ]
+
+
+@pytest.mark.parametrize("chunk, windows, checked", [
+    ("_engine_theta_chunk", "theta", 6),
+    ("_engine_class_chunk", "reps", 6),
+    ("_engine_bounded_chunk", "bounded", 65),
+])
+def test_engine_chunks_record_exception_and_continue(monkeypatch, chunk, windows, checked):
+    import posicat.harness as harness
+
+    # the translation is its own sigma-shift and its own class, and no
+    # other window's checks reach it at this period
+    bad = (1, 2, 3, 4)
+
+    class FlakyEngine(Engine):
+        def compute_C(self, perm):
+            if perm.window == bad:
+                raise RuntimeError("injected")
+            return super().compute_C(perm)
+
+    monkeypatch.setattr(harness, "Engine", FlakyEngine)
+    items = {
+        "theta": list(harness._theta_windows(4)),
+        "reps": harness._class_representatives(4),
+        "bounded": list(harness._bounded_windows(4)),
+    }[windows]
+    assert bad in items
+    assert getattr(harness, chunk)(items) == (checked, [
+        {"window": list(bad), "check": "exception", "expected": None,
+         "actual": "RuntimeError('injected')"}
+    ])
+
+
+def test_synthesis_chunk_records_missed_postconditions(monkeypatch):
+    import posicat.harness as harness
+
+    wrong = BoundedAffinePerm.from_window([1, 4, 3, 6, 5, 8])
+    monkeypatch.setattr(harness, "profile_to_perm", lambda profile: wrong)
+    window = list(wrong.window)
+    assert harness._synthesis_chunk([(2, 6, ((1, 1), (1, 2), (1, 3)))]) == (1, [
+        {"window": window, "check": "repetition_free", "expected": True, "actual": False},
+        {"window": window, "check": "fset_roundtrip",
+         "expected": [(1, 1), (1, 2), (1, 3)], "actual": [(1, 2)]},
+        {"window": window, "check": "orbit_floor", "expected": 2, "actual": 0},
+    ])
 
 
 def test_verify_main_theorem_parallel_matches_serial():
