@@ -14,11 +14,14 @@ tuples; they are the hot path shared with the recurrence engine.
 from __future__ import annotations
 
 import json
+from operator import sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DegeneratePeriod,
+    InvalidFrame,
     LimitExceeded,
+    MalformedText,
     NotAnInversion,
     NotBijective,
     NotBounded,
@@ -200,16 +203,12 @@ def _canonical_key(w: Window) -> Window:
     """Lexicographically minimal cyclic rotation of the displacement word.
 
     The displacement word of sigma^t(f) is a rotation of that of f, so equal
-    keys characterise equal sigma-orbits.
+    keys characterise equal sigma-orbits.  The n rotations are the length-n
+    slices of the doubled word, and `min` compares them as tuples.
     """
     n = len(w)
-    disp = [w[i] - i for i in range(n)]
-    best = tuple(disp)
-    for t in range(1, n):
-        cand = tuple(disp[(i + t) % n] for i in range(n))
-        if cand < best:
-            best = cand
-    return best
+    doubled = tuple(map(sub, w, range(n))) * 2
+    return min([doubled[t:t + n] for t in range(n)])
 
 
 def _relabel_restriction(w: Window, residues: Iterable[int]) -> Window:
@@ -255,6 +254,38 @@ def _has_double_crossing(w: Window, i: int, pos: Sequence[int]) -> bool:
     c = _value_at(w, i + 1)
     d = _value_at(w, i)
     return i + 1 < c < d
+
+
+def _conj_has_double_crossing(w: Window, i: int, pos: Sequence[int]) -> bool:
+    """Whether g = s_i f s_i is bounded with a double crossing at i, for i in
+    [0, n) and n >= 2, read off f's window w and pos without building g.
+
+    With s = s_i acting on values, g(i) = s(f(i+1)), g(i+1) = s(f(i)) and
+    g^-1(y) = s(f^-1(s(y))), so the pattern of `_has_double_crossing` on g
+    is s(f^-1(i)) < s(f^-1(i+1)) < i < i+1 < s(f(i)) < s(f(i+1)).  g agrees
+    with f off the residues i, i+1, f^-1(i) and f^-1(i+1).  At x = f^-1(i)
+    and x = f^-1(i+1), when x is not i or i+1, g(x) = f(x) + 1 or f(x) - 1
+    stays in [x, x+n]: f(x) = x + n would need x = i, and f(x) = x would
+    need x = i+1.  So g is bounded iff i <= g(i) <= i+n and
+    i+1 <= g(i+1) <= i+1+n, which the chain above reduces to g(i) <= i+n.
+    """
+    n = len(w)
+    i1 = i + 1 if i + 1 < n else 0
+    # c = s(f(i)) and d = s(f(i+1)); s moves a value by its residue alone
+    c = w[i]
+    r = c % n
+    c += 1 if r == i else -1 if r == i1 else 0
+    d = w[i + 1] if i1 else w[0] + n
+    r = d % n
+    d += 1 if r == i else -1 if r == i1 else 0
+    if not i + 1 < c < d <= i + n:
+        return False
+    # a = s(f^-1(i)) and b = s(f^-1(i+1)); f^-1(y) has residue pos[y mod n]
+    p = pos[i]
+    a = p + i - w[p] + (1 if p == i else -1 if p == i1 else 0)
+    p = pos[i1]
+    b = p + i + 1 - w[p] + (1 if p == i else -1 if p == i1 else 0)
+    return a < b < i
 
 
 def _swap_split(w: Window, i: int, j: int) -> tuple[list[int], list[int]]:
@@ -395,11 +426,19 @@ class BoundedAffinePerm:
 
     @classmethod
     def from_json(cls, text: str) -> "BoundedAffinePerm":
-        obj = json.loads(text)
-        perm = cls.from_window(obj["window"])
+        """Read `{"window": [...]}`; optional `n` and `k` fields must agree
+        with the window.  Text of another shape raises MalformedText."""
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            raise MalformedText(f"invalid JSON permutation {text!r}: {exc}") from None
+        window = obj.get("window") if isinstance(obj, dict) else None
+        if not isinstance(window, list) or not all(type(v) is int for v in window):
+            raise MalformedText(f'JSON permutation needs a "window" list of integers: {text!r}')
+        perm = cls.from_window(window)
         for field in ("n", "k"):
             if field in obj and obj[field] != getattr(perm, field):
-                raise PosicatError(f"JSON field {field}={obj[field]} disagrees with window")
+                raise MalformedText(f"JSON field {field}={obj[field]} disagrees with window")
         return perm
 
     # -- basics --------------------------------------------------------------
@@ -608,11 +647,16 @@ def _c_class_windows(w: Window, limit: Optional[int] = None) -> list[Window]:
     return out
 
 
+def _require_theta_frame(k: int, n: int) -> None:
+    """Theta(k, n) is nonempty only for 1 <= k <= n-1."""
+    if not 1 <= k <= n - 1:
+        raise InvalidFrame(f"need 1 <= k <= n-1, got k={k}, n={n}")
+
+
 def min_length_witness(k: int, n: int) -> BoundedAffinePerm:
     """A minimal-length element of Theta(k, n): the translation times
     s_1 s_2 ... s_{d-1} where d = gcd(k, n); its length is d - 1."""
-    if not 1 <= k <= n - 1:
-        raise PosicatError(f"need 1 <= k <= n-1, got k={k}, n={n}")
+    _require_theta_frame(k, n)
     import math
 
     w = BoundedAffinePerm.translation(k, n).window
@@ -630,13 +674,14 @@ def parse_perm(text: str, one_based: bool = False) -> BoundedAffinePerm:
 
     With one_based=True, cycle entries are read on the alphabet 1..n (n plays
     the role of 0); windows are read as (f(1), ..., f(n)).  Either way the
-    same affine permutation results, expressed in 0-based form.
+    same affine permutation results, expressed in 0-based form.  Text that
+    follows none of these forms raises MalformedText.
     """
     text = text.strip()
     if text.startswith("{"):
         return BoundedAffinePerm.from_json(text)
     if text.startswith("window:"):
-        values = [int(t) for t in text[len("window:"):].split(",") if t.strip()]
+        values = _parse_ints(text[len("window:"):], text)
         if one_based:
             # (f(1), ..., f(n)) determines f(0) = f(n) - n
             values = [values[-1] - len(values)] + values[:-1]
@@ -645,11 +690,23 @@ def parse_perm(text: str, one_based: bool = False) -> BoundedAffinePerm:
         body = text[len("cycle:"):].strip()
         if body.startswith("(") and body.endswith(")"):
             body = body[1:-1]
-        entries = [int(t) for t in body.split(",") if t.strip()]
+        entries = _parse_ints(body, text)
         if one_based:
             entries = [e % len(entries) for e in entries]
         return BoundedAffinePerm.from_cycle(entries)
-    raise PosicatError(f"unrecognised permutation format: {text!r}")
+    raise MalformedText(f"unrecognised permutation format: {text!r}")
+
+
+def _parse_ints(body: str, text: str) -> list[int]:
+    """The comma-separated integers of `body`, blank entries skipped; a
+    non-integer entry or no entry at all raises MalformedText naming `text`."""
+    try:
+        values = [int(t) for t in body.split(",") if t.strip()]
+    except ValueError:
+        raise MalformedText(f"non-integer entry in {text!r}") from None
+    if not values:
+        raise MalformedText(f"no entries in {text!r}")
+    return values
 
 
 def format_window(perm: BoundedAffinePerm) -> str:

@@ -22,11 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .affine import BoundedAffinePerm
+from .affine import BoundedAffinePerm, _require_theta_frame
 from .errors import (
+    InvalidFrame,
     InvalidProfile,
     NotCentrallySymmetric,
     NotConvex,
+    PathCountMismatch,
     PosicatError,
     SynthesisFailed,
     TooManyPaths,
@@ -52,7 +54,10 @@ def _admissible(a: int, b: int, k: int, n: int, forbidden: frozenset[Point]) -> 
 
 def count_avoiding_paths(k: int, n: int, forbidden: Iterable[Point]) -> int:
     """Number of slanted Dyck paths from (0,0) to (k,n) avoiding `forbidden`
-    (sheared-frame points).  Column-major dynamic program, O(k) state."""
+    (sheared-frame points).  Column-major dynamic program, O(k) state.  The
+    frame needs n >= 1 and 0 <= k <= n, else InvalidFrame."""
+    if n < 1 or not 0 <= k <= n:
+        raise InvalidFrame(f"need n >= 1 and 0 <= k <= n, got k={k}, n={n}")
     fset = frozenset((int(a), int(b)) for a, b in forbidden)
     ways = {0: 1}
     for b in range(1, n + 1):
@@ -69,7 +74,8 @@ def enumerate_avoiding_paths(
     k: int, n: int, forbidden: Iterable[Point], cap: int = 10000
 ) -> list[list[Point]]:
     """Explicit point sequences of all avoiding paths; raises TooManyPaths
-    when the count exceeds `cap`."""
+    when the count exceeds `cap`, InvalidFrame as `count_avoiding_paths`
+    does, and PathCountMismatch if the listing disagrees with the count."""
     total = count_avoiding_paths(k, n, forbidden)
     if total > cap:
         raise TooManyPaths(f"{total} paths exceed the cap of {cap}")
@@ -91,7 +97,8 @@ def enumerate_avoiding_paths(
             path.pop()
 
     walk(0, 0)
-    assert len(out) == total
+    if len(out) != total:
+        raise PathCountMismatch(f"listed {len(out)} paths, counted {total} in ({k}, {n})")
     return out
 
 
@@ -230,8 +237,10 @@ def synthesize_profile(
     ties a centrally symmetric hull would otherwise force.  Candidates over
     the deterministic (m, s) schedule are validated exactly and the first
     success wins; existence is guaranteed for small enough perturbations, so
-    exhausting the schedule signals a bug.
+    exhausting the schedule signals a bug.  A frame outside 1 <= k <= n-1
+    raises InvalidFrame.
     """
+    _require_theta_frame(k, n)
     points = {(int(a), int(b)) for a, b in forbidden_sheared}
     _require_cs_convex(points, k, n)
     hull = _upper_hull_heights(points, k, n)

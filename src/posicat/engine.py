@@ -29,9 +29,17 @@ a class with no applicable member would contradict the constructive
 reduction, hence IrreducibleElement signals a bug.
 
 Values are cached per sigma-orbit: R~ is invariant under the cyclic shift,
-and the lex-min rotation of the displacement word identifies the orbit.  For
-a class-search hit, every visited member shares the value and is cached as
-well.
+and the lex-min rotation of the displacement word identifies the orbit.  The
+key is the least of the n length-n slices of the doubled displacement word.
+For a class-search hit, every visited member shares the value and is cached
+as well.
+
+A node outside class search does O(n) Python-level work: the key, the fixed
+residue and simple-factor scans, and one residue-position table.  The
+double-move scan reads each index's test off f and that table in O(1)
+(`affine._conj_has_double_crossing`) and builds g only for the index it
+takes.  Building the n slices of the key copies O(n^2) integers, but in
+native code.
 """
 
 from __future__ import annotations
@@ -43,9 +51,8 @@ from .affine import (
     BoundedAffinePerm,
     _c_class_members,
     _canonical_key,
+    _conj_has_double_crossing,
     _conj_s,
-    _has_double_crossing,
-    _is_bounded,
     _left_s,
     _remove_fixed,
     _residue_positions,
@@ -179,9 +186,10 @@ class Engine:
             if w[i] == i + 1 or _value_at(w, i + 1) == i + n:
                 self._emit("simple_factor", w, i=i)
                 return self._value(_left_s(w, i), ring)
+        pos = _residue_positions(w)
         for i in range(n):
-            g = _conj_s(w, i)
-            if _is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g)):
+            if _conj_has_double_crossing(w, i, pos):
+                g = _conj_s(w, i)
                 same_cycle = _same_cycle(g, i)
                 self._emit("double_move", w, i=i, same_cycle=same_cycle)
                 if same_cycle:

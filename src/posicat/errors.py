@@ -11,6 +11,15 @@ class PosicatError(Exception):
 
 # --- window / cycle construction ---
 
+class MalformedText(PosicatError):
+    """Text input (a permutation or a point list) does not follow its
+    documented format."""
+
+
+class InvalidFrame(PosicatError):
+    """The frame (k, n) lies outside the range an operation accepts."""
+
+
 class NotBounded(PosicatError):
     """Some i has f(i) < i or f(i) > i + n."""
 
@@ -100,3 +109,8 @@ class SynthesisFailed(PosicatError):
 
 class TooManyPaths(PosicatError):
     """Path listing would exceed the configured cap."""
+
+
+class PathCountMismatch(PosicatError):
+    """Path listing found a different number of paths than the dynamic
+    program counted; signals a bug."""

@@ -333,16 +333,16 @@ def _engine_theta_checks(w: Window, engine: Engine, failures: list[dict]) -> Non
                 failures.append(_fail(w, f"double_crossing_identity_{i}", True, False))
 
 
-def _engine_class_chunk(windows: list[Window]) -> tuple[int, list[dict]]:
+def _engine_class_chunk(classes: list[list[Window]]) -> tuple[int, list[dict]]:
     """Class invariance: every member of each conjugation class shares C and
-    the normalised polynomial.  Chunks carry class representatives; every
-    member counts as checked, and a class whose checks raise is recorded as
-    an `exception` failure of its representative."""
+    the normalised polynomial.  Chunks carry whole classes, each led by its
+    representative; every member counts as checked, and a class whose checks
+    raise is recorded as an `exception` failure of its representative."""
     engine = Engine()
     failures: list[dict] = []
     checked = 0
-    for w in windows:
-        members = _c_class_windows(w)
+    for members in classes:
+        w = members[0]
         checked += len(members)
         try:
             _engine_class_checks(w, members, engine, failures)
@@ -388,16 +388,18 @@ def _engine_bounded_checks(w: Window, engine: Engine, failures: list[dict]) -> N
             failures.append(_fail(w, "decoupling", c, decoupled))
 
 
-def _class_representatives(n: int) -> list[Window]:
-    reps: list[Window] = []
+def _theta_classes(n: int) -> list[list[Window]]:
+    """The conjugation classes that meet the single-cycle windows of period
+    n, each in discovery order from its first single-cycle window."""
+    classes: list[list[Window]] = []
     seen: set[Window] = set()
     for w in _theta_windows(n):
         if w in seen:
             continue
         members = _c_class_windows(w)
         seen.update(members)
-        reps.append(w)
-    return reps
+        classes.append(members)
+    return classes
 
 
 def verify_engine(n_max: int, jobs: int = 1) -> VerificationReport:
@@ -409,8 +411,8 @@ def verify_engine(n_max: int, jobs: int = 1) -> VerificationReport:
     report = VerificationReport("engine", {"n_max": n_max, "jobs": jobs})
     theta = [w for n in range(2, n_max + 1) for w in _theta_windows(n)]
     checked, failures = _run_chunked(_engine_theta_chunk, theta, jobs)
-    reps = [w for n in range(2, n_max + 1) for w in _class_representatives(n)]
-    c2, f2 = _run_chunked(_engine_class_chunk, reps, jobs)
+    classes = [c for n in range(2, n_max + 1) for c in _theta_classes(n)]
+    c2, f2 = _run_chunked(_engine_class_chunk, classes, jobs)
     bounded = [w for n in range(1, n_max + 1) for w in _bounded_windows(n)]
     c3, f3 = _run_chunked(_engine_bounded_chunk, bounded, jobs)
     report.checked = checked + c2 + c3

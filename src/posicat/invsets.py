@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .affine import BoundedAffinePerm, _inversion_pairs, _swap_split
-from .errors import NotRepetitionFree, PosicatError, PreconditionViolated
+from .errors import MalformedText, NotRepetitionFree, PosicatError, PreconditionViolated
 
 Point = tuple[int, int]
 
@@ -126,9 +126,11 @@ def parse_forbidden(text: str) -> list[Point]:
     out = []
     for chunk in text.split(";"):
         parts = chunk.split(",")
-        if len(parts) != 2:
-            raise PosicatError(f"bad point {chunk!r} in forbidden set")
-        out.append((int(parts[0]), int(parts[1])))
+        try:
+            a, b = (int(t) for t in parts)
+        except ValueError:
+            raise MalformedText(f"bad point {chunk!r} in forbidden set") from None
+        out.append((a, b))
     return out
 
 

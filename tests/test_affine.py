@@ -7,10 +7,21 @@ from posicat import (
     min_length_witness,
     parse_perm,
 )
-from posicat.affine import format_window
+from posicat.harness import _bounded_windows
+from posicat.affine import (
+    _canonical_key,
+    _conj_has_double_crossing,
+    _conj_s,
+    _has_double_crossing,
+    _is_bounded,
+    _residue_positions,
+    format_window,
+)
 from posicat.errors import (
     DegeneratePeriod,
+    InvalidFrame,
     LimitExceeded,
+    MalformedText,
     NotAnInversion,
     NotBijective,
     NotBounded,
@@ -215,6 +226,21 @@ def test_double_crossing_detection():
     assert not any(fig2.has_double_crossing_at(i) for i in range(7))
 
 
+def test_conj_double_crossing_matches_built_conjugate():
+    """The test read off f agrees with building g = s_i f s_i, for every
+    bounded window with 2 <= n <= 6 and every i."""
+    hits = 0
+    for n in range(2, 7):
+        for w in _bounded_windows(n):
+            pos = _residue_positions(w)
+            for i in range(n):
+                g = _conj_s(w, i)
+                expected = _is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g))
+                assert _conj_has_double_crossing(w, i, pos) == expected, (w, i)
+                hits += expected
+    assert hits > 0
+
+
 def test_resolve_crossing_named():
     f = BoundedAffinePerm.from_window(FIG2)
     _, _, gammas = f.resolve_crossing((1, 2))
@@ -271,6 +297,17 @@ def test_canonical_key_sigma_invariant():
         assert f.cyclic_shift().canonical_key() == f.canonical_key()
 
 
+def test_canonical_key_matches_rotation_reference():
+    def rotation_key(w):
+        n = len(w)
+        disp = [w[i] - i for i in range(n)]
+        return min(tuple(disp[(i + t) % n] for i in range(n)) for t in range(n))
+
+    for n in range(1, 7):
+        for w in _bounded_windows(n):
+            assert _canonical_key(w) == rotation_key(w), w
+
+
 def test_canonical_key_translation():
     assert BoundedAffinePerm.translation(2, 5).canonical_key() == (2,) * 5
 
@@ -320,6 +357,9 @@ def test_min_length_witness():
     assert min_length_witness(2, 5) == BoundedAffinePerm.translation(2, 5)
     w = min_length_witness(3, 6)
     assert w.length() == 2 and w.is_theta
+    for k, n in ((0, 5), (5, 5), (1, 1)):
+        with pytest.raises(InvalidFrame):
+            min_length_witness(k, n)
 
 
 # -- cycle type and text formats ------------------------------------------------------
@@ -346,3 +386,21 @@ def test_parse_and_format():
         parse_perm("strand:1,2,3")
     with pytest.raises(PosicatError):
         parse_perm('{"n": 6, "k": 3, "window": [3, 6, 4, 5, 7, 8, 9]}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"x": 1}',
+    '{"window": [1, 2',
+    '{"window": "12"}',
+    '{"window": [1.5, 2]}',
+    "window:a,b",
+    "window:",
+    "cycle:(0,x)",
+    "cycle:()",
+    "strand:1,2,3",
+])
+def test_parse_perm_malformed_text(text):
+    with pytest.raises(MalformedText):
+        parse_perm(text)
+    with pytest.raises(MalformedText):
+        parse_perm(text, one_based=True)

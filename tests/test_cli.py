@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from posicat.cli import main
 
 
@@ -145,6 +147,36 @@ def test_usage_errors(capsys):
 def test_bad_forbidden_text(capsys):
     code, _, err = run(capsys, "dyck", "--k", "3", "--n", "7", "--forbid", "1;2,3")
     assert code == 2 and "error" in err
+
+
+def test_bad_forbidden_entry_exits_2(capsys):
+    code, _, err = run(capsys, "dyck", "--k", "3", "--n", "7", "--forbid", "1,a")
+    assert code == 2 and "bad point" in err
+
+
+@pytest.mark.parametrize("text", ['{"x":1}', "window:a,b", '{"window": [1, 2', "cycle:(0,x)"])
+def test_bad_perm_text_exits_2(capsys, text):
+    code, out, err = run(capsys, "compute", "--perm", text, "--what", "catalan")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("dyck", "--k", "-3", "--n", "7"),
+    ("dyck", "--k", "8", "--n", "7", "--list"),
+    ("dyck", "--k", "0", "--n", "0"),
+])
+def test_dyck_bad_frame_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "0 <= k <= n" in err
+
+
+@pytest.mark.parametrize("k", ["0", "7"])
+def test_synthesize_bad_frame_exits_2(capsys, k):
+    code, out, err = run(capsys, "synthesize", "--k", k, "--n", "7")
+    assert code == 2 and out == ""
+    assert "1 <= k <= n-1" in err
 
 
 def test_jobs_env_fallback(monkeypatch):

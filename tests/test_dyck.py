@@ -19,9 +19,11 @@ from posicat import (
     validate_profile,
 )
 from posicat.errors import (
+    InvalidFrame,
     InvalidProfile,
     NotCentrallySymmetric,
     NotConvex,
+    PathCountMismatch,
     SynthesisFailed,
     TooManyPaths,
 )
@@ -58,6 +60,27 @@ def test_enumerate_matches_count():
         for (a1, b1), (a2, b2) in zip(path, path[1:]):
             assert b2 == b1 + 1 and a2 - a1 in (0, 1)
     assert len(enumerate_avoiding_paths(1, 3, set())) == 1
+
+
+@pytest.mark.parametrize("k, n", [(-3, 7), (8, 7), (0, 0), (1, 0), (0, -1)])
+def test_path_frames_outside_range_raise(k, n):
+    with pytest.raises(InvalidFrame):
+        count_avoiding_paths(k, n, set())
+    with pytest.raises(InvalidFrame):
+        enumerate_avoiding_paths(k, n, set())
+
+
+def test_path_frames_at_the_edges_count_one_path():
+    assert count_avoiding_paths(0, 4, set()) == 1
+    assert enumerate_avoiding_paths(4, 4, set()) == [[(a, a) for a in range(5)]]
+
+
+def test_enumerate_raises_when_listing_disagrees_with_count(monkeypatch):
+    import posicat.dyck as dyck
+
+    monkeypatch.setattr(dyck, "count_avoiding_paths", lambda k, n, forbidden: 6)
+    with pytest.raises(PathCountMismatch):
+        dyck.enumerate_avoiding_paths(3, 7, set())
 
 
 def test_enumerate_cap():
@@ -187,6 +210,12 @@ def test_double_move_path_identity():
                 assert paths(conj) == paths(f1) * paths(f2) + paths(f)
                 checked += 1
     assert checked == 324
+
+
+@pytest.mark.parametrize("k, n", [(0, 7), (7, 7), (-1, 7), (1, 1)])
+def test_synthesize_profile_frame_outside_range_raises(k, n):
+    with pytest.raises(InvalidFrame):
+        synthesize_profile(set(), k, n)
 
 
 def test_profile_json():

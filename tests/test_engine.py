@@ -212,3 +212,55 @@ def test_trace_contains_double_move():
     eng.compute_C(BoundedAffinePerm.from_cycle([0, 3, 2, 5, 1, 4]))
     rules = {r["rule"] for r in records}
     assert "double_move" in rules and "base" in rules
+
+
+# C, R~ and the counters of a cold engine for seeded random cycles, taken
+# from the engine before its nodes read the double-move test off f; equal
+# counters mean the same reduction path.
+GOLDEN = [
+    ([0, 8, 4, 3, 9, 1, 7, 5, 6, 2], 2, [1, 0, 1],
+     {"r_hits": 2, "r_misses": 29, "c_hits": 1, "c_misses": 29,
+      "r_entries": 30, "c_entries": 30}),
+    ([0, 6, 3, 1, 2, 4, 5, 7, 8, 9], 1, [1],
+     {"r_hits": 0, "r_misses": 19, "c_hits": 0, "c_misses": 19,
+      "r_entries": 19, "c_entries": 19}),
+    ([0, 9, 8, 6, 3, 7, 1, 4, 10, 5, 2], 5, [1, 0, 1, 1, 1, 0, 1],
+     {"r_hits": 11, "r_misses": 74, "c_hits": 4, "c_misses": 60,
+      "r_entries": 82, "c_entries": 66}),
+    ([0, 8, 2, 3, 1, 10, 4, 7, 9, 6, 5], 3, [1, 0, 1, 0, 1],
+     {"r_hits": 4, "r_misses": 41, "c_hits": 2, "c_misses": 39,
+      "r_entries": 42, "c_entries": 40}),
+    ([0, 6, 8, 1, 7, 11, 4, 3, 5, 10, 9, 2], 7, [1, 0, 1, 1, 1, 1, 1, 0, 1],
+     {"r_hits": 15, "r_misses": 82, "c_hits": 5, "c_misses": 58,
+      "r_entries": 83, "c_entries": 58}),
+    ([0, 3, 10, 1, 9, 11, 5, 4, 2, 7, 8, 6], 5, [1, 0, 1, 1, 1, 0, 1],
+     {"r_hits": 13, "r_misses": 88, "c_hits": 4, "c_misses": 57,
+      "r_entries": 89, "c_entries": 58}),
+]
+
+
+@pytest.mark.parametrize("cycle, c, rtilde, stats", GOLDEN)
+def test_golden_values_and_cold_engine_stats(cycle, c, rtilde, stats):
+    engine = Engine()
+    perm = BoundedAffinePerm.from_cycle(cycle)
+    assert engine.compute_C(perm) == c
+    assert list(engine.compute_Rtilde(perm).coeffs) == rtilde
+    assert engine.stats == stats
+
+
+def test_step_builds_the_conjugate_only_for_the_chosen_index(monkeypatch):
+    import posicat.engine as engine_module
+
+    built = []
+    original = engine_module._conj_s
+
+    def counted(w, i):
+        built.append((w, i))
+        return original(w, i)
+
+    monkeypatch.setattr(engine_module, "_conj_s", counted)
+    records = []
+    engine = Engine(trace_hook=records.append)
+    engine.compute_Rtilde(BoundedAffinePerm.from_cycle(GOLDEN[2][0]))
+    moves = [(tuple(r["window"]), r["i"]) for r in records if r["rule"] == "double_move"]
+    assert moves and built == moves
