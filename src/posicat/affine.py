@@ -14,7 +14,7 @@ tuples; they are the hot path shared with the recurrence engine.
 from __future__ import annotations
 
 import json
-from operator import sub
+from operator import index, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -310,6 +310,15 @@ def _swap_split(w: Window, i: int, j: int) -> tuple[list[int], list[int]]:
     return g, cyc
 
 
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The entries of `values` through `operator.index`, so a float, string
+    or None entry raises MalformedText instead of being truncated."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise MalformedText(f"non-integer entry in {what}: {values!r}") from None
+
+
 def _window_from_cycle(cycle: Sequence[int]) -> Window:
     """Strictly bounded lift of the n-cycle given as (0, j_1, ..., j_{n-1})."""
     n = len(cycle)
@@ -376,7 +385,7 @@ class BoundedAffinePerm:
     __slots__ = ("n", "window", "k", "_pos", "_length", "_theta")
 
     def __init__(self, window: Sequence[int], _validated: bool = False):
-        w = tuple(int(v) for v in window)
+        w = _integers(window, "window")
         if not w:
             raise PosicatError("empty window")
         n = len(w)
@@ -405,9 +414,10 @@ class BoundedAffinePerm:
         """The unique f in Theta(k, n) whose reduction is the given n-cycle.
 
         The cycle must list each of 0..n-1 exactly once; any rotation is
-        accepted and normalised to start at 0.
+        accepted and normalised to start at 0.  A non-integer entry raises
+        MalformedText.
         """
-        cycle = [int(x) for x in cycle]
+        cycle = list(_integers(cycle, "cycle"))
         n = len(cycle)
         if n == 1:
             raise DegeneratePeriod("period 1 admits no strictly bounded n-cycle")

@@ -23,6 +23,7 @@ from .harness import (
     enumerate_theta,
     verify_engine,
     verify_main_theorem,
+    verify_structure,
     verify_synthesis,
 )
 from .invsets import (
@@ -84,7 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--format", choices=["json", "csv"], default="json")
 
     p_verify = sub.add_parser("verify", help="run an exhaustive verification suite")
-    p_verify.add_argument("--suite", required=True, choices=["main", "synthesis", "engine", "census"])
+    p_verify.add_argument(
+        "--suite", required=True,
+        choices=["main", "synthesis", "engine", "structure", "census"],
+    )
     p_verify.add_argument("--n-max", type=int, default=8)
     p_verify.add_argument("--jobs", type=int, default=None, help="defaults to POSICAT_JOBS or 1")
     return parser
@@ -199,6 +203,7 @@ def _cmd_verify(args) -> int:
         "main": verify_main_theorem,
         "synthesis": verify_synthesis,
         "engine": verify_engine,
+        "structure": verify_structure,
     }[args.suite]
     report = runner(args.n_max, jobs=jobs)
     print(report.to_json())

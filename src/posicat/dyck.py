@@ -36,10 +36,11 @@ from .errors import (
 from .invsets import (
     LatticeMultiset,
     Point,
+    _chain_heights,
+    _upper_chain,
     inversion_multiset,
     is_convex_points,
     rect_to_sheared,
-    sheared_to_rect,
 )
 
 # ---------------------------------------------------------------------------
@@ -193,36 +194,18 @@ def profile_to_perm(profile: ConcaveProfile | Sequence[Fraction]) -> BoundedAffi
 def _upper_hull_heights(points: set[Point], k: int, n: int) -> list[Fraction]:
     """Exact heights of the upper hull of points + {(0,0), (k,n)} at each
     integer abscissa b = 0..n (points are sheared (a, b); x = b, y = a)."""
-    xy = sorted({(b, a) for a, b in points} | {(0, 0), (n, k)})
-    hull: list[tuple[int, int]] = []
-    for p in xy:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) >= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    heights = []
-    seg = 0
-    for b in range(n + 1):
-        while seg + 1 < len(hull) - 1 and hull[seg + 1][0] <= b:
-            seg += 1
-        (x1, y1), (x2, y2) = hull[seg], hull[seg + 1]
-        heights.append(Fraction(y1 * (x2 - b) + y2 * (b - x1), x2 - x1))
-    return heights
+    hull = _upper_chain([(b, a) for a, b in points] + [(0, 0), (n, k)])
+    return _chain_heights(hull, Fraction)
 
 
 def _require_cs_convex(points: set[Point], k: int, n: int) -> None:
     """Validate a sheared forbidden set: centrally symmetric and convex."""
-    delta = (k, n)
     for a, b in points:
         if not (1 <= a <= k - 1 and 1 <= b <= n - 1):
             raise PosicatError(f"point {(a, b)} outside [1,{k - 1}]x[1,{n - 1}]")
-        if (delta[0] - a, delta[1] - b) not in points:
+        if (k - a, n - b) not in points:
             raise NotCentrallySymmetric(f"missing mirror of {(a, b)}")
-    rect = {sheared_to_rect(p) for p in points}
-    if not is_convex_points(rect, k, n - k):
+    if not is_convex_points(points, k, n):
         raise NotConvex(f"{sorted(points)} misses lattice points of its hull")
 
 

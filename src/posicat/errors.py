@@ -13,7 +13,7 @@ class PosicatError(Exception):
 
 class MalformedText(PosicatError):
     """Text input (a permutation or a point list) does not follow its
-    documented format."""
+    documented format, or a window or cycle has a non-integer entry."""
 
 
 class InvalidFrame(PosicatError):

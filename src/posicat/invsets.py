@@ -11,8 +11,8 @@ lattice-point counts agree between frames.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
+from operator import floordiv
 from typing import Iterable
 
 from .affine import BoundedAffinePerm, _inversion_pairs, _swap_split
@@ -173,85 +173,76 @@ def is_centrally_symmetric(ms: LatticeMultiset) -> bool:
     )
 
 
-# -- exact integer convex hulls ------------------------------------------------
+# -- lattice convexity via one integer monotone chain ---------------------------
 
-def _cross(o: Point, a: Point, b: Point) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _upper_chain(points: Iterable[Point]) -> list[Point]:
+    """Upper-hull vertices of `points`, left to right (Andrew's monotone
+    chain, integer arithmetic only).
 
-
-def convex_hull(points: Iterable[Point]) -> list[Point]:
-    """Counterclockwise hull via the monotone chain, integer arithmetic only.
-
-    Collinear boundary points are dropped; a degenerate hull (all points on
-    one segment) comes back with fewer than three vertices.
+    Only the highest point of each column can be an upper-hull vertex, so
+    the chain runs over those; points on a chain edge are dropped.  The
+    lower hull is the upper chain of the points with y negated.
     """
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    # all collinear: the hull degenerates to the extreme segment
-    return hull if len(hull) >= 3 else [pts[0], pts[-1]]
+    top: dict[int, int] = {}
+    for x, y in points:
+        if x not in top or y > top[x]:
+            top[x] = y
+    chain: list[Point] = []
+    for p in sorted(top.items()):
+        while len(chain) >= 2:
+            (x1, y1), (x2, y2) = chain[-2], chain[-1]
+            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) < 0:
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
 
 
-def hull_lattice_points(points: Iterable[Point]) -> set[Point]:
-    """All lattice points inside or on the convex hull of `points`."""
-    pts = set(points)
-    if not pts:
-        return set()
-    hull = convex_hull(pts)
-    if len(hull) <= 2:
-        if len(hull) == 1:
-            return pts
-        (x1, y1), (x2, y2) = hull
-        g = math.gcd(abs(x2 - x1), abs(y2 - y1))
-        return {
-            (x1 + t * (x2 - x1) // g, y1 + t * (y2 - y1) // g) for t in range(g + 1)
-        }
-    xs = [p[0] for p in hull]
-    ys = [p[1] for p in hull]
-    out = set()
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            q = (x, y)
-            if all(
-                _cross(hull[i], hull[(i + 1) % len(hull)], q) >= 0
-                for i in range(len(hull))
-            ):
-                out.add(q)
+def _chain_heights(chain: list[Point], div) -> list:
+    """The chain's height at each integer x from its first vertex to its
+    last, as div(numerator, denominator): `floordiv` gives the floors and
+    `Fraction` the exact heights."""
+    out = []
+    for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
+        out.extend(div(y1 * (x2 - x) + y2 * (x - x1), x2 - x1) for x in range(x1, x2))
+    out.append(div(chain[-1][1], 1))
     return out
 
 
 def is_convex_points(points: Iterable[Point], k: int, m: int) -> bool:
-    """Lattice convexity of a RECT-frame set inside [1, k-1] x [1, m-1].
+    """Lattice convexity of a point set, in either frame.
 
-    The set is augmented with the frame corners (0, 0) and (k, m); it is
-    convex when the augmented set contains every lattice point of its hull.
+    The set is augmented with the frame corners (0, 0) and delta = (k, m),
+    which is (k, n-k) in the RECT frame and (k, n) in the SHEARED frame; the
+    shear is unimodular, so both give the same answer.  The augmented set is
+    convex when it contains every lattice point of its hull.  With x = b,
+    the hull's column at x runs from a bottom to a top given by the lower
+    and upper chains and holds floor(top) - ceil(bottom) + 1 lattice points;
+    the set is convex exactly when each column holds that many of its
+    points.  O(P log P + width).
     """
     aug = set(points) | {(0, 0), (k, m)}
-    return hull_lattice_points(aug) <= aug
+    column: dict[int, int] = {}
+    for _, b in aug:
+        column[b] = column.get(b, 0) + 1
+    tops = _chain_heights(_upper_chain((b, a) for a, b in aug), floordiv)
+    neg_bottoms = _chain_heights(_upper_chain((b, -a) for a, b in aug), floordiv)
+    x0 = min(column)
+    return all(
+        column.get(x0 + i, 0) == top + neg_bottom + 1
+        for i, (top, neg_bottom) in enumerate(zip(tops, neg_bottoms))
+    )
 
 
 def is_convex(ms: LatticeMultiset) -> bool:
     """Lattice convexity of a multiset with multiplicities all equal to 1.
 
-    Either frame is accepted; the shear is unimodular so the answer matches
-    the RECT-frame definition.
+    Either frame is accepted: `is_convex_points` runs in the multiset's own
+    frame with corners (0, 0) and its delta.
     """
     if not ms.is_set():
         return False
-    rect = ms.to_rect()
-    k, m = rect.delta
-    return is_convex_points(rect.points(), k, m)
+    return is_convex_points(ms.entries, *ms.delta)
 
 
 # -- extremal sets ----------------------------------------------------------------

@@ -404,3 +404,23 @@ def test_parse_perm_malformed_text(text):
         parse_perm(text)
     with pytest.raises(MalformedText):
         parse_perm(text, one_based=True)
+
+
+@pytest.mark.parametrize("window", [[1.7, 2.2], ["1", "2"], [None, 2], [1, 2.0]])
+def test_window_non_integer_entries_raise(window):
+    with pytest.raises(MalformedText):
+        BoundedAffinePerm(window)
+    with pytest.raises(MalformedText):
+        BoundedAffinePerm.from_window(window)
+
+
+@pytest.mark.parametrize("cycle", [[0, 2.5, 1], [0, "2", 1], [0, None, 1], [0, 2.0, 1]])
+def test_cycle_non_integer_entries_raise(cycle):
+    with pytest.raises(MalformedText):
+        BoundedAffinePerm.from_cycle(cycle)
+
+
+def test_integer_like_entries_are_accepted():
+    # operator.index admits every integer type, bool included
+    assert BoundedAffinePerm((True, 2)).window == (1, 2)
+    assert BoundedAffinePerm.from_cycle(range(3)) == BoundedAffinePerm.from_cycle([0, 1, 2])

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from posicat import cli
 from posicat.cli import main
+from posicat.harness import VerificationReport
 
 
 def run(capsys, *argv):
@@ -128,6 +130,28 @@ def test_verify_main_small(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True and payload["checked"] == 1 + 2 + 6
     assert "PASS" in err
+
+
+def test_verify_structure(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "structure", "--n-max", "6")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["suite"] == "structure" and payload["passed"] is True
+    assert payload["checked"] == 1 + 2 + 6 + 24 + 120
+    assert "PASS" in err
+
+
+def test_verify_structure_failure_exits_1(capsys, monkeypatch):
+    def failing(n_max, jobs=1):
+        report = VerificationReport("structure", {"n_max": n_max, "jobs": jobs})
+        report.failures.append({"window": [2, 4], "check": "min_length",
+                                "expected": 1, "actual": 0})
+        return report
+
+    monkeypatch.setattr(cli, "verify_structure", failing)
+    code, out, err = run(capsys, "verify", "--suite", "structure", "--n-max", "4")
+    assert code == 1
+    assert json.loads(out)["passed"] is False and "FAIL" in err
 
 
 def test_verify_census(capsys):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from posicat import (
@@ -18,7 +21,7 @@ from posicat import (
     split_identity_check,
 )
 from posicat.errors import NotRepetitionFree, PreconditionViolated
-from posicat.invsets import RECT, SHEARED, is_convex_points
+from posicat.invsets import RECT, SHEARED, _upper_chain, is_convex_points
 
 FIG2 = BoundedAffinePerm.from_window([3, 6, 4, 5, 7, 8, 9])
 
@@ -89,6 +92,73 @@ def test_convexity_examples():
     assert not is_convex_points({(1, 1), (3, 3)}, 4, 4)
 
 
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _on_segment(q, a, b):
+    return (
+        _cross(a, b, q) == 0
+        and min(a[0], b[0]) <= q[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= q[1] <= max(a[1], b[1])
+    )
+
+
+def _in_triangle(q, a, b, c):
+    if _cross(a, b, c) == 0:
+        return False  # degenerate: its segments cover it
+    signs = (_cross(a, b, q), _cross(b, c, q), _cross(c, a, q))
+    return all(s >= 0 for s in signs) or all(s <= 0 for s in signs)
+
+
+def brute_force_convex(points, k, m):
+    """Reference by Caratheodory: a lattice point lies in the hull iff it is
+    a set point, lies on a segment between two set points, or lies in a
+    triangle of three set points."""
+    aug = set(points) | {(0, 0), (k, m)}
+    xs = [p[0] for p in aug]
+    ys = [p[1] for p in aug]
+    for q in itertools.product(range(min(xs), max(xs) + 1), range(min(ys), max(ys) + 1)):
+        if q in aug:
+            continue
+        if any(_on_segment(q, a, b) for a, b in itertools.combinations(aug, 2)):
+            return False
+        if any(_in_triangle(q, *t) for t in itertools.combinations(aug, 3)):
+            return False
+    return True
+
+
+def convexity_inputs():
+    """Every subset of the open rectangle for k, m <= 4, then a seeded
+    sample of random sets, some with points outside the frame."""
+    for k in range(1, 5):
+        for m in range(1, 5):
+            box = [(a, b) for a in range(1, k) for b in range(1, m)]
+            for r in range(len(box) + 1):
+                for sub in itertools.combinations(box, r):
+                    yield set(sub), k, m
+    rng = random.Random(5)
+    for _ in range(300):
+        k, m = rng.randint(0, 6), rng.randint(0, 6)
+        yield {(rng.randint(-2, k + 2), rng.randint(-2, m + 2))
+               for _ in range(rng.randint(0, 6))}, k, m
+
+
+def test_convexity_matches_brute_force():
+    convex = 0
+    for points, k, m in convexity_inputs():
+        expected = brute_force_convex(points, k, m)
+        assert is_convex_points(points, k, m) == expected, (sorted(points), k, m)
+        convex += expected
+    assert convex > 100
+
+
+def test_convexity_shear_invariant():
+    for points, k, m in convexity_inputs():
+        sheared = {(a, a + b) for a, b in points}
+        assert is_convex_points(points, k, m) == is_convex_points(sheared, k, k + m)
+
+
 def test_convexity_frame_independent():
     ms = inversion_multiset(FIG2)
     assert is_convex(ms)
@@ -149,8 +219,6 @@ def test_split_identity_precondition():
 def test_resolution_types_are_hull_vertices():
     # at a double crossing, the factor frames are hull vertices of the
     # augmented sheared set
-    from posicat.invsets import convex_hull
-
     for n in range(2, 8):
         for f in enumerate_theta(None, n):
             if not is_repetition_free(f):
@@ -160,7 +228,9 @@ def test_resolution_types_are_hull_vertices():
                     continue
                 f1, f2, _ = f.resolve_crossing((i, i + 1))
                 sheared = set(inversion_multiset(f, SHEARED).entries)
-                hull = set(convex_hull(sheared | {(0, 0), (f.k, n)}))
+                aug = sheared | {(0, 0), (f.k, n)}
+                lower = _upper_chain((-a, -b) for a, b in aug)
+                hull = set(_upper_chain(aug)) | {(-a, -b) for a, b in lower}
                 assert (f1.k, f1.n) in hull and (f2.k, f2.n) in hull
 
 
