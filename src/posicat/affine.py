@@ -199,16 +199,26 @@ def _sigma(w: Window) -> Window:
     return tuple(_value_at(w, i - 1) + 1 for i in range(n))
 
 
-def _canonical_key(w: Window) -> Window:
-    """Lexicographically minimal cyclic rotation of the displacement word.
+def _displacements(w: Window) -> Window:
+    """The displacement word (f(0) - 0, ..., f(n-1) - (n-1)), entries in [0, n]."""
+    return tuple(map(sub, w, range(len(w))))
+
+
+def _orbit_key(d: Window) -> Window:
+    """Lexicographically minimal cyclic rotation of the displacement word d.
 
     The displacement word of sigma^t(f) is a rotation of that of f, so equal
     keys characterise equal sigma-orbits.  The n rotations are the length-n
     slices of the doubled word, and `min` compares them as tuples.
     """
-    n = len(w)
-    doubled = tuple(map(sub, w, range(n))) * 2
+    n = len(d)
+    doubled = d * 2
     return min([doubled[t:t + n] for t in range(n)])
+
+
+def _canonical_key(w: Window) -> Window:
+    """The sigma-orbit key of w: `_orbit_key` of its displacement word."""
+    return _orbit_key(_displacements(w))
 
 
 def _relabel_restriction(w: Window, residues: Iterable[int]) -> Window:

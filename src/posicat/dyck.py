@@ -37,6 +37,7 @@ from .invsets import (
     LatticeMultiset,
     Point,
     _chain_heights,
+    _points,
     _upper_chain,
     inversion_multiset,
     is_convex_points,
@@ -59,7 +60,7 @@ def count_avoiding_paths(k: int, n: int, forbidden: Iterable[Point]) -> int:
     frame needs n >= 1 and 0 <= k <= n, else InvalidFrame."""
     if n < 1 or not 0 <= k <= n:
         raise InvalidFrame(f"need n >= 1 and 0 <= k <= n, got k={k}, n={n}")
-    fset = frozenset((int(a), int(b)) for a, b in forbidden)
+    fset = frozenset(_points(forbidden, "the forbidden set"))
     ways = {0: 1}
     for b in range(1, n + 1):
         nxt: dict[int, int] = {}
@@ -77,10 +78,10 @@ def enumerate_avoiding_paths(
     """Explicit point sequences of all avoiding paths; raises TooManyPaths
     when the count exceeds `cap`, InvalidFrame as `count_avoiding_paths`
     does, and PathCountMismatch if the listing disagrees with the count."""
-    total = count_avoiding_paths(k, n, forbidden)
+    fset = frozenset(_points(forbidden, "the forbidden set"))
+    total = count_avoiding_paths(k, n, fset)
     if total > cap:
         raise TooManyPaths(f"{total} paths exceed the cap of {cap}")
-    fset = frozenset((int(a), int(b)) for a, b in forbidden)
     out: list[list[Point]] = []
     path: list[Point] = [(0, 0)]
 
@@ -224,7 +225,7 @@ def synthesize_profile(
     raises InvalidFrame.
     """
     _require_theta_frame(k, n)
-    points = {(int(a), int(b)) for a, b in forbidden_sheared}
+    points = set(_points(forbidden_sheared, "the forbidden set"))
     _require_cs_convex(points, k, n)
     hull = _upper_hull_heights(points, k, n)
     denom = 8 * n * n
@@ -279,7 +280,7 @@ def synthesize_perm(
     raises SynthesisFailed: the result is repetition-free, its inversion set
     equals the input, and its orbit floors match the profile floors.
     """
-    rect = {(int(a), int(b)) for a, b in forbidden_rect}
+    rect = set(_points(forbidden_rect, "the forbidden set"))
     sheared = {rect_to_sheared(p) for p in rect}
     profile = synthesize_profile(sheared, k, n)
     perm = profile_to_perm(profile)

@@ -5,17 +5,18 @@ of f; the Catalan number is C_f = R~_f(1).  One reduction computes R~ on a
 window w, reading three constants of the ring it evaluates in: one, q and
 (q-1)^2.
 
-  1. period 1: R~ = 1;
-  2. the reduction has fixed residues: drop them all and recurse (R~ is
-     unchanged);
-  3. some i has f(i) = i + 1 or f(i+1) = i + n: recurse on s_i f, which
-     acquires a fixed residue (R~ is unchanged);
-  4. some i makes g = s_i f s_i bounded with a double crossing at i (then g
+  1. normalise: while the period exceeds 1, drop every fixed residue
+     (f(j) = j or f(j) = j + n), or else take the first i with f(i) = i + 1
+     or f(i+1) = i + n and pass to s_i f, which acquires a fixed residue.
+     Neither step changes R~, so only the normal form is reduced;
+  2. period 1: R~ = 1;
+  3. some i makes g = s_i f s_i bounded with a double crossing at i (then g
      is two steps longer): R~(f) = R~(f s_i) + q R~(g) when i, i+1 share a
      cycle of the reduction of g, and R~(f) = (q-1)^2 R~(f s_i) + q R~(g)
      otherwise;
-  5. otherwise search the conjugation class of f breadth-first for a member
-     where a step applies; R~ is constant on the class.
+  4. otherwise search the conjugation class of f breadth-first for a member
+     that is not normal or where rule 2 or 3 applies; R~ is constant on the
+     class.
 
 The polynomial ring uses (1, q, (q-1)^2) and gives R~; the integer ring uses
 (1, 1, 0) and gives C directly.  A zero coefficient skips its branch rather
@@ -28,18 +29,39 @@ fixed period, and length is bounded by k(n-k), so the recursion terminates;
 a class with no applicable member would contradict the constructive
 reduction, hence IrreducibleElement signals a bug.
 
+Normalisation reads the displacement word d = (f(0) - 0, ..., f(n-1) -
+(n-1)): residue j is fixed iff d[j] is 0 or n, and a simple factor applies
+at i iff d[i] = 1 or d[i+1] = n-1 (d[0] for i = n-1).  So a normal window
+costs four native membership tests.  A simple factor at i < n-1 that fixes
+one residue is fused with its removal into one contraction: drop that
+residue's position and map every other value y to y - y//n - [y mod n > i].
+The scan then resumes at i-1: no simple factor applies below it afterwards.
+The simple factor at i = n-1, and one that fixes both i and i+1, go through
+s_i f and the general removal.  Each contraction is one O(n) comprehension
+and lowers the period, so a chain costs O(n) per step it takes.
+
 Values are cached per sigma-orbit: R~ is invariant under the cyclic shift,
 and the lex-min rotation of the displacement word identifies the orbit.  The
 key is the least of the n length-n slices of the doubled displacement word.
-For a class-search hit, every visited member shares the value and is cached
-as well.
+A value is stored under the key of the request window and under the key of
+its normal form; the request key is looked up first, so a repeated request
+is one lookup.  Windows passed through inside a chain get no entry, so
+their `simple_factor` and `remove_fixed_points` trace records may repeat
+where a cache keyed on every window would have stopped early.  For a
+class-search hit, every visited member shares the value and is cached as
+well.
 
-A node outside class search does O(n) Python-level work: the key, the fixed
-residue and simple-factor scans, and one residue-position table.  The
-double-move scan reads each index's test off f and that table in O(1)
-(`affine._conj_has_double_crossing`) and builds g only for the index it
+A reduced node does O(n) Python-level work: one residue-position table and
+the double-move scan, which reads each index's test off f and that table in
+O(1) (`affine._conj_has_double_crossing`) and builds g only for the index it
 takes.  Building the n slices of the key copies O(n^2) integers, but in
 native code.
+
+The reduction recurses once per double move, and its depth can pass the
+interpreter's default recursion limit.  The outermost reduction of a
+`compute_*` call raises the limit while it runs and restores it afterwards,
+so a request answered from the table never touches it, and building an
+engine changes no process-wide state.
 """
 
 from __future__ import annotations
@@ -53,17 +75,21 @@ from .affine import (
     _canonical_key,
     _conj_has_double_crossing,
     _conj_s,
+    _displacements,
     _left_s,
+    _orbit_key,
     _remove_fixed,
     _residue_positions,
     _right_s,
-    _value_at,
     Window,
 )
 from .errors import IrreducibleElement, NotBounded, PreconditionViolated
 from .polynomial import IntPoly, ONE, Q, Q_MINUS_1
 
 TraceHook = Callable[[dict], None]
+
+# reductions may nest across n levels and up to k(n-k) lengths
+_RECURSION_LIMIT = 20000
 
 
 class _Ring:
@@ -97,9 +123,6 @@ class Engine:
         self._rtilde = _Ring(ONE, Q, Q_MINUS_1 * Q_MINUS_1)
         self._catalan = _Ring(1, 1, 0)
         self._trace = trace_hook
-        # reductions may nest across n levels and up to k(n-k) lengths
-        if sys.getrecursionlimit() < 20000:
-            sys.setrecursionlimit(20000)
 
     # -- public API -------------------------------------------------------------
 
@@ -143,7 +166,9 @@ class Engine:
 
     @property
     def stats(self) -> dict[str, int]:
-        """Cache counters: r_* for the R~ table, c_* for the C table."""
+        """Cache counters: r_* for the R~ table, c_* for the C table.  A miss
+        is a normal window reduced; a hit is a request answered from the
+        table, by its own key or by its normal form's."""
         return {
             "r_hits": self._rtilde.hits,
             "r_misses": self._rtilde.misses,
@@ -152,6 +177,13 @@ class Engine:
             "r_entries": len(self._rtilde.cache),
             "c_entries": len(self._catalan.cache),
         }
+
+    def clear(self) -> None:
+        """Empty both memo tables and zero their counters, so a long-lived
+        process can bound an engine's memory; values do not change."""
+        for ring in (self._rtilde, self._catalan):
+            ring.cache.clear()
+            ring.hits = ring.misses = 0
 
     # -- the reduction --------------------------------------------------------------
 
@@ -162,30 +194,67 @@ class Engine:
             self._trace(record)
 
     def _value(self, w: Window, ring: _Ring):
-        key = _canonical_key(w)
-        cached = ring.cache.get(key)
-        if cached is not None:
+        """R~(w) in `ring`: the request's key, then its normal form's key,
+        then a reduction of the normal form, stored under both keys."""
+        cache = ring.cache
+        d = _displacements(w)
+        key = _orbit_key(d)
+        value = cache.get(key)
+        if value is not None:
             ring.hits += 1
-            return cached
-        ring.misses += 1
-        value = self._reduce(w, ring)
-        ring.cache[key] = value
+            return value
+        v, d = self._normalise(w, d)
+        normal_key = key
+        if v is not w:
+            normal_key = _orbit_key(d)
+            value = cache.get(normal_key)
+        if value is None:
+            ring.misses += 1
+            value = cache[normal_key] = self._reduce(v, ring)
+        else:
+            ring.hits += 1
+        cache[key] = value
         return value
 
+    def _normalise(self, w: Window, d: Window) -> tuple[Window, Window]:
+        """The normal form of w and its displacement word, given w's word d:
+        rule 1 of the module docstring.  Returns w itself when it is normal,
+        and emits the records of the steps it takes."""
+        n = len(w)
+        start = 0  # no simple factor applies at an index below start
+        while n > 1:
+            top = n - 1
+            if 0 in d or n in d:
+                self._emit("remove_fixed_points", w)
+                w, _ = _remove_fixed(w)
+                start = 0
+            elif 1 in d or top in d:
+                # first i >= start with d[i] == 1 or d[i+1 mod n] == n-1
+                i = d.index(1, start) if 1 in d else n
+                if top in d:
+                    i = min(i, (d[1:] + d[:1]).index(top, start))
+                self._emit("simple_factor", w, i=i)
+                if i == top or d[i] == 1 and d[i + 1] == top:
+                    w = _left_s(w, i)  # the next pass removes what it fixes
+                else:
+                    if self._trace is not None:
+                        self._emit("remove_fixed_points", _left_s(w, i))
+                    p = i if d[i] == 1 else i + 1
+                    w = tuple([y - y // n - (y % n > i) for y in w[:p] + w[p + 1:]])
+                    start = i - 1 if i else 0
+            else:
+                break
+            n = len(w)
+            d = _displacements(w)
+        return w, d
+
     def _step(self, w: Window, ring: _Ring):
-        """R~(w) in `ring` by the first rule that applies, or None."""
+        """R~ of the normal window w in `ring` by rule 2 or the first double
+        move, or None."""
         n = len(w)
         if n == 1:
             self._emit("base", w)
             return ring.one
-        reduced, _ = _remove_fixed(w)
-        if reduced != w:
-            self._emit("remove_fixed_points", w)
-            return self._value(reduced, ring)
-        for i in range(n):
-            if w[i] == i + 1 or _value_at(w, i + 1) == i + n:
-                self._emit("simple_factor", w, i=i)
-                return self._value(_left_s(w, i), ring)
         pos = _residue_positions(w)
         for i in range(n):
             if _conj_has_double_crossing(w, i, pos):
@@ -201,19 +270,29 @@ class Engine:
         return None
 
     def _reduce(self, w: Window, ring: _Ring):
+        limit = sys.getrecursionlimit()
+        if limit < _RECURSION_LIMIT:
+            # the outermost reduction raises the limit while it runs; nested
+            # ones find it raised and leave it alone
+            sys.setrecursionlimit(_RECURSION_LIMIT)
+            try:
+                return self._reduce(w, ring)
+            finally:
+                sys.setrecursionlimit(limit)
         value = self._step(w, ring)
         if value is not None:
             return value
         # class search: R~ is constant on the conjugation class, so the first
-        # member admitting a step determines the value.  Members are tried in
-        # discovery order; all members seen so far share the value and are
-        # cached with it.
+        # member that is not normal or admits a step determines the value.
+        # Members are tried in discovery order; all members seen so far share
+        # the value and are cached with it.
         self._emit("class_search", w)
         members = _c_class_members(w)
         seen = [next(members)]  # w itself
         for g in members:
             seen.append(g)
-            value = self._step(g, ring)
+            v, _ = self._normalise(g, _displacements(g))
+            value = self._step(g, ring) if v is g else self._value(v, ring)
             if value is not None:
                 for member in seen:
                     ring.cache.setdefault(_canonical_key(member), value)

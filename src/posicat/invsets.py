@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from operator import floordiv
+from operator import floordiv, index
 from typing import Iterable
 
 from .affine import BoundedAffinePerm, _inversion_pairs, _swap_split
@@ -22,6 +22,16 @@ Point = tuple[int, int]
 
 RECT = "rect"
 SHEARED = "sheared"
+
+
+def _points(points: Iterable[Point], what: str) -> list[Point]:
+    """The points of `points` as integer pairs through `operator.index`, so a
+    float, string or None coordinate raises MalformedText instead of being
+    truncated."""
+    try:
+        return [(index(a), index(b)) for a, b in points]
+    except (TypeError, ValueError):
+        raise MalformedText(f"a point of {what} is not a pair of integers") from None
 
 
 def rect_to_sheared(p: Point) -> Point:
@@ -57,8 +67,7 @@ class LatticeMultiset:
     ) -> "LatticeMultiset":
         delta = (k, n - k) if frame == RECT else (k, n)
         entries: dict[Point, int] = {}
-        for p in points:
-            p = (int(p[0]), int(p[1]))
+        for p in _points(points, "a lattice multiset"):
             entries[p] = entries.get(p, 0) + 1
         return cls(frame, delta, entries)
 

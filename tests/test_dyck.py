@@ -18,9 +18,11 @@ from posicat import (
     synthesize_profile,
     validate_profile,
 )
+from posicat.invsets import RECT, LatticeMultiset
 from posicat.errors import (
     InvalidFrame,
     InvalidProfile,
+    MalformedText,
     NotCentrallySymmetric,
     NotConvex,
     PathCountMismatch,
@@ -229,3 +231,30 @@ def test_enumerate_cap_boundary():
     assert len(enumerate_avoiding_paths(3, 7, set(), cap=5)) == 5
     with pytest.raises(TooManyPaths):
         enumerate_avoiding_paths(3, 7, set(), cap=4)
+
+
+POINT_ENTRY_POINTS = {
+    "count_avoiding_paths": lambda pts: count_avoiding_paths(3, 7, pts),
+    "enumerate_avoiding_paths": lambda pts: enumerate_avoiding_paths(3, 7, pts),
+    "synthesize_profile": lambda pts: synthesize_profile(pts, 3, 7),
+    "synthesize_perm": lambda pts: synthesize_perm(pts, 3, 7),
+    "LatticeMultiset.from_points": lambda pts: LatticeMultiset.from_points(pts, RECT, 3, 7),
+}
+
+
+@pytest.mark.parametrize("bad", [1.9, "1", None], ids=["float", "string", "None"])
+@pytest.mark.parametrize("entry", sorted(POINT_ENTRY_POINTS))
+def test_non_integer_point_coordinates_raise(entry, bad):
+    # int() would truncate (1.9, 2) to (1, 2) and give an answer
+    with pytest.raises(MalformedText):
+        POINT_ENTRY_POINTS[entry]([(bad, 2)])
+
+
+def test_point_coordinates_that_are_integer_like_are_accepted():
+    assert count_avoiding_paths(3, 7, [(True, 2)]) == count_avoiding_paths(3, 7, [(1, 2)])
+
+
+def test_enumerate_reads_a_generator_of_points_once():
+    points = [(1, 2), (2, 5)]
+    listed = enumerate_avoiding_paths(3, 7, (p for p in points))
+    assert len(listed) == count_avoiding_paths(3, 7, points) == 3

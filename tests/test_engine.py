@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import pytest
 
@@ -12,7 +14,7 @@ from posicat import (
     enumerate_theta,
     parse_perm,
 )
-from posicat.affine import MulResult
+from posicat.affine import MulResult, _displacements, _left_s, _remove_fixed, _value_at
 from posicat.errors import NotBounded, PosicatError, PreconditionViolated
 from posicat.polynomial import IntPoly, ONE
 
@@ -189,6 +191,7 @@ def test_trace_emission():
     rules = [r["rule"] for r in records]
     assert rules == ["simple_factor", "remove_fixed_points", "base"]
     assert records[0]["window"] == [1, 2]
+    assert records[-1]["window"] == [0]
 
 
 def test_cache_stats():
@@ -214,28 +217,29 @@ def test_trace_contains_double_move():
     assert "double_move" in rules and "base" in rules
 
 
-# C, R~ and the counters of a cold engine for seeded random cycles, taken
-# from the engine before its nodes read the double-move test off f; equal
-# counters mean the same reduction path.
+# C, R~ and the counters of a cold engine for seeded random cycles.  The
+# values were taken from the engine before its nodes read the double-move
+# test off f; the counters from the engine that caches only request windows
+# and normal forms.  Equal counters mean the same reduction path.
 GOLDEN = [
     ([0, 8, 4, 3, 9, 1, 7, 5, 6, 2], 2, [1, 0, 1],
-     {"r_hits": 2, "r_misses": 29, "c_hits": 1, "c_misses": 29,
-      "r_entries": 30, "c_entries": 30}),
+     {"r_hits": 2, "r_misses": 4, "c_hits": 1, "c_misses": 4,
+      "r_entries": 10, "c_entries": 9}),
     ([0, 6, 3, 1, 2, 4, 5, 7, 8, 9], 1, [1],
-     {"r_hits": 0, "r_misses": 19, "c_hits": 0, "c_misses": 19,
-      "r_entries": 19, "c_entries": 19}),
+     {"r_hits": 0, "r_misses": 1, "c_hits": 0, "c_misses": 1,
+      "r_entries": 2, "c_entries": 2}),
     ([0, 9, 8, 6, 3, 7, 1, 4, 10, 5, 2], 5, [1, 0, 1, 1, 1, 0, 1],
-     {"r_hits": 11, "r_misses": 74, "c_hits": 4, "c_misses": 60,
-      "r_entries": 82, "c_entries": 66}),
+     {"r_hits": 11, "r_misses": 20, "c_hits": 4, "c_misses": 16,
+      "r_entries": 41, "c_entries": 30}),
     ([0, 8, 2, 3, 1, 10, 4, 7, 9, 6, 5], 3, [1, 0, 1, 0, 1],
-     {"r_hits": 4, "r_misses": 41, "c_hits": 2, "c_misses": 39,
-      "r_entries": 42, "c_entries": 40}),
+     {"r_hits": 4, "r_misses": 6, "c_hits": 2, "c_misses": 6,
+      "r_entries": 15, "c_entries": 14}),
     ([0, 6, 8, 1, 7, 11, 4, 3, 5, 10, 9, 2], 7, [1, 0, 1, 1, 1, 1, 1, 0, 1],
-     {"r_hits": 15, "r_misses": 82, "c_hits": 5, "c_misses": 58,
-      "r_entries": 83, "c_entries": 58}),
+     {"r_hits": 15, "r_misses": 17, "c_hits": 5, "c_misses": 12,
+      "r_entries": 44, "c_entries": 25}),
     ([0, 3, 10, 1, 9, 11, 5, 4, 2, 7, 8, 6], 5, [1, 0, 1, 1, 1, 0, 1],
-     {"r_hits": 13, "r_misses": 88, "c_hits": 4, "c_misses": 57,
-      "r_entries": 89, "c_entries": 58}),
+     {"r_hits": 13, "r_misses": 15, "c_hits": 4, "c_misses": 10,
+      "r_entries": 36, "c_entries": 21}),
 ]
 
 
@@ -264,3 +268,142 @@ def test_step_builds_the_conjugate_only_for_the_chosen_index(monkeypatch):
     engine.compute_Rtilde(BoundedAffinePerm.from_cycle(GOLDEN[2][0]))
     moves = [(tuple(r["window"]), r["i"]) for r in records if r["rule"] == "double_move"]
     assert moves and built == moves
+
+
+def _stepwise_normal_form(w):
+    """Reference normalisation: drop the fixed residues, else pass to s_i f
+    at the first simple factor i; repeat.  Returns the normal form and the
+    (rule, window, i) records of the steps."""
+    records = []
+    while len(w) > 1:
+        n = len(w)
+        reduced, _ = _remove_fixed(w)
+        if reduced != w:
+            records.append(("remove_fixed_points", w, None))
+            w = reduced
+            continue
+        for i in range(n):
+            if w[i] == i + 1 or _value_at(w, i + 1) == i + n:
+                records.append(("simple_factor", w, i))
+                w = _left_s(w, i)
+                break
+        else:
+            break
+    return w, records
+
+
+def _simple_factor_case(w, i):
+    """Which branch of the fused loop a simple factor at i takes."""
+    n = len(w)
+    d = _displacements(w)
+    if i == n - 1:
+        return "wrap"
+    if d[i] == 1 and d[i + 1] == n - 1:
+        return "two_fixed"
+    return "drop_i" if d[i] == 1 else "drop_i_plus_1"
+
+
+def test_normalise_matches_stepwise_reference():
+    cases = set()
+    windows = 0
+    for n in range(1, 7):
+        for f in enumerate_bounded(n):
+            w = f.window
+            records = []
+            engine = Engine(trace_hook=records.append)
+            normal, d = engine._normalise(w, _displacements(w))
+            expected, steps = _stepwise_normal_form(w)
+            assert normal == expected, w
+            assert d == _displacements(normal)
+            assert (normal is w) == (not steps)
+            got = [(r["rule"], tuple(r["window"]), r.get("i")) for r in records]
+            assert got == steps, w
+            cases.update(_simple_factor_case(v, i) for rule, v, i in steps if rule == "simple_factor")
+            windows += 1
+    assert windows == 2371
+    assert cases == {"wrap", "two_fixed", "drop_i", "drop_i_plus_1"}
+
+
+def test_class_search_normalises_the_member_it_takes():
+    # at n <= 6 every class search ends at a member with a simple factor,
+    # which the loop normalises before the member's step
+    taken = 0
+    for n in range(2, 7):
+        for f in enumerate_bounded(n):
+            records = []
+            Engine(trace_hook=records.append).compute_Rtilde(f)
+            for searched, after in zip(records, records[1:]):
+                if searched["rule"] != "class_search":
+                    continue
+                w = BoundedAffinePerm(searched["window"])
+                member = BoundedAffinePerm(after["window"])
+                assert after["rule"] == "simple_factor"
+                assert member != w and member in w.c_equivalence_class()
+                assert Engine().compute_Rtilde(member) == Engine().compute_Rtilde(w)
+                taken += 1
+    assert taken > 0
+
+
+def test_engine_leaves_the_recursion_limit_alone():
+    import posicat.engine as engine_module
+
+    limit = sys.getrecursionlimit()
+    Engine()
+    assert sys.getrecursionlimit() == limit
+    raised = max(limit, engine_module._RECURSION_LIMIT)
+    during = []
+
+    def hook(record):
+        # a nested computation finds the limit raised and leaves it so
+        Engine().compute_C(BoundedAffinePerm.translation(1, 3))
+        during.append(sys.getrecursionlimit())
+
+    Engine(trace_hook=hook).compute_C(BoundedAffinePerm.translation(3, 7))
+    assert during and set(during) == {raised}
+    assert sys.getrecursionlimit() == limit
+    compute_C(BoundedAffinePerm.translation(2, 9))
+    assert sys.getrecursionlimit() == limit
+
+
+def test_limit_is_restored_when_the_computation_raises(monkeypatch):
+    import posicat.engine as engine_module
+
+    limit = sys.getrecursionlimit()
+    engine = Engine()
+
+    def fail(w, ring):
+        assert sys.getrecursionlimit() >= engine_module._RECURSION_LIMIT
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(engine, "_step", fail)
+    with pytest.raises(RuntimeError):
+        engine.compute_Rtilde(BoundedAffinePerm.translation(2, 5))
+    assert sys.getrecursionlimit() == limit
+
+
+def test_no_hypothesis_recursion_limit_warning():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=5, deadline=None)
+    @hypothesis.given(st.integers(2, 9))
+    def fresh_engines(n):
+        assert Engine().compute_C(BoundedAffinePerm.translation(1, n)) == 1
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fresh_engines()
+    assert not [w for w in caught if "recursion limit" in str(w.message)]
+
+
+def test_clear_empties_tables_and_counters():
+    engine = Engine()
+    perm = BoundedAffinePerm.from_cycle(GOLDEN[2][0])
+    c = engine.compute_C(perm)
+    rtilde = engine.compute_Rtilde(perm)
+    assert engine.stats == GOLDEN[2][3]
+    engine.clear()
+    assert engine.stats == dict.fromkeys(GOLDEN[2][3], 0)
+    assert engine.compute_C(perm) == c
+    assert engine.compute_Rtilde(perm) == rtilde
+    assert engine.stats == GOLDEN[2][3]
