@@ -39,6 +39,12 @@ from .invsets import (
 from .paths import nu, nu_bar
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="posicat",
@@ -90,7 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["main", "synthesis", "engine", "structure", "census"],
     )
     p_verify.add_argument("--n-max", type=int, default=8)
-    p_verify.add_argument("--jobs", type=int, default=None, help="defaults to POSICAT_JOBS or 1")
+    p_verify.add_argument(
+        "--jobs", type=_positive_int, default=None, help="defaults to POSICAT_JOBS or 1"
+    )
     return parser
 
 

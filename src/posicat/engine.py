@@ -302,35 +302,30 @@ class Engine:
         )
 
 
-_default_engine: Optional[Engine] = None
-
-
-def default_engine() -> Engine:
-    """Process-wide shared engine; suites parallelise across processes, so
-    per-process sharing is safe and maximises cache reuse."""
-    global _default_engine
-    if _default_engine is None:
-        _default_engine = Engine()
-    return _default_engine
-
-
 def compute_R(perm: BoundedAffinePerm, engine: Optional[Engine] = None) -> IntPoly:
-    return (engine or default_engine()).compute_R(perm)
+    """R_f(q) on `engine`, or on a fresh engine; pass one to share a cache."""
+    return (engine or Engine()).compute_R(perm)
 
 
 def compute_Rtilde(perm: BoundedAffinePerm, engine: Optional[Engine] = None) -> IntPoly:
-    return (engine or default_engine()).compute_Rtilde(perm)
+    """R~_f(q) on `engine`, or on a fresh engine; pass one to share a cache."""
+    return (engine or Engine()).compute_Rtilde(perm)
 
 
 def compute_C(perm: BoundedAffinePerm, engine: Optional[Engine] = None) -> int:
-    return (engine or default_engine()).compute_C(perm)
+    """C_f on `engine`, or on a fresh engine; pass one to share a cache."""
+    return (engine or Engine()).compute_C(perm)
 
 
 def compute_C_decoupled(perm: BoundedAffinePerm, engine: Optional[Engine] = None) -> int:
-    return (engine or default_engine()).compute_C_decoupled(perm)
+    """C_f as a product over cycles on `engine`, or on a fresh engine; pass
+    one to share a cache."""
+    return (engine or Engine()).compute_C_decoupled(perm)
 
 
 def double_crossing_recurrence_check(
     perm: BoundedAffinePerm, i: int, engine: Optional[Engine] = None
 ) -> bool:
-    return (engine or default_engine()).double_crossing_recurrence_check(perm, i)
+    """The double-crossing identity at i on `engine`, or on a fresh engine;
+    pass one to share a cache."""
+    return (engine or Engine()).double_crossing_recurrence_check(perm, i)

@@ -1,18 +1,21 @@
 """Exhaustive enumeration and the theorem-verification suites.
 
-Suites run every instance in their range and report counterexamples instead
-of raising, so a failure is a structured record carrying the window and the
-expected/actual values.  The census is observational: it reports conjugation
-class counts per inversion set and flags, without asserting, whether they
-match gcd(k, n).
+Every `verify_*` suite is one or more phases, each a list of items and a
+check `checks(item, engine, failures)` that appends failure records: a
+structured record carries the window and the expected/actual values.  One
+runner, `_run_suite`, drives them all.  One item is one checked instance; an
+item whose checks raise is recorded as an `exception` failure and the sweep
+goes on.  With `jobs` > 1 each phase's items are striped across worker
+processes, each chunk with its own engine, and the failures are sorted once,
+so serial and parallel reports differ only in `elapsed` and `params.jobs`.
 
-Parallel runs split the permutation stream across worker processes, each
-with its own engine cache; reports are aggregated in sorted order so serial
-and parallel runs emit identical structures.
+The census is observational: it reports conjugation class counts per
+inversion set and flags, without asserting, whether they match gcd(k, n).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -138,50 +141,69 @@ def default_jobs() -> int:
     return 1
 
 
-def _run_chunked(worker, items: list, jobs: int) -> tuple[int, list[dict]]:
-    """Apply a chunk worker serially or across processes; results merge
-    order-independently."""
-    if jobs <= 1 or len(items) < 2 * jobs:
-        return worker(items)
-    import multiprocessing
-
-    chunks = [items[i::jobs] for i in range(jobs)]
-    checked = 0
-    failures: list[dict] = []
-    with multiprocessing.Pool(jobs) as pool:
-        for c, f in pool.map(worker, chunks):
-            checked += c
-            failures.extend(f)
-    return checked, failures
+def _sort_failures(failures: list[dict]) -> list[dict]:
+    # a synthesis task's exception record has (k, n, points) as its window,
+    # so a non-integer entry sorts after the integers it is compared with
+    return sorted(failures, key=lambda f: (
+        len(f["window"]), [(type(v) is not int, v) for v in f["window"]], f["check"]
+    ))
 
 
-def _checked_chunk(windows: list[Window], checks) -> tuple[int, list[dict]]:
-    """Run `checks(w, engine, failures)` on each window with one engine.
+# ---------------------------------------------------------------------------
+# the suite runner
+# ---------------------------------------------------------------------------
 
-    A window whose checks raise is recorded as an `exception` failure and
-    the sweep goes on, so every window counts as checked.
+def _checked_chunk(checks, items: list) -> tuple[int, list[dict]]:
+    """Run `checks(item, engine, failures)` on each item with one engine.
+
+    One item is one checked instance.  An item whose checks raise is
+    recorded as an `exception` failure and the sweep goes on.
     """
     engine = Engine()
     failures: list[dict] = []
-    for w in windows:
+    for item in items:
         try:
-            checks(w, engine, failures)
+            checks(item, engine, failures)
         except Exception as exc:  # report, do not abort the sweep
-            failures.append(_fail(w, "exception", None, repr(exc)))
-    return len(windows), failures
+            failures.append(_fail(item, "exception", None, repr(exc)))
+    return len(items), failures
 
 
-def _sort_failures(failures: list[dict]) -> list[dict]:
-    return sorted(failures, key=lambda f: (len(f["window"]), f["window"], f["check"]))
+def _run_suite(suite: str, n_max: int, jobs: int, *phases) -> VerificationReport:
+    """Run each `(checks, items)` phase through `_checked_chunk`, serially or
+    with its items striped across `jobs` processes, and report the checked
+    count and the sorted failures of all phases."""
+    start = time.perf_counter()
+    chunks = []
+    for checks, items in phases:
+        if jobs <= 1 or len(items) < 2 * jobs:
+            chunks.append((checks, items))
+        else:
+            chunks.extend((checks, items[i::jobs]) for i in range(jobs))
+    if len(chunks) > len(phases):
+        import multiprocessing
+
+        with multiprocessing.Pool(jobs) as pool:
+            results = pool.starmap(_checked_chunk, chunks)
+    else:
+        results = [_checked_chunk(checks, items) for checks, items in chunks]
+    return VerificationReport(
+        suite,
+        {"n_max": n_max, "jobs": jobs},
+        checked=sum(checked for checked, _ in results),
+        failures=_sort_failures([f for _, failures in results for f in failures]),
+        elapsed=time.perf_counter() - start,
+    )
+
+
+def _theta_range(n_max: int) -> list[Window]:
+    """The single-cycle windows of every period 2 <= n <= n_max."""
+    return [w for n in range(2, n_max + 1) for w in _theta_windows(n)]
 
 
 # ---------------------------------------------------------------------------
 # main-theorem suite
 # ---------------------------------------------------------------------------
-
-def _main_theorem_chunk(windows: list[Window]) -> tuple[int, list[dict]]:
-    return _checked_chunk(windows, _main_theorem_checks)
-
 
 def _main_theorem_checks(w: Window, engine: Engine, failures: list[dict]) -> None:
     """Run every main-theorem check on one window, appending failure records."""
@@ -220,14 +242,7 @@ def verify_main_theorem(n_max: int, jobs: int = 1) -> VerificationReport:
     """Exhaustively check, for every single-cycle permutation with period up
     to n_max: central symmetry, the path oracle, and for repetition-free
     permutations convexity and the counting formula."""
-    start = time.time()
-    report = VerificationReport("main", {"n_max": n_max, "jobs": jobs})
-    windows = [w for n in range(2, n_max + 1) for w in _theta_windows(n)]
-    checked, failures = _run_chunked(_main_theorem_chunk, windows, jobs)
-    report.checked = checked
-    report.failures = _sort_failures(failures)
-    report.elapsed = time.time() - start
-    return report
+    return _run_suite("main", n_max, jobs, (_main_theorem_checks, _theta_range(n_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,52 +281,39 @@ def cs_convex_subsets(k: int, n: int) -> list[frozenset[tuple[int, int]]]:
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
-def _synthesis_chunk(tasks: list) -> tuple[int, list[dict]]:
-    failures: list[dict] = []
-    for k, n, points in tasks:
-        rect = set(points)
-        try:
-            sheared = {rect_to_sheared(p) for p in rect}
-            profile = synthesize_profile(sheared, k, n)
-            perm = profile_to_perm(profile)
-        except Exception as exc:  # report, do not abort the sweep
-            failures.append(
-                {"window": [k, n], "check": "synthesis_error",
-                 "expected": sorted(rect), "actual": repr(exc)}
-            )
-            continue
-        for check, expected, actual in _synthesis_failures(
-            perm, inversion_multiset(perm), profile, rect
-        ):
-            failures.append(_fail(perm.window, check, expected, actual))
-    return len(tasks), failures
+def _synthesis_checks(task: tuple, engine: Engine, failures: list[dict]) -> None:
+    """Synthesize a permutation for one (k, n, points) task and check the
+    round trip; a synthesis that raises is a `synthesis_error` of (k, n)."""
+    k, n, points = task
+    rect = set(points)
+    try:
+        sheared = {rect_to_sheared(p) for p in rect}
+        profile = synthesize_profile(sheared, k, n)
+        perm = profile_to_perm(profile)
+    except Exception as exc:  # report, do not abort the sweep
+        failures.append(_fail((k, n), "synthesis_error", sorted(rect), repr(exc)))
+        return
+    for check, expected, actual in _synthesis_failures(
+        perm, inversion_multiset(perm), profile, rect
+    ):
+        failures.append(_fail(perm.window, check, expected, actual))
 
 
 def verify_synthesis(n_max: int, jobs: int = 1) -> VerificationReport:
     """For every centrally symmetric convex subset of every frame with
     n <= n_max, synthesize a permutation and check the round-trip."""
-    start = time.time()
-    report = VerificationReport("synthesis", {"n_max": n_max, "jobs": jobs})
     tasks = [
         (k, n, tuple(sorted(points)))
         for n in range(2, n_max + 1)
         for k in range(1, n)
         for points in cs_convex_subsets(k, n)
     ]
-    checked, failures = _run_chunked(_synthesis_chunk, tasks, jobs)
-    report.checked = checked
-    report.failures = _sort_failures(failures)
-    report.elapsed = time.time() - start
-    return report
+    return _run_suite("synthesis", n_max, jobs, (_synthesis_checks, tasks))
 
 
 # ---------------------------------------------------------------------------
 # engine suite
 # ---------------------------------------------------------------------------
-
-def _engine_theta_chunk(windows: list[Window]) -> tuple[int, list[dict]]:
-    return _checked_chunk(windows, _engine_theta_checks)
-
 
 def _engine_theta_checks(w: Window, engine: Engine, failures: list[dict]) -> None:
     perm = BoundedAffinePerm(w, _validated=True)
@@ -333,45 +335,33 @@ def _engine_theta_checks(w: Window, engine: Engine, failures: list[dict]) -> Non
                 failures.append(_fail(w, f"double_crossing_identity_{i}", True, False))
 
 
-def _engine_class_chunk(classes: list[list[Window]]) -> tuple[int, list[dict]]:
-    """Class invariance: every member of each conjugation class shares C and
-    the normalised polynomial.  Chunks carry whole classes, each led by its
-    representative; every member counts as checked, and a class whose checks
-    raise is recorded as an `exception` failure of its representative."""
-    engine = Engine()
-    failures: list[dict] = []
-    checked = 0
-    for members in classes:
-        w = members[0]
-        checked += len(members)
-        try:
-            _engine_class_checks(w, members, engine, failures)
-        except Exception as exc:  # report, do not abort the sweep
-            failures.append(_fail(w, "exception", None, repr(exc)))
-    return checked, failures
+def _class_reps(windows) -> dict[Window, Window]:
+    """Each member of the conjugation classes that meet `windows`, mapped to
+    the first of those windows in its class; classes in discovery order,
+    each led by its representative."""
+    rep_of: dict[Window, Window] = {}
+    for w in windows:
+        if w not in rep_of:
+            rep_of.update(dict.fromkeys(_c_class_windows(w), w))
+    return rep_of
 
 
 def _engine_class_checks(
-    w: Window, members: list[Window], engine: Engine, failures: list[dict]
+    w: Window, engine: Engine, failures: list[dict], rep_of: dict[Window, Window]
 ) -> None:
-    perm = BoundedAffinePerm(w, _validated=True)
-    c = engine.compute_C(perm)
-    rt = engine.compute_Rtilde(perm)
-    for member_window in members:
-        member = BoundedAffinePerm(member_window, _validated=True)
-        if engine.compute_C(member) != c:
-            failures.append(
-                _fail(member_window, "class_C", c, engine.compute_C(member))
-            )
-        if engine.compute_Rtilde(member) != rt:
-            failures.append(
-                _fail(member_window, "class_Rtilde", list(rt.coeffs),
-                      list(engine.compute_Rtilde(member).coeffs))
-            )
-
-
-def _engine_bounded_chunk(windows: list[Window]) -> tuple[int, list[dict]]:
-    return _checked_chunk(windows, _engine_bounded_checks)
+    """Class invariance: a member shares C and the normalised polynomial
+    with its class representative `rep_of[w]`."""
+    rep = BoundedAffinePerm(rep_of[w], _validated=True)
+    member = BoundedAffinePerm(w, _validated=True)
+    c = engine.compute_C(rep)
+    if engine.compute_C(member) != c:
+        failures.append(_fail(w, "class_C", c, engine.compute_C(member)))
+    rt = engine.compute_Rtilde(rep)
+    if engine.compute_Rtilde(member) != rt:
+        failures.append(
+            _fail(w, "class_Rtilde", list(rt.coeffs),
+                  list(engine.compute_Rtilde(member).coeffs))
+        )
 
 
 def _engine_bounded_checks(w: Window, engine: Engine, failures: list[dict]) -> None:
@@ -388,69 +378,48 @@ def _engine_bounded_checks(w: Window, engine: Engine, failures: list[dict]) -> N
             failures.append(_fail(w, "decoupling", c, decoupled))
 
 
-def _theta_classes(n: int) -> list[list[Window]]:
-    """The conjugation classes that meet the single-cycle windows of period
-    n, each in discovery order from its first single-cycle window."""
-    classes: list[list[Window]] = []
-    seen: set[Window] = set()
-    for w in _theta_windows(n):
-        if w in seen:
-            continue
-        members = _c_class_windows(w)
-        seen.update(members)
-        classes.append(members)
-    return classes
-
-
 def verify_engine(n_max: int, jobs: int = 1) -> VerificationReport:
     """Engine consistency: R~ at q = 1 against the integer-ring value C,
     shift and conjugation invariance, decoupling, and the double-crossing
     identity.  Both values come from the one R~ recurrence, evaluated in the
     polynomial and the integer ring."""
-    start = time.time()
-    report = VerificationReport("engine", {"n_max": n_max, "jobs": jobs})
-    theta = [w for n in range(2, n_max + 1) for w in _theta_windows(n)]
-    checked, failures = _run_chunked(_engine_theta_chunk, theta, jobs)
-    classes = [c for n in range(2, n_max + 1) for c in _theta_classes(n)]
-    c2, f2 = _run_chunked(_engine_class_chunk, classes, jobs)
-    bounded = [w for n in range(1, n_max + 1) for w in _bounded_windows(n)]
-    c3, f3 = _run_chunked(_engine_bounded_chunk, bounded, jobs)
-    report.checked = checked + c2 + c3
-    report.failures = _sort_failures(failures + f2 + f3)
-    report.elapsed = time.time() - start
-    return report
+    theta = _theta_range(n_max)
+    rep_of = _class_reps(theta)
+    return _run_suite(
+        "engine", n_max, jobs,
+        (_engine_theta_checks, theta),
+        (functools.partial(_engine_class_checks, rep_of=rep_of), list(rep_of)),
+        (_engine_bounded_checks,
+         [w for n in range(1, n_max + 1) for w in _bounded_windows(n)]),
+    )
 
 
 # ---------------------------------------------------------------------------
 # structural suite (minimal lengths)
 # ---------------------------------------------------------------------------
 
+def _structure_checks(w: Window, engine: Engine, failures: list[dict]) -> None:
+    expected = math.gcd(_k_of(w), len(w)) - 1
+    ell = _length(w)
+    if ell < expected:
+        failures.append(_fail(w, "min_length", f">= {expected}", ell))
+
+
 def verify_structure(n_max: int, jobs: int = 1) -> VerificationReport:
-    """Minimal length over each family is gcd(k, n) - 1 and the explicit
-    witness achieves it."""
-    start = time.time()
-    report = VerificationReport("structure", {"n_max": n_max, "jobs": jobs})
-    checked = 0
+    """Minimal length over each family Theta(k, n) is gcd(k, n) - 1: no
+    window is shorter, and the explicit witness, a member, attains it."""
+    report = _run_suite(
+        "structure", n_max, jobs, (_structure_checks, _theta_range(n_max))
+    )
     for n in range(2, n_max + 1):
-        minima: dict[int, int] = {}
-        for w in _theta_windows(n):
-            k = _k_of(w)
-            ell = _length(w)
-            minima[k] = min(minima.get(k, ell), ell)
-            checked += 1
         for k in range(1, n):
             expected = math.gcd(k, n) - 1
-            if minima.get(k) != expected:
-                report.failures.append(
-                    _fail((k, n), "min_length", expected, minima.get(k))
-                )
             witness = min_length_witness(k, n)
-            if witness.length() != expected or not witness.is_theta:
+            if witness.length() != expected or not witness.is_theta or witness.k != k:
                 report.failures.append(
                     _fail(witness.window, "witness_length", expected, witness.length())
                 )
-    report.checked = checked
-    report.elapsed = time.time() - start
+    report.failures = _sort_failures(report.failures)
     return report
 
 
@@ -510,7 +479,7 @@ def classes_census(k: int, n: int) -> dict:
 
 def census_report(n_max: int) -> dict:
     """Census over every frame with n <= n_max; observational only."""
-    start = time.time()
+    start = time.perf_counter()
     frames = [
         classes_census(k, n) for n in range(2, n_max + 1) for k in range(1, n)
     ]
@@ -519,5 +488,5 @@ def census_report(n_max: int) -> dict:
         "params": {"n_max": n_max},
         "frames": frames,
         "all_match_gcd": all(f["all_match_gcd"] for f in frames),
-        "elapsed": time.time() - start,
+        "elapsed": time.perf_counter() - start,
     }

@@ -57,8 +57,18 @@ class LatticeMultiset:
     def __post_init__(self):
         if self.frame not in (RECT, SHEARED):
             raise PosicatError(f"unknown frame {self.frame!r}")
-        self.entries = {tuple(p): int(m) for p, m in self.entries.items() if m}
-        if any(m < 0 for m in self.entries.values()):
+        # the rule of `_points`, in the one pass that also reads the
+        # multiplicities: every window of the main sweep builds two multisets
+        try:
+            entries = {(index(a), index(b)): index(m) for (a, b), m in self.entries.items()}
+        except (TypeError, ValueError):
+            raise MalformedText(
+                "a point or multiplicity of a lattice multiset is not an integer"
+            ) from None
+        if 0 in entries.values():
+            entries = {p: m for p, m in entries.items() if m}
+        self.entries = entries
+        if min(entries.values(), default=0) < 0:
             raise PosicatError("negative multiplicity")
 
     @classmethod

@@ -168,6 +168,12 @@ def test_usage_errors(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--suite", "main", "--n-max", "3", "--jobs", jobs)
+    assert code == 2 and out == "" and "--jobs" in err
+
+
 def test_bad_forbidden_text(capsys):
     code, _, err = run(capsys, "dyck", "--k", "3", "--n", "7", "--forbid", "1;2,3")
     assert code == 2 and "error" in err

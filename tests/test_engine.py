@@ -177,7 +177,7 @@ def test_determinism_across_cache_states():
         assert cold.compute_C(f) == warm.compute_C(f)
 
 
-def test_module_level_functions_share_default_engine():
+def test_module_level_functions_use_a_fresh_engine():
     f = BoundedAffinePerm.translation(2, 7)
     assert compute_C(f) == math.comb(7, 2) // 7
     assert compute_Rtilde(f).eval_at(1) == compute_C(f)

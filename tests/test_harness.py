@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -86,6 +87,7 @@ def test_verify_main_theorem_records_exception_and_continues(monkeypatch):
     ("_engine_bounded_chunk", "bounded", 65),
 ])
 def test_engine_chunks_record_exception_and_continue(monkeypatch, chunk, windows, checked):
+    # `chunk` labels an engine-suite phase; each runs through `_checked_chunk`
     import posicat.harness as harness
 
     # the translation is its own sigma-shift and its own class, and no
@@ -99,13 +101,16 @@ def test_engine_chunks_record_exception_and_continue(monkeypatch, chunk, windows
             return super().compute_C(perm)
 
     monkeypatch.setattr(harness, "Engine", FlakyEngine)
-    items = {
-        "theta": list(harness._theta_windows(4)),
-        "reps": harness._theta_classes(4),
-        "bounded": list(harness._bounded_windows(4)),
+    rep_of = harness._class_reps(harness._theta_windows(4))
+    assert rep_of[bad] == bad  # a one-member class
+    checks, items = {
+        "theta": (harness._engine_theta_checks, list(harness._theta_windows(4))),
+        "reps": (functools.partial(harness._engine_class_checks, rep_of=rep_of),
+                 list(rep_of)),
+        "bounded": (harness._engine_bounded_checks, list(harness._bounded_windows(4))),
     }[windows]
-    assert bad in items or [bad] in items  # a window, or its one-member class
-    assert getattr(harness, chunk)(items) == (checked, [
+    assert bad in items
+    assert harness._checked_chunk(checks, items) == (checked, [
         {"window": list(bad), "check": "exception", "expected": None,
          "actual": "RuntimeError('injected')"}
     ])
@@ -117,7 +122,8 @@ def test_synthesis_chunk_records_missed_postconditions(monkeypatch):
     wrong = BoundedAffinePerm.from_window([1, 4, 3, 6, 5, 8])
     monkeypatch.setattr(harness, "profile_to_perm", lambda profile: wrong)
     window = list(wrong.window)
-    assert harness._synthesis_chunk([(2, 6, ((1, 1), (1, 2), (1, 3)))]) == (1, [
+    tasks = [(2, 6, ((1, 1), (1, 2), (1, 3)))]
+    assert harness._checked_chunk(harness._synthesis_checks, tasks) == (1, [
         {"window": window, "check": "repetition_free", "expected": True, "actual": False},
         {"window": window, "check": "fset_roundtrip",
          "expected": [(1, 1), (1, 2), (1, 3)], "actual": [(1, 2)]},
@@ -125,11 +131,64 @@ def test_synthesis_chunk_records_missed_postconditions(monkeypatch):
     ])
 
 
-def test_verify_main_theorem_parallel_matches_serial():
-    serial = verify_main_theorem(5, jobs=1)
-    parallel = verify_main_theorem(5, jobs=2)
-    assert serial.checked == parallel.checked
-    assert serial.failures == parallel.failures
+def test_verify_synthesis_records_exception_and_continues(monkeypatch):
+    import posicat.harness as harness
+
+    bad = (3, 7, ((1, 1), (2, 3)))
+    original = harness.inversion_multiset
+
+    def flaky(perm):
+        if (perm.k, perm.n) == bad[:2] and original(perm).points() == list(bad[2]):
+            raise RuntimeError("injected")
+        return original(perm)
+
+    monkeypatch.setattr(harness, "inversion_multiset", flaky)
+    report = verify_synthesis(7)
+    assert report.checked == sum(
+        len(cs_convex_subsets(k, n)) for n in range(2, 8) for k in range(1, n)
+    )
+    assert report.failures == [
+        {"window": list(bad), "check": "exception", "expected": None,
+         "actual": "RuntimeError('injected')"}
+    ]
+    json.loads(report.to_json())
+
+
+def test_failures_sort_with_a_synthesis_task_window():
+    import posicat.harness as harness
+
+    task = {"window": [2, 3, ()], "check": "exception"}
+    perm = {"window": [2, 3, 4], "check": "fset_roundtrip"}
+    short = {"window": [2, 3], "check": "synthesis_error"}
+    assert harness._sort_failures([task, perm, short]) == [short, perm, task]
+
+
+def test_structure_records_a_short_window():
+    import posicat.harness as harness
+
+    # the translation by 2 at n = 4: length 0, below gcd(2, 4) - 1 (it has
+    # two cycles, so no single-cycle window is this short)
+    failures = []
+    harness._structure_checks((2, 3, 4, 5), None, failures)
+    assert failures == [
+        {"window": [2, 3, 4, 5], "check": "min_length", "expected": ">= 1", "actual": 0}
+    ]
+
+
+@pytest.mark.parametrize("suite, n_max", [
+    (verify_main_theorem, 5),
+    (verify_synthesis, 7),
+    (verify_engine, 4),
+    (verify_structure, 5),
+], ids=["main", "synthesis", "engine", "structure"])
+def test_suite_parallel_matches_serial(suite, n_max):
+    serial = json.loads(suite(n_max, jobs=1).to_json())
+    parallel = json.loads(suite(n_max, jobs=2).to_json())
+    assert serial["checked"] > 4  # enough items to split across two workers
+    assert parallel["params"] == {"n_max": n_max, "jobs": 2}
+    for report in (serial, parallel):
+        del report["elapsed"], report["params"]["jobs"]
+    assert serial == parallel
 
 
 def test_verify_synthesis_small():

@@ -20,7 +20,7 @@ from posicat import (
     parse_perm,
     split_identity_check,
 )
-from posicat.errors import NotRepetitionFree, PreconditionViolated
+from posicat.errors import MalformedText, NotRepetitionFree, PosicatError, PreconditionViolated
 from posicat.invsets import RECT, SHEARED, _upper_chain, is_convex_points
 
 FIG2 = BoundedAffinePerm.from_window([3, 6, 4, 5, 7, 8, 9])
@@ -76,6 +76,26 @@ def test_central_symmetry():
     assert not is_centrally_symmetric(single)
     empty = LatticeMultiset.from_points([], RECT, 3, 7)
     assert is_centrally_symmetric(empty)
+
+
+@pytest.mark.parametrize("entries", [
+    {(1.5, 2): 1.7, ("a", 2): 2},
+    {(1, 2): 1.7},
+    {(1, 2): "2"},
+    {(1.5, 2): 1},
+    {("a", 2): 2},
+    {(1, 2, 3): 1},
+])
+def test_multiset_constructor_rejects_non_integers(entries):
+    with pytest.raises(MalformedText):
+        LatticeMultiset(RECT, (3, 4), entries)
+
+
+def test_multiset_constructor_drops_zero_and_rejects_negative():
+    ms = LatticeMultiset(RECT, (3, 4), {(1, 2): 2, (2, 1): 0})
+    assert ms.entries == {(1, 2): 2} and ms.total() == 2
+    with pytest.raises(PosicatError):
+        LatticeMultiset(RECT, (3, 4), {(1, 2): -1})
 
 
 def test_central_symmetry_exhaustive():
