@@ -8,10 +8,8 @@ memoized recurrence engine (engine), Dyck counting and profile synthesis
 
 from .affine import (
     BoundedAffinePerm,
-    CyclePerm,
     GammaPair,
     Inversion,
-    MulResult,
     min_length_witness,
     parse_perm,
 )
@@ -40,7 +38,6 @@ from .harness import (
     classes_census,
     cs_convex_subsets,
     enumerate_bounded,
-    enumerate_cyc,
     enumerate_theta,
     verify_engine,
     verify_main_theorem,
@@ -76,13 +73,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundedAffinePerm",
     "ConcaveProfile",
-    "CyclePerm",
     "Engine",
     "GammaPair",
     "IntPoly",
     "Inversion",
     "LatticeMultiset",
-    "MulResult",
     "PosicatError",
     "RatPath",
     "VerificationReport",
@@ -98,7 +93,6 @@ __all__ = [
     "double_crossing_recurrence_check",
     "enumerate_avoiding_paths",
     "enumerate_bounded",
-    "enumerate_cyc",
     "enumerate_theta",
     "f_max",
     "f_min",

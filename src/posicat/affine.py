@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .errors import (
     DegeneratePeriod,
     InvalidFrame,
-    LimitExceeded,
     MalformedText,
     NotAnInversion,
     NotBijective,
@@ -46,20 +45,6 @@ class GammaPair(NamedTuple):
 
     gamma1: tuple[int, int]
     gamma2: tuple[int, int]
-
-
-class MulResult(NamedTuple):
-    """Outcome of multiplying by a simple transposition.
-
-    The raw window is always present; `perm` is populated only when the
-    result stays bounded, since recurrences must branch on unboundedness
-    rather than treat it as an error.
-    """
-
-    window: Window
-    bounded: bool
-    length_delta: int
-    perm: Optional["BoundedAffinePerm"]
 
 
 # ---------------------------------------------------------------------------
@@ -343,52 +328,6 @@ def _window_from_cycle(cycle: Sequence[int]) -> Window:
 # public types
 # ---------------------------------------------------------------------------
 
-class CyclePerm:
-    """A finite permutation of {0, ..., n-1}, the reduction of f modulo n."""
-
-    __slots__ = ("n", "image")
-
-    def __init__(self, image: Sequence[int]):
-        image = tuple(image)
-        n = len(image)
-        if n == 0 or sorted(image) != list(range(n)):
-            raise NotBijective(f"not a permutation of 0..{n - 1}: {image!r}")
-        self.n = n
-        self.image = image
-
-    def __call__(self, i: int) -> int:
-        return self.image[i % self.n]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CyclePerm) and self.image == other.image
-
-    def __hash__(self) -> int:
-        return hash(self.image)
-
-    def __repr__(self) -> str:
-        return f"CyclePerm({list(self.image)})"
-
-    def cycles(self) -> list[list[int]]:
-        return _cycles(self.image)
-
-    def is_n_cycle(self) -> bool:
-        return len(self.cycles()) == 1
-
-    @property
-    def k(self) -> int:
-        """Number of positions mapped below themselves."""
-        return sum(1 for i, v in enumerate(self.image) if v < i)
-
-    def to_bounded(self) -> "BoundedAffinePerm":
-        """The unique strictly bounded lift; requires a single n-cycle."""
-        cycles = self.cycles()
-        if len(cycles) != 1:
-            raise NotNCycle(f"{self!r} is not an n-cycle")
-        if self.n == 1:
-            raise DegeneratePeriod("period 1 admits no strictly bounded lift")
-        return BoundedAffinePerm(_window_from_cycle(cycles[0]), _validated=True)
-
-
 class BoundedAffinePerm:
     """Immutable bounded affine permutation, identified by its window."""
 
@@ -513,9 +452,6 @@ class BoundedAffinePerm:
             x = self.window[x] % self.n
         return tuple(cyc)
 
-    def reduction(self) -> CyclePerm:
-        return CyclePerm(tuple(v % self.n for v in self.window))
-
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "k": self.k, "window": list(self.window)})
 
@@ -530,23 +466,7 @@ class BoundedAffinePerm:
             self._length = _length(self.window)
         return self._length
 
-    # -- simple transpositions -----------------------------------------------
-
-    def _mul_result(self, w: Window, delta: int) -> MulResult:
-        bounded = _is_bounded(w)
-        perm = BoundedAffinePerm(w, _validated=True) if bounded else None
-        return MulResult(w, bounded, delta, perm)
-
-    def left_mul_s(self, i: int) -> MulResult:
-        return self._mul_result(
-            _left_s(self.window, i), _left_delta(self.window, i, self._pos)
-        )
-
-    def right_mul_s(self, i: int) -> MulResult:
-        return self._mul_result(_right_s(self.window, i), _right_delta(self.window, i))
-
-    def conjugate_s(self, i: int) -> MulResult:
-        return self._mul_result(_conj_s(self.window, i), _conj_delta(self.window, i))
+    # -- symmetries -----------------------------------------------------------
 
     def cyclic_shift(self) -> "BoundedAffinePerm":
         """sigma(f), with (sigma f)(i) = f(i - 1) + 1; preserves k, n, length."""
@@ -616,17 +536,14 @@ class BoundedAffinePerm:
         """Lex-min rotation of the displacement word; constant on sigma-orbits."""
         return _canonical_key(self.window)
 
-    def c_equivalence_class(self, limit: Optional[int] = None) -> set["BoundedAffinePerm"]:
+    def c_equivalence_class(self) -> set["BoundedAffinePerm"]:
         """Closure under length-preserving bounded simple conjugations.
 
-        Members are deduplicated by exact window (not by sigma-orbit).  An
-        optional node limit aborts long searches with LimitExceeded.
+        Members are deduplicated by exact window (not by sigma-orbit).
         """
-        members = [
-            BoundedAffinePerm(w, _validated=True)
-            for w in _c_class_windows(self.window, limit=limit)
-        ]
-        return set(members)
+        return {
+            BoundedAffinePerm(w, _validated=True) for w in _c_class_members(self.window)
+        }
 
 
 def _c_class_members(w: Window) -> Iterator[Window]:
@@ -653,18 +570,6 @@ def _c_class_members(w: Window) -> Iterator[Window]:
             seen.add(g)
             queue.append(g)
             yield g
-
-
-def _c_class_windows(w: Window, limit: Optional[int] = None) -> list[Window]:
-    """The whole class of w in discovery order; more than `limit` members
-    raise LimitExceeded."""
-    members = _c_class_members(w)
-    out = [next(members)]
-    for g in members:
-        out.append(g)
-        if limit is not None and len(out) > limit:
-            raise LimitExceeded(f"conjugation class exceeds {limit} members")
-    return out
 
 
 def _require_theta_frame(k: int, n: int) -> None:

@@ -19,7 +19,6 @@ from .engine import Engine
 from .errors import PosicatError
 from .harness import (
     census_report,
-    default_jobs,
     enumerate_theta,
     verify_engine,
     verify_main_theorem,
@@ -97,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--n-max", type=int, default=8)
     p_verify.add_argument(
-        "--jobs", type=_positive_int, default=None, help="defaults to POSICAT_JOBS or 1"
+        "--jobs", type=_positive_int, default=1,
+        help="worker processes, at least 1 (default 1); the census runs serially"
     )
     return parser
 
@@ -198,7 +198,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    jobs = args.jobs if args.jobs is not None else default_jobs()
     if args.suite == "census":
         report = census_report(args.n_max)
         print(json.dumps(report))
@@ -213,7 +212,7 @@ def _cmd_verify(args) -> int:
         "engine": verify_engine,
         "structure": verify_structure,
     }[args.suite]
-    report = runner(args.n_max, jobs=jobs)
+    report = runner(args.n_max, jobs=args.jobs)
     print(report.to_json())
     status = "PASS" if report.passed else "FAIL"
     print(

@@ -76,8 +76,10 @@ from .affine import (
     _conj_has_double_crossing,
     _conj_s,
     _displacements,
+    _is_bounded,
     _left_s,
     _orbit_key,
+    _relabel_restriction,
     _remove_fixed,
     _residue_positions,
     _right_s,
@@ -147,7 +149,8 @@ class Engine:
         """Product of compute_C over the restrictions to each cycle."""
         product = 1
         for cyc in perm.cycles():
-            product *= self.compute_C(perm.restrict_to_cycle(cyc[0]))
+            part = _relabel_restriction(perm.window, cyc)
+            product *= self.compute_C(BoundedAffinePerm(part, _validated=True))
         return product
 
     def double_crossing_recurrence_check(self, perm: BoundedAffinePerm, i: int) -> bool:
@@ -158,10 +161,10 @@ class Engine:
         if not perm.has_double_crossing_at(i):
             raise PreconditionViolated(f"no double crossing at {i}")
         f1, f2, _ = perm.resolve_crossing((i, i + 1))
-        conj = perm.conjugate_s(i)
-        if conj.perm is None:
-            raise NotBounded(f"conjugate of {perm!r} at {i} is unbounded: {list(conj.window)}")
-        lhs = self.compute_C(conj.perm)
+        conj = _conj_s(perm.window, i)
+        if not _is_bounded(conj):
+            raise NotBounded(f"conjugate of {perm!r} at {i} is unbounded: {list(conj)}")
+        lhs = self.compute_C(BoundedAffinePerm(conj, _validated=True))
         return lhs == self.compute_C(f1) * self.compute_C(f2) + self.compute_C(perm)
 
     @property

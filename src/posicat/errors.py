@@ -12,8 +12,9 @@ class PosicatError(Exception):
 # --- window / cycle construction ---
 
 class MalformedText(PosicatError):
-    """Text input (a permutation or a point list) does not follow its
-    documented format, or a window or cycle has a non-integer entry."""
+    """Text input (a permutation, a point list or a polynomial) does not
+    follow its documented format, or a window, cycle, point or polynomial
+    coefficient has a non-integer entry."""
 
 
 class InvalidFrame(PosicatError):
@@ -46,10 +47,6 @@ class NotTheta(PosicatError):
 
 class NotAnInversion(PosicatError):
     """The given pair (i, j) is not an inversion of the permutation."""
-
-
-class LimitExceeded(PosicatError):
-    """A bounded search (conjugation-class BFS) exceeded its node limit."""
 
 
 # --- polynomials ---

@@ -19,15 +19,13 @@ import functools
 import itertools
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .affine import (
     BoundedAffinePerm,
-    CyclePerm,
-    _c_class_windows,
+    _c_class_members,
     _k_of,
     _length,
     _window_from_cycle,
@@ -41,6 +39,7 @@ from .dyck import (
     synthesize_profile,
 )
 from .engine import Engine
+from .errors import PosicatError
 from .invsets import (
     f_min,
     inversion_multiset,
@@ -53,12 +52,6 @@ from .paths import fset_from_paths, nu_bar
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
-
-def enumerate_cyc(n: int) -> Iterator[CyclePerm]:
-    """All (n-1)! single n-cycles, as cycles (0, p_1, ..., p_{n-1})."""
-    for window in _theta_windows(n):
-        yield CyclePerm([v % n for v in window])
-
 
 def _theta_windows(n: int, k: Optional[int] = None) -> Iterator[Window]:
     for rest in itertools.permutations(range(1, n)):
@@ -131,16 +124,6 @@ def _fail(window: Window, check: str, expected, actual) -> dict:
     }
 
 
-def default_jobs() -> int:
-    env = os.environ.get("POSICAT_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _sort_failures(failures: list[dict]) -> list[dict]:
     # a synthesis task's exception record has (k, n, points) as its window,
     # so a non-integer entry sorts after the integers it is compared with
@@ -173,6 +156,8 @@ def _run_suite(suite: str, n_max: int, jobs: int, *phases) -> VerificationReport
     """Run each `(checks, items)` phase through `_checked_chunk`, serially or
     with its items striped across `jobs` processes, and report the checked
     count and the sorted failures of all phases."""
+    if jobs < 1:
+        raise PosicatError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
     chunks = []
     for checks, items in phases:
@@ -342,7 +327,7 @@ def _class_reps(windows) -> dict[Window, Window]:
     rep_of: dict[Window, Window] = {}
     for w in windows:
         if w not in rep_of:
-            rep_of.update(dict.fromkeys(_c_class_windows(w), w))
+            rep_of.update(dict.fromkeys(_c_class_members(w), w))
     return rep_of
 
 
@@ -449,7 +434,7 @@ def classes_census(k: int, n: int) -> dict:
         classes: list[list[Window]] = []
         while remaining:
             seed = min(remaining)
-            cls = [w for w in _c_class_windows(seed) if w in remaining]
+            cls = [w for w in _c_class_members(seed) if w in remaining]
             classes.append(sorted(cls))
             remaining.difference_update(cls)
         classes.sort()

@@ -127,7 +127,9 @@ def intersection_count(perm: BoundedAffinePerm, alpha: tuple[int, int]) -> int:
     """Crossings of the big path with its alpha-translate, counted per period.
 
     The count is always even: the two paths exchange sides an equal number of
-    times in each direction over one period.
+    times in each direction over one period.  Public with
+    `multiplicity_from_paths` as the per-shift reference that the tests
+    check `fset_from_paths` against.
     """
     perm.require_theta()
     signs = _crossing_signs(perm, alpha)
@@ -138,7 +140,8 @@ def intersection_count(perm: BoundedAffinePerm, alpha: tuple[int, int]) -> int:
 
 def multiplicity_from_paths(perm: BoundedAffinePerm, alpha: tuple[int, int]) -> int:
     """Below-to-above crossings only: the multiplicity of alpha in the
-    sheared inversion multiset, independent of crossing resolution."""
+    sheared inversion multiset, independent of crossing resolution; public
+    as the per-shift reference for `fset_from_paths`."""
     perm.require_theta()
     signs = _crossing_signs(perm, alpha)
     return sum(1 for r in range(perm.n) if signs[r] < 0 < signs[r + 1])

@@ -10,9 +10,10 @@ down to R~; a nonzero remainder there raises InexactDivision.
 from __future__ import annotations
 
 import json
+from operator import index
 from typing import Iterable
 
-from .errors import InexactDivision, PosicatError
+from .errors import InexactDivision, MalformedText, PosicatError
 
 
 class IntPoly:
@@ -21,7 +22,11 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        c = [int(x) for x in coeffs]
+        # through operator.index: a float or string raises, not truncated
+        try:
+            c = list(map(index, coeffs))
+        except TypeError:
+            raise MalformedText(f"polynomial coefficients must be integers: {coeffs!r}") from None
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
@@ -37,7 +42,15 @@ class IntPoly:
 
     @classmethod
     def from_json(cls, text: str) -> "IntPoly":
-        return cls(json.loads(text))
+        """Read a coefficient array in ascending degree, as `as_json` writes
+        it.  Text of another shape raises MalformedText."""
+        try:
+            coeffs = json.loads(text)
+        except ValueError:
+            coeffs = None
+        if not isinstance(coeffs, list):
+            raise MalformedText(f"JSON polynomial needs a coefficient list: {text!r}")
+        return cls(coeffs)
 
     # -- structure ------------------------------------------------------------
 

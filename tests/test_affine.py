@@ -2,7 +2,6 @@ import pytest
 
 from posicat import (
     BoundedAffinePerm,
-    CyclePerm,
     enumerate_theta,
     min_length_witness,
     parse_perm,
@@ -10,17 +9,21 @@ from posicat import (
 from posicat.harness import _bounded_windows
 from posicat.affine import (
     _canonical_key,
+    _conj_delta,
     _conj_has_double_crossing,
     _conj_s,
     _has_double_crossing,
     _is_bounded,
+    _left_delta,
+    _left_s,
     _residue_positions,
+    _right_delta,
+    _right_s,
     format_window,
 )
 from posicat.errors import (
     DegeneratePeriod,
     InvalidFrame,
-    LimitExceeded,
     MalformedText,
     NotAnInversion,
     NotBijective,
@@ -127,35 +130,37 @@ def test_inversions_example_window():
 # -- simple transpositions -------------------------------------------------------
 
 def test_left_mul_walkthrough():
-    f = BoundedAffinePerm.from_window([1, 2])
-    r = f.left_mul_s(0)
-    assert r.window == (0, 3) and r.bounded
-    assert r.perm is not None and r.perm(0) == 0 and r.perm(1) == 3
+    w = _left_s((1, 2), 0)
+    assert w == (0, 3) and _is_bounded(w)
+    g = BoundedAffinePerm(w)
+    assert g(0) == 0 and g(1) == 3
 
 
 def test_length_delta_rules_match_brute_force():
     for n in range(2, 6):
         for f in enumerate_theta(None, n):
-            ell = brute_length(f)
+            w, ell = f.window, brute_length(f)
+            pos = _residue_positions(w)
             for i in range(n):
-                for op in (f.left_mul_s, f.right_mul_s):
-                    r = op(i)
-                    assert r.length_delta in (-1, 1)
-                    if r.bounded:
-                        assert brute_length(r.perm) - ell == r.length_delta
-                c = f.conjugate_s(i)
-                assert c.length_delta in (-2, 0, 2)
-                if c.bounded:
-                    assert brute_length(c.perm) - ell == c.length_delta
+                for g, delta in (
+                    (_left_s(w, i), _left_delta(w, i, pos)),
+                    (_right_s(w, i), _right_delta(w, i)),
+                ):
+                    assert delta in (-1, 1)
+                    if _is_bounded(g):
+                        assert brute_length(BoundedAffinePerm(g)) - ell == delta
+                g, delta = _conj_s(w, i), _conj_delta(w, i)
+                assert delta in (-2, 0, 2)
+                if _is_bounded(g):
+                    assert brute_length(BoundedAffinePerm(g)) - ell == delta
 
 
 def test_conjugate_involution():
     for f in enumerate_theta(2, 5):
         for i in range(5):
-            c = f.conjugate_s(i)
-            if c.bounded:
-                back = c.perm.conjugate_s(i)
-                assert back.perm == f
+            g = _conj_s(f.window, i)
+            if _is_bounded(g):
+                assert _conj_s(g, i) == f.window
 
 
 def test_cyclic_shift_properties():
@@ -345,11 +350,9 @@ def test_c_equivalence_class_shares_invariants():
             )
 
 
-def test_c_equivalence_class_limit():
-    f = BoundedAffinePerm.from_window([1, 3, 4, 6])  # class has two members
+def test_c_equivalence_class_two_members():
+    f = BoundedAffinePerm.from_window([1, 3, 4, 6])
     assert len(f.c_equivalence_class()) == 2
-    with pytest.raises(LimitExceeded):
-        f.c_equivalence_class(limit=1)
 
 
 def test_min_length_witness():
@@ -363,15 +366,6 @@ def test_min_length_witness():
 
 
 # -- cycle type and text formats ------------------------------------------------------
-
-def test_cycle_perm():
-    c = CyclePerm([1, 2, 0])
-    assert c.is_n_cycle() and c.k == 1
-    assert c.to_bounded().window == (1, 2, 3)
-    assert not CyclePerm([1, 0, 2]).is_n_cycle()
-    with pytest.raises(NotNCycle):
-        CyclePerm([1, 0, 2]).to_bounded()
-
 
 def test_parse_and_format():
     f = parse_perm("window:3,6,4,5,7,8,9")

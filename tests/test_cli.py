@@ -209,12 +209,8 @@ def test_synthesize_bad_frame_exits_2(capsys, k):
     assert "1 <= k <= n-1" in err
 
 
-def test_jobs_env_fallback(monkeypatch):
-    from posicat.harness import default_jobs
-
+def test_verify_jobs_defaults_to_one(capsys, monkeypatch):
+    # no environment variable sets the worker count; only --jobs does
     monkeypatch.setenv("POSICAT_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.setenv("POSICAT_JOBS", "abc")
-    assert default_jobs() == 1
-    monkeypatch.delenv("POSICAT_JOBS")
-    assert default_jobs() == 1
+    code, out, _ = run(capsys, "verify", "--suite", "main", "--n-max", "3")
+    assert code == 0 and json.loads(out)["params"]["jobs"] == 1

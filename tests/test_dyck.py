@@ -18,6 +18,7 @@ from posicat import (
     synthesize_profile,
     validate_profile,
 )
+from posicat.affine import _conj_s
 from posicat.invsets import RECT, LatticeMultiset
 from posicat.errors import (
     InvalidFrame,
@@ -202,7 +203,7 @@ def test_double_move_path_identity():
                 if not f.has_double_crossing_at(i):
                     continue
                 f1, f2, _ = f.resolve_crossing((i, i + 1))
-                conj = f.conjugate_s(i).perm
+                conj = BoundedAffinePerm(_conj_s(f.window, i))
 
                 def paths(p):
                     return count_avoiding_paths(

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+import posicat.engine
 from posicat import (
     BoundedAffinePerm,
     Engine,
@@ -14,7 +15,14 @@ from posicat import (
     enumerate_theta,
     parse_perm,
 )
-from posicat.affine import MulResult, _displacements, _left_s, _remove_fixed, _value_at
+from posicat.affine import (
+    _conj_s,
+    _displacements,
+    _is_bounded,
+    _left_s,
+    _remove_fixed,
+    _value_at,
+)
 from posicat.errors import NotBounded, PosicatError, PreconditionViolated
 from posicat.polynomial import IntPoly, ONE
 
@@ -118,7 +126,7 @@ def test_double_crossing_recurrence_example(engine):
     g = BoundedAffinePerm.from_window([1, 4, 3, 5, 7])
     assert engine.compute_C(g) == 1
     assert engine.double_crossing_recurrence_check(g, 1)
-    conj = g.conjugate_s(1).perm
+    conj = BoundedAffinePerm(_conj_s(g.window, 1))
     assert conj == BoundedAffinePerm.translation(2, 5)
     f1, f2, _ = g.resolve_crossing((1, 2))
     assert engine.compute_C(f1) == 1 and engine.compute_C(f2) == 1
@@ -145,8 +153,9 @@ def test_nonpositive_C_raises_posicat_error(monkeypatch):
 
 def test_double_crossing_recurrence_unbounded_conjugate_raises(monkeypatch, engine):
     g = BoundedAffinePerm.from_window([1, 4, 3, 5, 7])
-    unbounded = MulResult((0, 4, 3, 5, 8), False, 2, None)
-    monkeypatch.setattr(BoundedAffinePerm, "conjugate_s", lambda self, i: unbounded)
+    unbounded = (0, 4, 3, 5, 10)  # f(4) = 10 > 4 + 5
+    assert not _is_bounded(unbounded)
+    monkeypatch.setattr(posicat.engine, "_conj_s", lambda w, i: unbounded)
     with pytest.raises(NotBounded):
         engine.double_crossing_recurrence_check(g, 1)
 

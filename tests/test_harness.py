@@ -12,19 +12,19 @@ from posicat import (
     census_report,
     cs_convex_subsets,
     enumerate_bounded,
-    enumerate_cyc,
     enumerate_theta,
     verify_engine,
     verify_main_theorem,
     verify_structure,
     verify_synthesis,
 )
+from posicat.errors import PosicatError
 from posicat.invsets import is_convex_points
 
 
 def test_cycle_counts():
-    assert sum(1 for _ in enumerate_cyc(4)) == 6
-    assert all(c.is_n_cycle() for c in enumerate_cyc(5))
+    assert sum(1 for _ in enumerate_theta(None, 4)) == 6
+    assert all(f.cycle_count() == 1 for f in enumerate_theta(None, 5))
 
 
 def test_theta_partition_identity():
@@ -191,6 +191,13 @@ def test_suite_parallel_matches_serial(suite, n_max):
     assert serial == parallel
 
 
+def test_suites_reject_jobs_below_one():
+    for suite in (verify_main_theorem, verify_synthesis, verify_engine, verify_structure):
+        for jobs in (0, -1):
+            with pytest.raises(PosicatError, match="jobs"):
+                suite(3, jobs=jobs)
+
+
 def test_verify_synthesis_small():
     report = verify_synthesis(6)
     assert report.passed
@@ -245,7 +252,7 @@ def test_minimal_elements_single_orbit():
     # the minimal-length elements of each family are all related by cyclic
     # shifts and length-preserving conjugations
     from posicat import min_length_witness
-    from posicat.affine import _c_class_windows, _k_of, _length, _sigma
+    from posicat.affine import _c_class_members, _length, _sigma
 
     for n in range(2, 8):
         by_k = {}
@@ -263,7 +270,7 @@ def test_minimal_elements_single_orbit():
                     continue
                 closure.add(w)
                 frontier.add(_sigma(w))
-                frontier.update(_c_class_windows(w))
+                frontier.update(_c_class_members(w))
             assert closure == minimal, (k, n)
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from posicat.errors import InexactDivision
+from posicat.errors import InexactDivision, MalformedText
 from posicat.polynomial import IntPoly, ONE, Q, Q_MINUS_1, ZERO
 
 
@@ -82,6 +82,17 @@ def test_json_round_trip():
     p = IntPoly([1, 0, 1])
     assert p.as_json() == "[1, 0, 1]"
     assert IntPoly.from_json(p.as_json()) == p
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IntPoly.from_json("[0.5]"),
+    lambda: IntPoly.from_json('"12"'),
+    lambda: IntPoly([2.9, True]),
+    lambda: IntPoly.from_json('{"a": 1}'),
+], ids=["float", "string", "float-and-bool", "object"])
+def test_malformed_coefficients_raise(build):
+    with pytest.raises(MalformedText):
+        build()
 
 
 def test_immutability_and_hash():

@@ -19,3 +19,11 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_exports_resolve_once():
+    # a deletion that leaves its name behind in __all__ fails here
+    names = posicat.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(posicat, name)]
+    assert missing == []
