@@ -8,8 +8,6 @@ memoized recurrence engine (engine), Dyck counting and profile synthesis
 
 from .affine import (
     BoundedAffinePerm,
-    GammaPair,
-    Inversion,
     min_length_witness,
     parse_perm,
 )
@@ -74,9 +72,7 @@ __all__ = [
     "BoundedAffinePerm",
     "ConcaveProfile",
     "Engine",
-    "GammaPair",
     "IntPoly",
-    "Inversion",
     "LatticeMultiset",
     "PosicatError",
     "RatPath",

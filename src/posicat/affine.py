@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from operator import index, sub
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DegeneratePeriod,
@@ -26,25 +26,11 @@ from .errors import (
     NotBounded,
     NotNCycle,
     NotTheta,
-    NonIntegralK,
     PosicatError,
+    _json_integers,
 )
 
 Window = tuple[int, ...]
-
-
-class Inversion(NamedTuple):
-    """A crossing of f: positions i < j < i + n with f(i) > f(j), i in [0, n)."""
-
-    i: int
-    j: int
-
-
-class GammaPair(NamedTuple):
-    """Types (k_t, n_t - k_t) of the two factors of a crossing resolution."""
-
-    gamma1: tuple[int, int]
-    gamma2: tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +60,10 @@ def _residue_positions(w: Window) -> list[int]:
 
 
 def _k_of(w: Window) -> int:
+    """k = (sum of displacements) / n, an integer for every bounded window:
+    its residues are distinct mod n, so sum f(i) = sum i (mod n)."""
     n = len(w)
-    return sum(w[i] - i for i in range(n)) // n
+    return (sum(w) - n * (n - 1) // 2) // n
 
 
 def _is_bounded(w: Window) -> bool:
@@ -339,15 +327,13 @@ class BoundedAffinePerm:
             raise PosicatError("empty window")
         n = len(w)
         if not _validated:
-            if not all(i <= w[i] <= i + n for i in range(n)):
+            if not _is_bounded(w):
                 raise NotBounded(f"window violates i <= f(i) <= i+n: {list(w)}")
             if len({v % n for v in w}) != n:
                 raise NotBijective(f"window residues collide: {list(w)}")
-            if sum(w[i] - i for i in range(n)) % n != 0:
-                raise NonIntegralK(f"displacement sum not divisible by n: {list(w)}")
         self.window = w
         self.n = n
-        self.k = sum(w[i] - i for i in range(n)) // n
+        self.k = _k_of(w)
         self._pos = _residue_positions(w)
         self._length: Optional[int] = None
         self._theta: Optional[bool] = None
@@ -392,9 +378,7 @@ class BoundedAffinePerm:
         except ValueError as exc:
             raise MalformedText(f"invalid JSON permutation {text!r}: {exc}") from None
         window = obj.get("window") if isinstance(obj, dict) else None
-        if not isinstance(window, list) or not all(type(v) is int for v in window):
-            raise MalformedText(f'JSON permutation needs a "window" list of integers: {text!r}')
-        perm = cls.from_window(window)
+        perm = cls.from_window(_json_integers(window, 'permutation "window"', text))
         for field in ("n", "k"):
             if field in obj and obj[field] != getattr(perm, field):
                 raise MalformedText(f"JSON field {field}={obj[field]} disagrees with window")
@@ -416,10 +400,6 @@ class BoundedAffinePerm:
 
     def __repr__(self) -> str:
         return f"BoundedAffinePerm({list(self.window)})"
-
-    @property
-    def displacements(self) -> Window:
-        return tuple(self.window[i] - i for i in range(self.n))
 
     @property
     def gamma(self) -> tuple[int, int]:
@@ -445,21 +425,16 @@ class BoundedAffinePerm:
     def to_cycle(self) -> tuple[int, ...]:
         """Cycle notation of the reduction, starting at 0 (single cycle only)."""
         self.require_theta()
-        cyc = [0]
-        x = self.window[0] % self.n
-        while x != 0:
-            cyc.append(x)
-            x = self.window[x] % self.n
-        return tuple(cyc)
+        return tuple(self.cycles()[0])
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "k": self.k, "window": list(self.window)})
 
     # -- inversions ----------------------------------------------------------
 
-    def inversions(self) -> list[Inversion]:
+    def inversions(self) -> list[tuple[int, int]]:
         """All pairs (i, j) with i in [0, n), i < j < i + n, f(i) > f(j)."""
-        return [Inversion(i, j) for i, j in _inversion_pairs(self.window)]
+        return list(_inversion_pairs(self.window))
 
     def length(self) -> int:
         if self._length is None:
@@ -494,12 +469,12 @@ class BoundedAffinePerm:
 
     def resolve_crossing(
         self, inv: tuple[int, int]
-    ) -> tuple["BoundedAffinePerm", "BoundedAffinePerm", GammaPair]:
+    ) -> tuple["BoundedAffinePerm", "BoundedAffinePerm"]:
         """Swap the values at an inversion and split into the two cycles.
 
         The factor containing the residue of i comes first.  Both factors are
-        strictly bounded single cycles of their respective periods, and the
-        gamma types add up to (k, n - k).
+        strictly bounded single cycles of their respective periods, and their
+        types `gamma` add up to (k, n - k).
         """
         self.require_theta()
         i, j = inv
@@ -510,7 +485,7 @@ class BoundedAffinePerm:
         cyc2 = [s for s in range(self.n) if s not in in_cyc1]
         f1 = BoundedAffinePerm(_relabel_restriction(gw, cyc1), _validated=True)
         f2 = BoundedAffinePerm(_relabel_restriction(gw, cyc2), _validated=True)
-        return f1, f2, GammaPair(f1.gamma, f2.gamma)
+        return f1, f2
 
     # -- reductions ----------------------------------------------------------
 
@@ -523,12 +498,6 @@ class BoundedAffinePerm:
         """
         w, emptied = _remove_fixed(self.window)
         return BoundedAffinePerm(w, _validated=True), emptied
-
-    def restrict_to_cycle(self, residue: int) -> "BoundedAffinePerm":
-        """Restriction to the cycle of the reduction containing `residue`."""
-        residue = residue % self.n
-        cyc = next(c for c in self.cycles() if residue in c)
-        return BoundedAffinePerm(_relabel_restriction(self.window, cyc), _validated=True)
 
     # -- sigma orbits and conjugation classes ---------------------------------
 

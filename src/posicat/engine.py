@@ -160,7 +160,7 @@ class Engine:
         i = i % perm.n
         if not perm.has_double_crossing_at(i):
             raise PreconditionViolated(f"no double crossing at {i}")
-        f1, f2, _ = perm.resolve_crossing((i, i + 1))
+        f1, f2 = perm.resolve_crossing((i, i + 1))
         conj = _conj_s(perm.window, i)
         if not _is_bounded(conj):
             raise NotBounded(f"conjugate of {perm!r} at {i} is unbounded: {list(conj)}")

@@ -17,6 +17,15 @@ class MalformedText(PosicatError):
     coefficient has a non-integer entry."""
 
 
+def _json_integers(value, what: str, text: str) -> list[int]:
+    """`value`, read from the JSON `text`, if it is a list of integers; the
+    one rule of both JSON readers.  Anything else, a boolean entry included,
+    raises MalformedText."""
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise MalformedText(f"JSON {what} must be a list of integers: {text!r}")
+    return value
+
+
 class InvalidFrame(PosicatError):
     """The frame (k, n) lies outside the range an operation accepts."""
 
@@ -27,10 +36,6 @@ class NotBounded(PosicatError):
 
 class NotBijective(PosicatError):
     """Window residues modulo n collide."""
-
-
-class NonIntegralK(PosicatError):
-    """Displacement sum is not divisible by the period n."""
 
 
 class NotNCycle(PosicatError):

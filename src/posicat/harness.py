@@ -152,10 +152,18 @@ def _checked_chunk(checks, items: list) -> tuple[int, list[dict]]:
     return len(items), failures
 
 
+def _require_n_max(n_max: int) -> None:
+    """Period 2 is the first with a single-cycle window, so a bound below 2
+    would check nothing and read as a passing sweep."""
+    if n_max < 2:
+        raise PosicatError(f"n_max must be at least 2, got {n_max}")
+
+
 def _run_suite(suite: str, n_max: int, jobs: int, *phases) -> VerificationReport:
     """Run each `(checks, items)` phase through `_checked_chunk`, serially or
     with its items striped across `jobs` processes, and report the checked
     count and the sorted failures of all phases."""
+    _require_n_max(n_max)
     if jobs < 1:
         raise PosicatError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
@@ -464,6 +472,7 @@ def classes_census(k: int, n: int) -> dict:
 
 def census_report(n_max: int) -> dict:
     """Census over every frame with n <= n_max; observational only."""
+    _require_n_max(n_max)
     start = time.perf_counter()
     frames = [
         classes_census(k, n) for n in range(2, n_max + 1) for k in range(1, n)

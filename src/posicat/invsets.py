@@ -95,19 +95,11 @@ class LatticeMultiset:
     def is_set(self) -> bool:
         return all(m == 1 for m in self.entries.values())
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LatticeMultiset)
-            and self.frame == other.frame
-            and self.delta == other.delta
-            and self.entries == other.entries
-        )
-
     # -- frame conversion --------------------------------------------------------
 
     def converted(self, frame: str) -> "LatticeMultiset":
         if frame == self.frame:
-            return LatticeMultiset(self.frame, self.delta, dict(self.entries))
+            return self
         conv = rect_to_sheared if frame == SHEARED else sheared_to_rect
         k, second = self.delta
         delta = (k, k + second) if frame == SHEARED else (k, second - k)
@@ -295,7 +287,7 @@ def split_identity_check(perm: BoundedAffinePerm, i: int) -> bool:
     ms = inversion_multiset(perm, SHEARED)
     if not ms.is_set():
         raise PreconditionViolated("permutation is not repetition-free")
-    f1, f2, _ = perm.resolve_crossing((i, i + 1))
+    f1, f2 = perm.resolve_crossing((i, i + 1))
     d1 = (f1.k, f1.n)
     d2 = (f2.k, f2.n)
     fset = set(ms.points())

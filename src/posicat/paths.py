@@ -51,10 +51,6 @@ class RatPath:
     def n(self) -> int:
         return self.delta[1]
 
-    def point(self, r: int) -> tuple[Fraction, int]:
-        """(vertical, horizontal) coordinates of the r-th integer point."""
-        return self.verticals[r], r
-
     def as_json(self) -> list[list[int]]:
         """Each point as [r, numerator, denominator]."""
         return [[r, v.numerator, v.denominator] for r, v in enumerate(self.verticals)]

@@ -13,7 +13,7 @@ import json
 from operator import index
 from typing import Iterable
 
-from .errors import InexactDivision, MalformedText, PosicatError
+from .errors import InexactDivision, MalformedText, PosicatError, _json_integers
 
 
 class IntPoly:
@@ -37,10 +37,6 @@ class IntPoly:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def constant(cls, value: int) -> "IntPoly":
-        return cls((value,))
-
-    @classmethod
     def from_json(cls, text: str) -> "IntPoly":
         """Read a coefficient array in ascending degree, as `as_json` writes
         it.  Text of another shape raises MalformedText."""
@@ -48,9 +44,7 @@ class IntPoly:
             coeffs = json.loads(text)
         except ValueError:
             coeffs = None
-        if not isinstance(coeffs, list):
-            raise MalformedText(f"JSON polynomial needs a coefficient list: {text!r}")
-        return cls(coeffs)
+        return cls(_json_integers(coeffs, "polynomial", text))
 
     # -- structure ------------------------------------------------------------
 

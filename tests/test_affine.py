@@ -16,6 +16,7 @@ from posicat.affine import (
     _is_bounded,
     _left_delta,
     _left_s,
+    _relabel_restriction,
     _residue_positions,
     _right_delta,
     _right_s,
@@ -248,10 +249,10 @@ def test_conj_double_crossing_matches_built_conjugate():
 
 def test_resolve_crossing_named():
     f = BoundedAffinePerm.from_window(FIG2)
-    _, _, gammas = f.resolve_crossing((1, 2))
-    assert gammas.gamma1 == (2, 3)
-    _, _, gammas = f.resolve_crossing((1, 3))
-    assert gammas.gamma1 == (1, 1)
+    f1, _ = f.resolve_crossing((1, 2))
+    assert f1.gamma == (2, 3)
+    f1, _ = f.resolve_crossing((1, 3))
+    assert f1.gamma == (1, 1)
     with pytest.raises(NotAnInversion):
         f.resolve_crossing((0, 1))
 
@@ -260,7 +261,8 @@ def test_resolution_type_sums_exhaustive():
     for n in range(2, 7):
         for f in enumerate_theta(None, n):
             for inv in f.inversions():
-                f1, f2, (g1, g2) = f.resolve_crossing(inv)
+                f1, f2 = f.resolve_crossing(inv)
+                g1, g2 = f1.gamma, f2.gamma
                 assert (g1[0] + g2[0], g1[1] + g2[1]) == (f.k, n - f.k)
                 assert f1.n + f2.n == n
                 assert f1.is_theta and f2.is_theta
@@ -287,12 +289,12 @@ def test_remove_fixed_points_idempotent_without_fixed():
     assert reduced == f and not emptied
 
 
-def test_restrict_to_cycle():
-    f = BoundedAffinePerm.from_window([1, 4, 3, 6])
-    assert f.restrict_to_cycle(0).window == (1, 2)
-    assert f.restrict_to_cycle(2).window == (1, 2)
-    fig2 = BoundedAffinePerm.from_window(FIG2)
-    assert fig2.restrict_to_cycle(4) == fig2
+def test_relabel_restriction():
+    # (1, 4, 3, 6) has the cycles {0, 1} and {2, 3}; FIG2 is one cycle
+    w = (1, 4, 3, 6)
+    assert _relabel_restriction(w, [0, 1]) == (1, 2)
+    assert _relabel_restriction(w, [2, 3]) == (1, 2)
+    assert _relabel_restriction(FIG2, range(7)) == FIG2
 
 
 # -- canonical keys and conjugation classes ----------------------------------------
@@ -387,6 +389,10 @@ def test_parse_and_format():
     '{"window": [1, 2',
     '{"window": "12"}',
     '{"window": [1.5, 2]}',
+    '{"window": [true]}',
+    '{"window": [1.5]}',
+    '{"window": ["1"]}',
+    '{"window": [null]}',
     "window:a,b",
     "window:",
     "cycle:(0,x)",

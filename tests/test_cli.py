@@ -168,6 +168,12 @@ def test_usage_errors(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("suite", ["main", "synthesis", "engine", "structure", "census"])
+def test_verify_n_max_below_two_is_a_usage_error(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", "-3")
+    assert code == 2 and out == "" and "n_max" in err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
     code, out, err = run(capsys, "verify", "--suite", "main", "--n-max", "3", "--jobs", jobs)

@@ -202,7 +202,7 @@ def test_double_move_path_identity():
             for i in range(n):
                 if not f.has_double_crossing_at(i):
                     continue
-                f1, f2, _ = f.resolve_crossing((i, i + 1))
+                f1, f2 = f.resolve_crossing((i, i + 1))
                 conj = BoundedAffinePerm(_conj_s(f.window, i))
 
                 def paths(p):

@@ -128,7 +128,7 @@ def test_double_crossing_recurrence_example(engine):
     assert engine.double_crossing_recurrence_check(g, 1)
     conj = BoundedAffinePerm(_conj_s(g.window, 1))
     assert conj == BoundedAffinePerm.translation(2, 5)
-    f1, f2, _ = g.resolve_crossing((1, 2))
+    f1, f2 = g.resolve_crossing((1, 2))
     assert engine.compute_C(f1) == 1 and engine.compute_C(f2) == 1
 
 

@@ -191,6 +191,16 @@ def test_suite_parallel_matches_serial(suite, n_max):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("n_max", [1, 0, -3])
+def test_suites_reject_n_max_below_two(n_max):
+    # below period 2 no window is checked, which must not read as a pass
+    for suite in (verify_main_theorem, verify_synthesis, verify_engine, verify_structure):
+        with pytest.raises(PosicatError, match="n_max"):
+            suite(n_max)
+    with pytest.raises(PosicatError, match="n_max"):
+        census_report(n_max)
+
+
 def test_suites_reject_jobs_below_one():
     for suite in (verify_main_theorem, verify_synthesis, verify_engine, verify_structure):
         for jobs in (0, -1):

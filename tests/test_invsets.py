@@ -246,7 +246,7 @@ def test_resolution_types_are_hull_vertices():
             for i in range(n):
                 if not f.has_double_crossing_at(i):
                     continue
-                f1, f2, _ = f.resolve_crossing((i, i + 1))
+                f1, f2 = f.resolve_crossing((i, i + 1))
                 sheared = set(inversion_multiset(f, SHEARED).entries)
                 aug = sheared | {(0, 0), (f.k, n)}
                 lower = _upper_chain((-a, -b) for a, b in aug)

@@ -89,7 +89,13 @@ def test_json_round_trip():
     lambda: IntPoly.from_json('"12"'),
     lambda: IntPoly([2.9, True]),
     lambda: IntPoly.from_json('{"a": 1}'),
-], ids=["float", "string", "float-and-bool", "object"])
+    # the JSON readers share one rule: a JSON boolean is not an integer
+    lambda: IntPoly.from_json("[true]"),
+    lambda: IntPoly.from_json("[1.5]"),
+    lambda: IntPoly.from_json('["1"]'),
+    lambda: IntPoly.from_json("[null]"),
+], ids=["float", "string", "float-and-bool", "object",
+        "json-true", "json-float", "json-string", "json-null"])
 def test_malformed_coefficients_raise(build):
     with pytest.raises(MalformedText):
         build()

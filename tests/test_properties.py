@@ -1,4 +1,5 @@
-"""Random single cycles past the exhaustive range (n = 9..16).
+"""Random single cycles, and random bounded windows, past the exhaustive
+range (n = 9..16).
 
 Derandomized with a bounded example count, so every run draws the same
 cycles and stays fast.  The counting formula and the synthesis round trip
@@ -65,10 +66,33 @@ def test_synthesis_round_trip(f):
     assert inversion_multiset(synthesize_perm(ms.points(), f.k, f.n)) == ms
 
 
+@st.composite
+def bounded_windows(draw, n_min=9, n_max=16):
+    """A bounded window with some residues fixed (f(i) = i or i + n) and the
+    others permuted, so multi-cycle windows and fixed residues both occur."""
+    n = draw(st.integers(n_min, n_max))
+    fixed = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    moved = [i for i in range(n) if i not in fixed]
+    image = dict(zip(moved, draw(st.permutations(moved))))
+    w = []
+    for i in range(n):
+        if i in fixed:
+            w.append(i + n if draw(st.booleans()) else i)
+        else:
+            w.append(image[i] if image[i] > i else image[i] + n)
+    return w
+
+
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(single_cycles())
-def test_text_round_trip(f):
+@given(single_cycles(), bounded_windows())
+def test_text_round_trip(f, w):
     assert parse_perm(format_window(f)) == f
+    # k is read off the closed form: every bounded window's residues are
+    # distinct mod n, so the displacement sum is a multiple of n
+    g = BoundedAffinePerm(w)
+    n = len(w)
+    assert g.k * n == sum(w) - n * (n - 1) // 2
+    assert parse_perm(format_window(g)) == g
     cycle = f.to_cycle()
     assert parse_perm("cycle:(" + ",".join(map(str, cycle)) + ")") == f
     one_based = ",".join(str(x or f.n) for x in cycle)

@@ -6,6 +6,7 @@ from pathlib import Path
 import posicat
 
 MODULES = sorted(Path(posicat.__file__).parent.rglob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_assert_statements():
@@ -27,3 +28,34 @@ def test_exports_resolve_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(posicat, name)]
     assert missing == []
+
+
+def _named(tree):
+    """Every name a module mentions: names, attributes, imported names and
+    string constants (the benchmark's tracer names its targets by string)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_definition_is_referenced():
+    # a function, class or method that nothing in the package, the tests or
+    # the benchmark names is dead code; perfbench/ is parsed, never imported
+    others = sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in MODULES + others}
+    named = {name for tree in trees.values() for name in _named(tree)}
+    unnamed = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in MODULES
+        for node in ast.walk(trees[path])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in named
+    ]
+    assert unnamed == []
