@@ -371,8 +371,9 @@ class BoundedAffinePerm:
 
     @classmethod
     def from_json(cls, text: str) -> "BoundedAffinePerm":
-        """Read `{"window": [...]}`; optional `n` and `k` fields must agree
-        with the window.  Text of another shape raises MalformedText."""
+        """Read `{"window": [...]}`; optional `n` and `k` fields must be JSON
+        integers that agree with the window.  Text of another shape raises
+        MalformedText."""
         try:
             obj = json.loads(text)
         except ValueError as exc:
@@ -380,8 +381,11 @@ class BoundedAffinePerm:
         window = obj.get("window") if isinstance(obj, dict) else None
         perm = cls.from_window(_json_integers(window, 'permutation "window"', text))
         for field in ("n", "k"):
-            if field in obj and obj[field] != getattr(perm, field):
-                raise MalformedText(f"JSON field {field}={obj[field]} disagrees with window")
+            if field not in obj:
+                continue
+            value, expected = obj[field], getattr(perm, field)
+            if type(value) is not int or value != expected:
+                raise MalformedText(f"JSON field {field}={value!r} is not the window's {expected}")
         return perm
 
     # -- basics --------------------------------------------------------------

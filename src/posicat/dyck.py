@@ -192,13 +192,6 @@ def profile_to_perm(profile: ConcaveProfile | Sequence[Fraction]) -> BoundedAffi
 # synthesis
 # ---------------------------------------------------------------------------
 
-def _upper_hull_heights(points: set[Point], k: int, n: int) -> list[Fraction]:
-    """Exact heights of the upper hull of points + {(0,0), (k,n)} at each
-    integer abscissa b = 0..n (points are sheared (a, b); x = b, y = a)."""
-    hull = _upper_chain([(b, a) for a, b in points] + [(0, 0), (n, k)])
-    return _chain_heights(hull, Fraction)
-
-
 def _require_cs_convex(points: set[Point], k: int, n: int) -> None:
     """Validate a sheared forbidden set: centrally symmetric and convex."""
     for a, b in points:
@@ -210,6 +203,31 @@ def _require_cs_convex(points: set[Point], k: int, n: int) -> None:
         raise NotConvex(f"{sorted(points)} misses lattice points of its hull")
 
 
+def _integer_profile_ok(
+    nums: list[int], q: int, k: int, n: int, columns: list[list[int]]
+) -> bool:
+    """Whether the heights nums[b] / q form a profile whose forbidden region
+    has, in each column 1 <= b <= n-1, exactly the sorted entries
+    columns[b]; the integer form of `validate_profile` plus
+    `profile_forbidden_set`."""
+    if nums[0] != 0 or nums[n] != k * q:
+        return False
+    prev = q
+    for i in range(n):
+        step = nums[i + 1] - nums[i]
+        if not 0 < step < q or step > prev:
+            return False
+        prev = step
+    if len({num % q for num in nums[:n]}) != n:
+        return False
+    for b in range(1, n):
+        lo = max(1, k - nums[n - b] // q)
+        hi = min(k - 1, nums[b] // q)
+        if list(range(lo, hi + 1)) != columns[b]:
+            return False
+    return True
+
+
 def synthesize_profile(
     forbidden_sheared: Iterable[Point], k: int, n: int
 ) -> ConcaveProfile:
@@ -218,31 +236,55 @@ def synthesize_profile(
     The heights are the hull heights of the set plus a strictly concave
     positive perturbation eps_b = c * b(n-b) * (s*8n^2 + b) / (8n^2 * s) with
     c = 2^-m; the b-dependent factor breaks the symmetric fractional-part
-    ties a centrally symmetric hull would otherwise force.  Candidates over
-    the deterministic (m, s) schedule are validated exactly and the first
-    success wins; existence is guaranteed for small enough perturbations, so
-    exhausting the schedule signals a bug.  A frame outside 1 <= k <= n-1
-    raises InvalidFrame.
+    ties a centrally symmetric hull would otherwise force.  The first
+    candidate of the deterministic (m, s) schedule, m = 2..63 and s = 1, 2, 3,
+    that passes wins; existence is guaranteed for small enough
+    perturbations, so exhausting the schedule signals a bug.  A frame outside
+    1 <= k <= n-1 raises InvalidFrame.
+
+    The search is exact in integers.  With L the lcm of the hull's edge
+    widths, each hull height is hull_b / L, and a candidate's heights share
+    the common denominator Q = L * 2^m * 8n^2 * s: H_b = N_b / Q with
+    N_b = hull_b * 2^m * 8n^2 * s + L * b(n-b) * (8n^2 * s + b).  A candidate
+    passes when N_0 = 0 and N_n = kQ, every increment lies strictly between
+    0 and Q and none rises, the N_b mod Q are distinct for b < n, and for
+    1 <= b <= n-1 the forbidden column
+    max(1, k - floor(N_{n-b} / Q)) <= a <= min(k-1, floor(N_b / Q)) is the
+    requested one.  Only the winner is turned into Fractions, and it is
+    checked again with `validate_profile` and `profile_forbidden_set`; if
+    that exact check disagrees, SynthesisFailed names (m, s).
     """
     _require_theta_frame(k, n)
     points = set(_points(forbidden_sheared, "the forbidden set"))
     _require_cs_convex(points, k, n)
-    hull = _upper_hull_heights(points, k, n)
+    chain = _upper_chain([(b, a) for a, b in points] + [(0, 0), (n, k)])
+    lcm = math.lcm(*(x2 - x1 for (x1, _), (x2, _) in zip(chain, chain[1:])))
+    hull = _chain_heights(chain, lambda y, w: y * (lcm // w))
+    columns: list[list[int]] = [[] for _ in range(n)]
+    for a, b in sorted(points):
+        columns[b].append(a)
     denom = 8 * n * n
     for m in range(2, 64):
-        c = Fraction(1, 2 ** m)
         for s in (1, 2, 3):
-            eps = [
-                c * b * (n - b) * Fraction(s * denom + b, denom * s)
+            scale = 2 ** m * denom * s
+            q = lcm * scale
+            nums = [
+                hull[b] * scale + lcm * b * (n - b) * (denom * s + b)
                 for b in range(n + 1)
             ]
-            heights = tuple(hull[b] + eps[b] for b in range(n + 1))
-            ok, _ = validate_profile(heights, k, n)
-            if not ok:
+            if not _integer_profile_ok(nums, q, k, n, columns):
                 continue
+            heights = tuple(Fraction(num, q) for num in nums)
             profile = ConcaveProfile(heights)
-            if profile_forbidden_set(profile) == points:
-                return profile
+            _, problems = validate_profile(heights, k, n)
+            if not problems and profile_forbidden_set(profile) != points:
+                problems = ["the forbidden region differs from the requested set"]
+            if problems:
+                raise SynthesisFailed(
+                    f"candidate (m={m}, s={s}) for {sorted(points)} in ({k}, {n}) "
+                    f"passes the integer test but fails the exact check: {problems}"
+                )
+            return profile
     raise SynthesisFailed(f"schedule exhausted for {sorted(points)} in ({k}, {n})")
 
 

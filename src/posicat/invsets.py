@@ -211,8 +211,9 @@ def _upper_chain(points: Iterable[Point]) -> list[Point]:
 
 def _chain_heights(chain: list[Point], div) -> list:
     """The chain's height at each integer x from its first vertex to its
-    last, as div(numerator, denominator): `floordiv` gives the floors and
-    `Fraction` the exact heights."""
+    last, as div(numerator, denominator): `floordiv` gives the floors, and
+    `lambda y, w: y * (L // w)` the exact heights as numerators over L, a
+    common multiple of the edge widths."""
     out = []
     for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
         out.extend(div(y1 * (x2 - x) + y2 * (x - x1), x2 - x1) for x in range(x1, x2))

@@ -62,6 +62,9 @@ class IntPoly:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
+        # a constant equals its int (see __eq__), so it hashes like one
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __bool__(self) -> bool:

@@ -393,6 +393,9 @@ def test_parse_and_format():
     '{"window": [1.5]}',
     '{"window": ["1"]}',
     '{"window": [null]}',
+    '{"window": [1], "n": true, "k": true}',
+    '{"window": [1, 2], "k": 1.0}',
+    '{"window": [1, 2], "n": 2.0}',
     "window:a,b",
     "window:",
     "cycle:(0,x)",

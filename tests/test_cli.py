@@ -190,7 +190,9 @@ def test_bad_forbidden_entry_exits_2(capsys):
     assert code == 2 and "bad point" in err
 
 
-@pytest.mark.parametrize("text", ['{"x":1}', "window:a,b", '{"window": [1, 2', "cycle:(0,x)"])
+@pytest.mark.parametrize("text", [
+    '{"x":1}', "window:a,b", '{"window": [1, 2', "cycle:(0,x)", '{"window": [1, 2], "k": 1.0}',
+])
 def test_bad_perm_text_exits_2(capsys, text):
     code, out, err = run(capsys, "compute", "--perm", text, "--what", "catalan")
     assert code == 2 and out == ""

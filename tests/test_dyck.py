@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,14 @@ from posicat import (
     validate_profile,
 )
 from posicat.affine import _conj_s
-from posicat.invsets import RECT, LatticeMultiset
+from posicat.harness import cs_convex_subsets
+from posicat.invsets import (
+    RECT,
+    LatticeMultiset,
+    _chain_heights,
+    _upper_chain,
+    rect_to_sheared,
+)
 from posicat.errors import (
     InvalidFrame,
     InvalidProfile,
@@ -151,6 +159,59 @@ def test_synthesize_profile_diagonal_2_4():
 def test_synthesize_profile_3_7():
     profile = synthesize_profile({(1, 2), (2, 5)}, 3, 7)
     assert profile_forbidden_set(profile) == {(1, 2), (2, 5)}
+
+
+def _fraction_synthesis(points, k, n):
+    """Reference search in Fractions: the exact hull heights plus the
+    perturbation of each (m, s) of the schedule, every candidate checked with
+    `validate_profile` and `profile_forbidden_set`; the first success wins."""
+    chain = _upper_chain([(b, a) for a, b in points] + [(0, 0), (n, k)])
+    hull = _chain_heights(chain, Fraction)
+    denom = 8 * n * n
+    for m in range(2, 64):
+        c = Fraction(1, 2 ** m)
+        for s in (1, 2, 3):
+            heights = tuple(
+                hull[b] + c * b * (n - b) * Fraction(s * denom + b, denom * s)
+                for b in range(n + 1)
+            )
+            if not validate_profile(heights, k, n)[0]:
+                continue
+            if profile_forbidden_set(ConcaveProfile(heights)) == points:
+                return heights
+    raise AssertionError(f"schedule exhausted for {sorted(points)} in ({k}, {n})")
+
+
+def _assert_matches_fraction_synthesis(rect_points, k, n):
+    sheared = {rect_to_sheared(p) for p in rect_points}
+    got = synthesize_profile(sheared, k, n).heights
+    expected = _fraction_synthesis(sheared, k, n)
+    pairs = [(h.numerator, h.denominator) for h in got]
+    assert pairs == [(h.numerator, h.denominator) for h in expected], (k, n, sorted(sheared))
+
+
+def test_synthesize_profile_matches_fraction_search_up_to_9():
+    for n in range(2, 10):
+        for k in range(1, n):
+            for points in cs_convex_subsets(k, n):
+                _assert_matches_fraction_synthesis(points, k, n)
+
+
+def test_synthesize_profile_matches_fraction_search_at_11():
+    rng = random.Random(11)
+    frames = {k: cs_convex_subsets(k, 11) for k in range(1, 11)}
+    for _ in range(20):
+        k = rng.randrange(1, 11)
+        _assert_matches_fraction_synthesis(rng.choice(frames[k]), k, 11)
+
+
+def test_synthesize_profile_raises_when_exact_check_disagrees(monkeypatch):
+    # the winner of the integer search is checked again in Fractions
+    import posicat.dyck as dyck
+
+    monkeypatch.setattr(dyck, "profile_forbidden_set", lambda profile: {(0, 0)})
+    with pytest.raises(SynthesisFailed, match=r"\(m=\d+, s=\d\)"):
+        synthesize_profile({(1, 2), (2, 5)}, 3, 7)
 
 
 def test_synthesize_perm_empty():

@@ -108,3 +108,11 @@ def test_immutability_and_hash():
     assert hash(IntPoly([1, 2])) == hash(p)
     assert p == IntPoly([1, 2, 0])
     assert IntPoly([5]) == 5
+
+
+@pytest.mark.parametrize("coeffs, value", [([5], 5), ([], 0), ([0, 0], 0), ([-3], -3)])
+def test_constants_hash_like_their_int(coeffs, value):
+    # equal values must hash alike, or sets and dicts tell them apart
+    p = IntPoly(coeffs)
+    assert p == value and hash(p) == hash(value)
+    assert value in {p} and p in {value}
