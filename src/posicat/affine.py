@@ -14,6 +14,7 @@ tuples; they are the hot path shared with the recurrence engine.
 from __future__ import annotations
 
 import json
+import math
 from operator import index, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -356,8 +357,8 @@ class BoundedAffinePerm:
         n = len(cycle)
         if n == 1:
             raise DegeneratePeriod("period 1 admits no strictly bounded n-cycle")
-        if sorted(cycle) != list(range(n)):
-            raise NotNCycle(f"not a cycle through 0..{n - 1}: {cycle}")
+        if not cycle or sorted(cycle) != list(range(n)):
+            raise NotNCycle(f"not a cycle through 0..n-1 (n = {n}): {cycle}")
         z = cycle.index(0)
         cycle = cycle[z:] + cycle[:z]
         return cls(_window_from_cycle(cycle), _validated=True)
@@ -405,10 +406,6 @@ class BoundedAffinePerm:
     def __repr__(self) -> str:
         return f"BoundedAffinePerm({list(self.window)})"
 
-    @property
-    def gamma(self) -> tuple[int, int]:
-        return (self.k, self.n - self.k)
-
     def cycles(self) -> list[list[int]]:
         return _cycles(self.window)
 
@@ -425,11 +422,6 @@ class BoundedAffinePerm:
     def require_theta(self) -> None:
         if not self.is_theta:
             raise NotTheta(f"{self!r} is not a single-cycle strictly bounded permutation")
-
-    def to_cycle(self) -> tuple[int, ...]:
-        """Cycle notation of the reduction, starting at 0 (single cycle only)."""
-        self.require_theta()
-        return tuple(self.cycles()[0])
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "k": self.k, "window": list(self.window)})
@@ -478,7 +470,7 @@ class BoundedAffinePerm:
 
         The factor containing the residue of i comes first.  Both factors are
         strictly bounded single cycles of their respective periods, and their
-        types `gamma` add up to (k, n - k).
+        types (k_1, n_1 - k_1) and (k_2, n_2 - k_2) add up to (k, n - k).
         """
         self.require_theta()
         i, j = inv
@@ -490,33 +482,6 @@ class BoundedAffinePerm:
         f1 = BoundedAffinePerm(_relabel_restriction(gw, cyc1), _validated=True)
         f2 = BoundedAffinePerm(_relabel_restriction(gw, cyc2), _validated=True)
         return f1, f2
-
-    # -- reductions ----------------------------------------------------------
-
-    def remove_fixed_points(self) -> tuple["BoundedAffinePerm", bool]:
-        """Delete every residue with f(i) = i or f(i) = i + n.
-
-        Returns (permutation, emptied).  If all residues are fixed the
-        canonical period-1 identity is returned and emptied is True.
-        Idempotent on permutations without fixed residues.
-        """
-        w, emptied = _remove_fixed(self.window)
-        return BoundedAffinePerm(w, _validated=True), emptied
-
-    # -- sigma orbits and conjugation classes ---------------------------------
-
-    def canonical_key(self) -> Window:
-        """Lex-min rotation of the displacement word; constant on sigma-orbits."""
-        return _canonical_key(self.window)
-
-    def c_equivalence_class(self) -> set["BoundedAffinePerm"]:
-        """Closure under length-preserving bounded simple conjugations.
-
-        Members are deduplicated by exact window (not by sigma-orbit).
-        """
-        return {
-            BoundedAffinePerm(w, _validated=True) for w in _c_class_members(self.window)
-        }
 
 
 def _c_class_members(w: Window) -> Iterator[Window]:
@@ -555,8 +520,6 @@ def min_length_witness(k: int, n: int) -> BoundedAffinePerm:
     """A minimal-length element of Theta(k, n): the translation times
     s_1 s_2 ... s_{d-1} where d = gcd(k, n); its length is d - 1."""
     _require_theta_frame(k, n)
-    import math
-
     w = BoundedAffinePerm.translation(k, n).window
     for i in range(1, math.gcd(k, n)):
         w = _right_s(w, i)
@@ -605,7 +568,3 @@ def _parse_ints(body: str, text: str) -> list[int]:
     if not values:
         raise MalformedText(f"no entries in {text!r}")
     return values
-
-
-def format_window(perm: BoundedAffinePerm) -> str:
-    return "window:" + ",".join(str(v) for v in perm.window)

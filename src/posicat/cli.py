@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import Optional
 
@@ -125,7 +126,6 @@ def _cmd_compute(args) -> int:
             "a": list(a_sequence(perm)),
         }))
     elif what == "nu":
-        import math
         print(json.dumps({
             "nu": nu(perm),
             "nu_bar": nu_bar(perm),

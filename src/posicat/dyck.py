@@ -20,12 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Sequence
 
 from .affine import BoundedAffinePerm, _require_theta_frame
 from .errors import (
     InvalidFrame,
     InvalidProfile,
+    MalformedText,
     NotCentrallySymmetric,
     NotConvex,
     PathCountMismatch,
@@ -111,9 +113,24 @@ def enumerate_avoiding_paths(
 @dataclass(frozen=True)
 class ConcaveProfile:
     """Exact-rational heights H_0 = 0, ..., H_n = k satisfying the three
-    profile conditions; `validate_profile` reports violations."""
+    profile conditions.
+
+    Construction is the one place a profile is validated: the heights become
+    Fractions, `validate_profile` runs once with k = floor(H_n), and any
+    violation raises InvalidProfile (a height that is not an integer or a
+    rational raises MalformedText).  So a ConcaveProfile never holds an
+    invalid profile, and no caller checks one again.
+    """
 
     heights: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        heights = _fractions(self.heights)
+        object.__setattr__(self, "heights", heights)
+        k = math.floor(heights[-1]) if heights else 0
+        _, problems = validate_profile(heights, k, len(heights) - 1)
+        if problems:
+            raise InvalidProfile("; ".join(problems))
 
     @property
     def n(self) -> int:
@@ -130,17 +147,34 @@ class ConcaveProfile:
         return [[h.numerator, h.denominator] for h in self.heights]
 
 
+def _fractions(heights: Iterable[Rational]) -> tuple[Fraction, ...]:
+    """The heights as Fractions.  Only `numbers.Rational` heights are read, so
+    a float, string or None height raises MalformedText instead of being
+    converted or rounded."""
+    heights = tuple(heights)
+    if not all(isinstance(h, Rational) for h in heights):
+        raise MalformedText(f"a profile height is not an integer or a rational: {heights!r}")
+    return tuple(map(Fraction, heights))
+
+
 def validate_profile(
     heights: Sequence[Fraction | int], k: int, n: int
 ) -> tuple[bool, list[str]]:
-    """Check the three profile conditions exactly; returns (ok, violations)."""
-    H = [Fraction(h) for h in heights]
+    """Check the three profile conditions exactly; returns (ok, violations).
+    A profile has at least two heights, H_0 and H_n with n >= 1, and H_n
+    must be the integer k.  A height that is not a `numbers.Rational`
+    raises MalformedText."""
+    H = _fractions(heights)
     problems: list[str] = []
     if len(H) != n + 1:
         return False, [f"expected {n + 1} heights, got {len(H)}"]
+    if len(H) < 2:
+        return False, [f"a profile needs at least two heights, got {len(H)}"]
     if H[0] != 0:
         problems.append(f"H_0 = {H[0]} != 0")
-    if H[n] != k:
+    if H[n].denominator != 1:
+        problems.append(f"H_n = {H[n]} is not an integer")
+    elif H[n] != k:
         problems.append(f"H_n = {H[n]} != {k}")
     increments = [H[i + 1] - H[i] for i in range(n)]
     for i, d in enumerate(increments):
@@ -171,13 +205,15 @@ def profile_forbidden_set(profile: ConcaveProfile) -> set[Point]:
 
 def profile_to_perm(profile: ConcaveProfile | Sequence[Fraction]) -> BoundedAffinePerm:
     """The permutation whose orbit of 0 is order-isomorphic to the profile's
-    fractional parts: rank h_r to obtain the r-th orbit value modulo n."""
+    fractional parts: rank h_r to obtain the r-th orbit value modulo n.
+
+    A plain sequence of heights is made a ConcaveProfile first, whose
+    construction validates it (InvalidProfile, or MalformedText for a height
+    that is not rational); a ConcaveProfile is valid by construction and is
+    not checked again."""
     if not isinstance(profile, ConcaveProfile):
-        profile = ConcaveProfile(tuple(Fraction(h) for h in profile))
-    n, k = profile.n, profile.k
-    ok, problems = validate_profile(profile.heights, k, n)
-    if not ok:
-        raise InvalidProfile("; ".join(problems))
+        profile = ConcaveProfile(profile)
+    n = profile.n
     fracs = profile.fractional_parts()
     order = sorted(range(n), key=lambda r: fracs[r])
     rank = [0] * n
@@ -251,8 +287,10 @@ def synthesize_profile(
     1 <= b <= n-1 the forbidden column
     max(1, k - floor(N_{n-b} / Q)) <= a <= min(k-1, floor(N_b / Q)) is the
     requested one.  Only the winner is turned into Fractions, and it is
-    checked again with `validate_profile` and `profile_forbidden_set`; if
-    that exact check disagrees, SynthesisFailed names (m, s).
+    checked again exactly: constructing its ConcaveProfile validates it, and
+    `profile_forbidden_set` must give back the requested set.  If that exact
+    check disagrees, SynthesisFailed names (m, s).  The returned profile is
+    not validated again downstream.
     """
     _require_theta_frame(k, n)
     points = set(_points(forbidden_sheared, "the forbidden set"))
@@ -274,17 +312,18 @@ def synthesize_profile(
             ]
             if not _integer_profile_ok(nums, q, k, n, columns):
                 continue
-            heights = tuple(Fraction(num, q) for num in nums)
-            profile = ConcaveProfile(heights)
-            _, problems = validate_profile(heights, k, n)
-            if not problems and profile_forbidden_set(profile) != points:
-                problems = ["the forbidden region differs from the requested set"]
-            if problems:
-                raise SynthesisFailed(
-                    f"candidate (m={m}, s={s}) for {sorted(points)} in ({k}, {n}) "
-                    f"passes the integer test but fails the exact check: {problems}"
-                )
-            return profile
+            try:
+                profile = ConcaveProfile(tuple(Fraction(num, q) for num in nums))
+            except InvalidProfile as exc:
+                problem = str(exc)
+            else:
+                if profile_forbidden_set(profile) == points:
+                    return profile
+                problem = "the forbidden region differs from the requested set"
+            raise SynthesisFailed(
+                f"candidate (m={m}, s={s}) for {sorted(points)} in ({k}, {n}) "
+                f"passes the integer test but fails the exact check: {problem}"
+            )
     raise SynthesisFailed(f"schedule exhausted for {sorted(points)} in ({k}, {n})")
 
 

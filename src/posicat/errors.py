@@ -13,8 +13,9 @@ class PosicatError(Exception):
 
 class MalformedText(PosicatError):
     """Text input (a permutation, a point list or a polynomial) does not
-    follow its documented format, or a window, cycle, point or polynomial
-    coefficient has a non-integer entry."""
+    follow its documented format, a window, cycle, point or polynomial
+    coefficient has a non-integer entry, or a profile height is not an
+    integer or a rational."""
 
 
 def _json_integers(value, what: str, text: str) -> list[int]:

@@ -71,16 +71,6 @@ class LatticeMultiset:
         if min(entries.values(), default=0) < 0:
             raise PosicatError("negative multiplicity")
 
-    @classmethod
-    def from_points(
-        cls, points: Iterable[Point], frame: str, k: int, n: int
-    ) -> "LatticeMultiset":
-        delta = (k, n - k) if frame == RECT else (k, n)
-        entries: dict[Point, int] = {}
-        for p in _points(points, "a lattice multiset"):
-            entries[p] = entries.get(p, 0) + 1
-        return cls(frame, delta, entries)
-
     # -- views ----------------------------------------------------------------
 
     def multiplicity(self, p: Point) -> int:
@@ -104,9 +94,6 @@ class LatticeMultiset:
         k, second = self.delta
         delta = (k, k + second) if frame == SHEARED else (k, second - k)
         return LatticeMultiset(frame, delta, {conv(p): m for p, m in self.entries.items()})
-
-    def to_rect(self) -> "LatticeMultiset":
-        return self.converted(RECT)
 
     def to_sheared(self) -> "LatticeMultiset":
         return self.converted(SHEARED)

@@ -134,6 +134,32 @@ def test_profile_to_perm_named():
         profile_to_perm((F(0), F(3, 2), F(2)))
 
 
+@pytest.mark.parametrize("heights, message", [
+    ((), "a profile needs at least two heights, got 0"),
+    ((F(0),), "a profile needs at least two heights, got 1"),
+    ((F(0), F(3, 4), F(3, 2)), "H_n = 3/2 is not an integer"),
+], ids=["empty", "one", "non-integral-end"])
+def test_degenerate_profiles_raise_invalid_profile(heights, message):
+    with pytest.raises(InvalidProfile, match=message):
+        profile_to_perm(heights)
+    with pytest.raises(InvalidProfile, match=message):
+        ConcaveProfile(heights)
+    k = math.floor(heights[-1]) if heights else 0
+    assert validate_profile(heights, k, len(heights) - 1) == (False, [message])
+
+
+@pytest.mark.parametrize("heights", [
+    (0.0, 0.5, 1.0), ("0", "1/2", "1"), (0, None, 1),
+], ids=["float", "string", "None"])
+@pytest.mark.parametrize("entry", [
+    profile_to_perm, ConcaveProfile, lambda heights: validate_profile(heights, 1, 2),
+], ids=["profile_to_perm", "ConcaveProfile", "validate_profile"])
+def test_non_rational_heights_raise(entry, heights):
+    # Fraction() would read 0.5 and "1/2" and answer
+    with pytest.raises(MalformedText):
+        entry(heights)
+
+
 def test_profile_forbidden_set():
     profile = ConcaveProfile(SAMPLE_PROFILE_25)
     assert profile_forbidden_set(profile) == set()
@@ -211,6 +237,15 @@ def test_synthesize_profile_raises_when_exact_check_disagrees(monkeypatch):
 
     monkeypatch.setattr(dyck, "profile_forbidden_set", lambda profile: {(0, 0)})
     with pytest.raises(SynthesisFailed, match=r"\(m=\d+, s=\d\)"):
+        synthesize_profile({(1, 2), (2, 5)}, 3, 7)
+
+
+def test_synthesize_profile_raises_when_validation_reports_a_problem(monkeypatch):
+    # constructing the winner's ConcaveProfile is the exact validation
+    import posicat.dyck as dyck
+
+    monkeypatch.setattr(dyck, "validate_profile", lambda heights, k, n: (False, ["injected"]))
+    with pytest.raises(SynthesisFailed, match=r"\(m=\d+, s=\d\).*injected"):
         synthesize_profile({(1, 2), (2, 5)}, 3, 7)
 
 
@@ -300,7 +335,7 @@ POINT_ENTRY_POINTS = {
     "enumerate_avoiding_paths": lambda pts: enumerate_avoiding_paths(3, 7, pts),
     "synthesize_profile": lambda pts: synthesize_profile(pts, 3, 7),
     "synthesize_perm": lambda pts: synthesize_perm(pts, 3, 7),
-    "LatticeMultiset.from_points": lambda pts: LatticeMultiset.from_points(pts, RECT, 3, 7),
+    "LatticeMultiset": lambda pts: LatticeMultiset(RECT, (3, 4), dict.fromkeys(pts, 1)),
 }
 
 

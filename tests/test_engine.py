@@ -16,6 +16,7 @@ from posicat import (
     parse_perm,
 )
 from posicat.affine import (
+    _c_class_members,
     _conj_s,
     _displacements,
     _is_bounded,
@@ -170,7 +171,8 @@ def test_class_invariance(engine):
         for f in enumerate_theta(None, n):
             c = engine.compute_C(f)
             rt = engine.compute_Rtilde(f)
-            for member in f.c_equivalence_class():
+            for w in _c_class_members(f.window):
+                member = BoundedAffinePerm(w)
                 assert engine.compute_C(member) == c
                 assert engine.compute_Rtilde(member) == rt
 
@@ -347,7 +349,7 @@ def test_class_search_normalises_the_member_it_takes():
                 w = BoundedAffinePerm(searched["window"])
                 member = BoundedAffinePerm(after["window"])
                 assert after["rule"] == "simple_factor"
-                assert member != w and member in w.c_equivalence_class()
+                assert member != w and member.window in _c_class_members(w.window)
                 assert Engine().compute_Rtilde(member) == Engine().compute_Rtilde(w)
                 taken += 1
     assert taken > 0

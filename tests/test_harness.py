@@ -131,6 +131,24 @@ def test_synthesis_chunk_records_missed_postconditions(monkeypatch):
     ])
 
 
+def test_verify_synthesis_validates_each_profile_once(monkeypatch):
+    # one exact validation per synthesized profile: profile_to_perm does not
+    # check the ConcaveProfile that synthesize_profile returns again
+    import posicat.dyck as dyck
+
+    calls = []
+    validate = dyck.validate_profile
+
+    def counted(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(dyck, "validate_profile", counted)
+    report = verify_synthesis(6)
+    assert report.passed and report.checked > 0
+    assert len(calls) == report.checked
+
+
 def test_verify_synthesis_records_exception_and_continues(monkeypatch):
     import posicat.harness as harness
 

@@ -20,6 +20,7 @@ from posicat import (
     parse_perm,
     split_identity_check,
 )
+from posicat.affine import _c_class_members
 from posicat.errors import MalformedText, NotRepetitionFree, PosicatError, PreconditionViolated
 from posicat.invsets import RECT, SHEARED, _upper_chain, is_convex_points
 
@@ -72,9 +73,9 @@ def test_repetition_free_equals_path_criterion():
 
 def test_central_symmetry():
     assert is_centrally_symmetric(inversion_multiset(FIG2))
-    single = LatticeMultiset.from_points([(1, 1)], RECT, 3, 7)
+    single = LatticeMultiset(RECT, (3, 4), {(1, 1): 1})
     assert not is_centrally_symmetric(single)
-    empty = LatticeMultiset.from_points([], RECT, 3, 7)
+    empty = LatticeMultiset(RECT, (3, 4))
     assert is_centrally_symmetric(empty)
 
 
@@ -214,8 +215,8 @@ def test_class_preserves_multiset_when_repetition_free():
             if not is_repetition_free(f):
                 continue
             expected = inversion_multiset(f).entries
-            for member in f.c_equivalence_class():
-                assert inversion_multiset(member).entries == expected
+            for w in _c_class_members(f.window):
+                assert inversion_multiset(BoundedAffinePerm(w)).entries == expected
 
 
 def test_split_identity_exhaustive():
@@ -259,8 +260,8 @@ def test_resolution_types_are_hull_vertices():
 def test_frame_conversion_round_trip():
     ms = inversion_multiset(FIG2)
     assert ms.to_sheared().entries == {(1, 2): 1, (2, 5): 1}
-    assert ms.to_sheared().to_rect() == ms
-    assert ms.to_rect() == ms
+    assert ms.to_sheared().converted(RECT) == ms
+    assert ms.converted(RECT) == ms
 
 
 def test_multiset_text_and_json():

@@ -23,7 +23,10 @@ from posicat import (  # noqa: E402
     parse_perm,
     synthesize_perm,
 )
-from posicat.affine import format_window  # noqa: E402
+
+
+def window_text(f):
+    return "window:" + ",".join(map(str, f.window))
 
 
 @st.composite
@@ -86,14 +89,14 @@ def bounded_windows(draw, n_min=9, n_max=16):
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(single_cycles(), bounded_windows())
 def test_text_round_trip(f, w):
-    assert parse_perm(format_window(f)) == f
+    assert parse_perm(window_text(f)) == f
     # k is read off the closed form: every bounded window's residues are
     # distinct mod n, so the displacement sum is a multiple of n
     g = BoundedAffinePerm(w)
     n = len(w)
     assert g.k * n == sum(w) - n * (n - 1) // 2
-    assert parse_perm(format_window(g)) == g
-    cycle = f.to_cycle()
+    assert parse_perm(window_text(g)) == g
+    [cycle] = f.cycles()
     assert parse_perm("cycle:(" + ",".join(map(str, cycle)) + ")") == f
     one_based = ",".join(str(x or f.n) for x in cycle)
     assert parse_perm(f"cycle:({one_based})", one_based=True) == f

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import posicat
@@ -59,3 +60,34 @@ def test_every_definition_is_referenced():
         and node.name not in named
     ]
     assert unnamed == []
+
+
+def _code_named(tree):
+    """The names of `_named` apart from string constants."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+
+
+def test_every_definition_has_a_non_test_caller():
+    # a definition that only the tests name is API nothing uses; the package
+    # counts by code (a trace rule's string is not a call), the benchmark by
+    # strings too (its tracer names its targets so), the README by word
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in MODULES}
+    named = {name for tree in trees.values() for name in _code_named(tree)}
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        named.update(_named(ast.parse(path.read_text(), str(path))))
+    named.update(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    uncalled = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in MODULES
+        for node in ast.walk(trees[path])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in named
+    ]
+    assert uncalled == []
