@@ -21,14 +21,7 @@ from .dyck import (
     synthesize_profile,
     validate_profile,
 )
-from .engine import (
-    Engine,
-    compute_C,
-    compute_C_decoupled,
-    compute_R,
-    compute_Rtilde,
-    double_crossing_recurrence_check,
-)
+from .engine import Engine
 from .errors import PosicatError
 from .harness import (
     VerificationReport,
@@ -80,13 +73,8 @@ __all__ = [
     "a_sequence",
     "census_report",
     "classes_census",
-    "compute_C",
-    "compute_C_decoupled",
-    "compute_R",
-    "compute_Rtilde",
     "count_avoiding_paths",
     "cs_convex_subsets",
-    "double_crossing_recurrence_check",
     "enumerate_avoiding_paths",
     "enumerate_bounded",
     "enumerate_theta",

@@ -150,7 +150,6 @@ def _conj_s(w: Window, i: int) -> Window:
 
 def _left_delta(w: Window, i: int, pos: Sequence[int]) -> int:
     """Length change of s_i o f: +1 iff the values i, i+1 sit in order."""
-    n = len(w)
     a = _inverse_at(w, i, pos)
     b = _inverse_at(w, i + 1, pos)
     return 1 if a < b else -1
@@ -342,10 +341,6 @@ class BoundedAffinePerm:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_window(cls, values: Sequence[int]) -> "BoundedAffinePerm":
-        return cls(values)
-
-    @classmethod
     def from_cycle(cls, cycle: Sequence[int]) -> "BoundedAffinePerm":
         """The unique f in Theta(k, n) whose reduction is the given n-cycle.
 
@@ -380,7 +375,7 @@ class BoundedAffinePerm:
         except ValueError as exc:
             raise MalformedText(f"invalid JSON permutation {text!r}: {exc}") from None
         window = obj.get("window") if isinstance(obj, dict) else None
-        perm = cls.from_window(_json_integers(window, 'permutation "window"', text))
+        perm = cls(_json_integers(window, 'permutation "window"', text))
         for field in ("n", "k"):
             if field not in obj:
                 continue
@@ -546,7 +541,7 @@ def parse_perm(text: str, one_based: bool = False) -> BoundedAffinePerm:
         if one_based:
             # (f(1), ..., f(n)) determines f(0) = f(n) - n
             values = [values[-1] - len(values)] + values[:-1]
-        return BoundedAffinePerm.from_window(values)
+        return BoundedAffinePerm(values)
     if text.startswith("cycle:"):
         body = text[len("cycle:"):].strip()
         if body.startswith("(") and body.endswith(")"):

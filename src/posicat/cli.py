@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--coords", choices=[RECT, SHEARED], default=RECT)
 
     p_enum = sub.add_parser("enumerate", help="stream the single-cycle permutations of one period")
-    p_enum.add_argument("--n", type=int, required=True)
+    p_enum.add_argument("--n", type=_positive_int, required=True)
     p_enum.add_argument("--k", type=int, default=None)
     p_enum.add_argument("--repetition-free", action="store_true")
     p_enum.add_argument("--format", choices=["json", "csv"], default="json")

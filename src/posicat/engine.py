@@ -304,31 +304,3 @@ class Engine:
             f"no reduction applies anywhere in the class of {list(w)}"
         )
 
-
-def compute_R(perm: BoundedAffinePerm, engine: Optional[Engine] = None) -> IntPoly:
-    """R_f(q) on `engine`, or on a fresh engine; pass one to share a cache."""
-    return (engine or Engine()).compute_R(perm)
-
-
-def compute_Rtilde(perm: BoundedAffinePerm, engine: Optional[Engine] = None) -> IntPoly:
-    """R~_f(q) on `engine`, or on a fresh engine; pass one to share a cache."""
-    return (engine or Engine()).compute_Rtilde(perm)
-
-
-def compute_C(perm: BoundedAffinePerm, engine: Optional[Engine] = None) -> int:
-    """C_f on `engine`, or on a fresh engine; pass one to share a cache."""
-    return (engine or Engine()).compute_C(perm)
-
-
-def compute_C_decoupled(perm: BoundedAffinePerm, engine: Optional[Engine] = None) -> int:
-    """C_f as a product over cycles on `engine`, or on a fresh engine; pass
-    one to share a cache."""
-    return (engine or Engine()).compute_C_decoupled(perm)
-
-
-def double_crossing_recurrence_check(
-    perm: BoundedAffinePerm, i: int, engine: Optional[Engine] = None
-) -> bool:
-    """The double-crossing identity at i on `engine`, or on a fresh engine;
-    pass one to share a cache."""
-    return (engine or Engine()).double_crossing_recurrence_check(perm, i)

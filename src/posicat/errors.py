@@ -58,7 +58,7 @@ class NotAnInversion(PosicatError):
 # --- polynomials ---
 
 class InexactDivision(PosicatError):
-    """Polynomial division left a remainder; signals a recurrence bug."""
+    """Raised only by `IntPoly.exact_div`: a remainder or a zero divisor."""
 
 
 # --- engine ---
@@ -105,7 +105,9 @@ class NotConvex(PosicatError):
 
 
 class SynthesisFailed(PosicatError):
-    """Profile perturbation schedule was exhausted; signals a bug."""
+    """Signals a bug: `synthesize_profile` exhausted its perturbation schedule
+    or its integer winner failed the exact check, or `synthesize_perm`'s
+    result missed a postcondition."""
 
 
 # --- enumeration ---

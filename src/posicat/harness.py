@@ -54,6 +54,9 @@ from .paths import fset_from_paths, nu_bar
 # ---------------------------------------------------------------------------
 
 def _theta_windows(n: int, k: Optional[int] = None) -> Iterator[Window]:
+    """The windows of Theta(k, n), or across k when k is None; none for n < 2."""
+    if n < 2:
+        return
     for rest in itertools.permutations(range(1, n)):
         window = _window_from_cycle((0,) + rest)
         if k is None or _k_of(window) == k:

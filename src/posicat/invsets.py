@@ -87,16 +87,13 @@ class LatticeMultiset:
 
     # -- frame conversion --------------------------------------------------------
 
-    def converted(self, frame: str) -> "LatticeMultiset":
-        if frame == self.frame:
-            return self
-        conv = rect_to_sheared if frame == SHEARED else sheared_to_rect
-        k, second = self.delta
-        delta = (k, k + second) if frame == SHEARED else (k, second - k)
-        return LatticeMultiset(frame, delta, {conv(p): m for p, m in self.entries.items()})
-
     def to_sheared(self) -> "LatticeMultiset":
-        return self.converted(SHEARED)
+        """The same multiset in the SHEARED frame; a sheared one is its own."""
+        if self.frame == SHEARED:
+            return self
+        k, m = self.delta
+        entries = {rect_to_sheared(p): c for p, c in self.entries.items()}
+        return LatticeMultiset(SHEARED, (k, k + m), entries)
 
     # -- text and JSON -------------------------------------------------------------
 
@@ -136,8 +133,9 @@ def parse_forbidden(text: str) -> list[Point]:
 # the inversion multiset and its properties
 # ---------------------------------------------------------------------------
 
-def inversion_multiset(perm: BoundedAffinePerm, frame: str = RECT) -> LatticeMultiset:
-    """Resolve every crossing and collect the first factor's type.
+def inversion_multiset(perm: BoundedAffinePerm) -> LatticeMultiset:
+    """Resolve every crossing and collect the first factor's type, in the
+    RECT frame (`to_sheared` gives the SHEARED one).
 
     The first factor is the cycle through i of the window swapped at the
     inversion (i, j).  Its type (k_1, n_1 - k_1) is read off the raw window:
@@ -153,8 +151,7 @@ def inversion_multiset(perm: BoundedAffinePerm, frame: str = RECT) -> LatticeMul
         k1 = sum(g[s] // n for s in cyc)
         p = (k1, len(cyc) - k1)
         entries[p] = entries.get(p, 0) + 1
-    ms = LatticeMultiset(RECT, (perm.k, perm.n - perm.k), entries)
-    return ms.converted(frame)
+    return LatticeMultiset(RECT, (perm.k, perm.n - perm.k), entries)
 
 
 def is_repetition_free(perm: BoundedAffinePerm) -> bool:
@@ -272,7 +269,7 @@ def split_identity_check(perm: BoundedAffinePerm, i: int) -> bool:
     i = i % perm.n
     if not perm.has_double_crossing_at(i):
         raise PreconditionViolated(f"no double crossing at {i}")
-    ms = inversion_multiset(perm, SHEARED)
+    ms = inversion_multiset(perm).to_sheared()
     if not ms.is_set():
         raise PreconditionViolated("permutation is not repetition-free")
     f1, f2 = perm.resolve_crossing((i, i + 1))
@@ -288,8 +285,8 @@ def split_identity_check(perm: BoundedAffinePerm, i: int) -> bool:
     g1 = g1p | {(d1[0] - a, d1[1] - b) for a, b in g1p}
     g2 = g2p | {(d2[0] - a, d2[1] - b) for a, b in g2p}
     return (
-        set(inversion_multiset(f1, SHEARED).points()) == g1
-        and set(inversion_multiset(f2, SHEARED).points()) == g2
+        set(inversion_multiset(f1).to_sheared().points()) == g1
+        and set(inversion_multiset(f2).to_sheared().points()) == g2
     )
 
 

@@ -3,8 +3,10 @@
 Coefficients are arbitrary-precision Python ints stored in ascending degree
 with no trailing zeros; the zero polynomial is the empty tuple.  The engine
 uses only ring operations: it computes R~ directly and R as R~ (q-1)^(n-c).
-The one non-ring operation, exact_div, is for callers that divide R back
-down to R~; a nonzero remainder there raises InexactDivision.
+The one non-ring operation, exact_div, has no caller in the package: it
+stays only because `perfbench/tracing.py` patches it by name, and goes once
+that tracer spans the ring operations instead.  InexactDivision is raised by
+exact_div alone, on a nonzero remainder or a zero divisor.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ def test_criterion_2_named_instances():
     assert Engine().compute_C(example) == 3
     first = time.time() - start
 
-    drawn = BoundedAffinePerm.from_window([3, 6, 4, 5, 7, 8, 9])
+    drawn = BoundedAffinePerm([3, 6, 4, 5, 7, 8, 9])
     start = time.time()
     assert Engine().compute_C(drawn) == 3
     second = time.time() - start

@@ -48,25 +48,25 @@ def brute_length(perm):
 # -- construction -------------------------------------------------------------
 
 def test_from_window_named_instance():
-    f = BoundedAffinePerm.from_window(FIG2)
+    f = BoundedAffinePerm(FIG2)
     assert f.n == 7 and f.k == 3
     assert f.is_theta
     assert (f.k, f.n - f.k) == (3, 4)
 
 
 def test_from_window_identity_period_one():
-    f = BoundedAffinePerm.from_window([0])
+    f = BoundedAffinePerm([0])
     assert f.n == 1 and f.k == 0
     assert not f.is_theta
 
 
 def test_from_window_errors():
     with pytest.raises(NotBounded):
-        BoundedAffinePerm.from_window([3, 1])
+        BoundedAffinePerm([3, 1])
     with pytest.raises(NotBijective):
-        BoundedAffinePerm.from_window([0, 2])
+        BoundedAffinePerm([0, 2])
     with pytest.raises(PosicatError):
-        BoundedAffinePerm.from_window([])
+        BoundedAffinePerm([])
 
 
 def test_from_cycle_fig3():
@@ -118,7 +118,7 @@ def test_translation():
 # -- inversions and length ------------------------------------------------------
 
 def test_inversions_named():
-    f = BoundedAffinePerm.from_window(FIG2)
+    f = BoundedAffinePerm(FIG2)
     assert [(i, j) for i, j in f.inversions()] == [(1, 2), (1, 3)]
     assert f.length() == 2
 
@@ -187,9 +187,9 @@ def test_is_theta_is_cached(monkeypatch):
     import posicat.affine as affine
 
     perms = {
-        BoundedAffinePerm.from_window(FIG2): True,
-        BoundedAffinePerm.from_window((1, 4, 3, 6)): False,
-        BoundedAffinePerm.from_window((0, 1)): False,
+        BoundedAffinePerm(FIG2): True,
+        BoundedAffinePerm((1, 4, 3, 6)): False,
+        BoundedAffinePerm((0, 1)): False,
     }
     for f, expected in perms.items():
         assert f.is_theta is expected
@@ -221,19 +221,19 @@ def test_rotate_180():
     fig3 = BoundedAffinePerm.from_cycle([0, 3, 2, 5, 1, 4])
     assert fig3.rotate_180().window == (2, 4, 5, 6, 9, 7)
     with pytest.raises(NotTheta):
-        BoundedAffinePerm.from_window([0, 1]).rotate_180()
+        BoundedAffinePerm([0, 1]).rotate_180()
 
 
 # -- double crossings and resolution ------------------------------------------------
 
 def test_double_crossing_detection():
-    g = BoundedAffinePerm.from_window([1, 4, 3, 5, 7])
+    g = BoundedAffinePerm([1, 4, 3, 5, 7])
     assert g.has_double_crossing_at(1)
     assert g.inverse_at(2) == -1 and g.inverse_at(1) == 0
     assert g(2) == 3 and g(1) == 4
     f25 = BoundedAffinePerm.translation(2, 5)
     assert not any(f25.has_double_crossing_at(i) for i in range(5))
-    fig2 = BoundedAffinePerm.from_window(FIG2)
+    fig2 = BoundedAffinePerm(FIG2)
     assert not any(fig2.has_double_crossing_at(i) for i in range(7))
 
 
@@ -253,7 +253,7 @@ def test_conj_double_crossing_matches_built_conjugate():
 
 
 def test_resolve_crossing_named():
-    f = BoundedAffinePerm.from_window(FIG2)
+    f = BoundedAffinePerm(FIG2)
     f1, _ = f.resolve_crossing((1, 2))
     assert (f1.k, f1.n - f1.k) == (2, 3)
     f1, _ = f.resolve_crossing((1, 3))
@@ -279,7 +279,7 @@ def test_remove_fixed_points_all_fixed():
 
 
 def test_remove_fixed_points_mixed():
-    f = BoundedAffinePerm.from_window([0, 2, 5, 7])
+    f = BoundedAffinePerm([0, 2, 5, 7])
     reduced, emptied = _remove_fixed(f.window)
     assert not emptied
     assert reduced == (1, 2) and BoundedAffinePerm(reduced).k == f.k - 1
@@ -330,7 +330,7 @@ def test_canonical_key_separates_orbits():
     for key, windows in orbits.items():
         shifts = set()
         w = next(iter(windows))
-        g = BoundedAffinePerm.from_window(w)
+        g = BoundedAffinePerm(w)
         for _ in range(5):
             shifts.add(g.window)
             g = g.cyclic_shift()
@@ -415,7 +415,7 @@ def test_window_non_integer_entries_raise(window):
     with pytest.raises(MalformedText):
         BoundedAffinePerm(window)
     with pytest.raises(MalformedText):
-        BoundedAffinePerm.from_window(window)
+        BoundedAffinePerm(window)
 
 
 @pytest.mark.parametrize("cycle", [[0, 2.5, 1], [0, "2", 1], [0, None, 1], [0, 2.0, 1]])

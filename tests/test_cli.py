@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import posicat
 from posicat import cli
 from posicat.cli import main
 from posicat.harness import VerificationReport
@@ -116,6 +121,17 @@ def test_enumerate_k_filter_and_repetition_free(capsys):
     assert all(row["repetition_free"] for row in rows)
 
 
+def test_enumerate_period_one_prints_nothing(capsys):
+    # Theta(k, 1) is empty, like a --k filter that matches nothing
+    assert run(capsys, "enumerate", "--n", "1") == (0, "", "")
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_enumerate_period_below_one_is_a_usage_error(capsys, n):
+    code, out, err = run(capsys, "enumerate", "--n", n)
+    assert code == 2 and out == "" and "argument --n" in err
+
+
 def test_enumerate_csv(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "4", "--format", "csv")
     reader = csv.reader(io.StringIO(out))
@@ -222,3 +238,26 @@ def test_verify_jobs_defaults_to_one(capsys, monkeypatch):
     monkeypatch.setenv("POSICAT_JOBS", "3")
     code, out, _ = run(capsys, "verify", "--suite", "main", "--n-max", "3")
     assert code == 0 and json.loads(out)["params"]["jobs"] == 1
+
+
+def _run_optimised(*argv):
+    """`python -O -m posicat.cli argv` on this package's source: -O strips
+    assert statements, and every check must hold without them."""
+    src = str(Path(posicat.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "posicat.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_verify_under_python_O_prints_one_report():
+    done = _run_optimised("verify", "--suite", "main", "--n-max", "5")
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)  # extra output would be "Extra data"
+    assert report["suite"] == "main" and report["checked"] > 0 and report["failures"] == []
+
+
+def test_bad_input_under_python_O_exits_2_without_a_traceback():
+    done = _run_optimised("compute", "--perm", "window:1,1", "--what", "catalan")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "error:" in done.stderr and "Traceback" not in done.stderr

@@ -7,7 +7,7 @@ import pytest
 from posicat import (
     BoundedAffinePerm,
     ConcaveProfile,
-    compute_C,
+    Engine,
     count_avoiding_paths,
     enumerate_avoiding_paths,
     inversion_multiset,
@@ -258,7 +258,7 @@ def test_synthesize_perm_empty():
 def test_synthesize_perm_fig2_set():
     perm = synthesize_perm({(1, 1), (2, 3)}, 3, 7)
     assert inversion_multiset(perm).entries == {(1, 1): 1, (2, 3): 1}
-    assert compute_C(perm) == 3
+    assert Engine().compute_C(perm) == 3
     assert count_avoiding_paths(3, 7, {(1, 2), (2, 5)}) == 3
 
 
@@ -266,7 +266,7 @@ def test_synthesize_perm_raises_on_missed_postcondition(monkeypatch):
     # an explicit raise, so the postconditions also hold under python -O
     import posicat.dyck as dyck
 
-    wrong = BoundedAffinePerm.from_window([1, 4, 3, 6, 5, 8])
+    wrong = BoundedAffinePerm([1, 4, 3, 6, 5, 8])
     monkeypatch.setattr(dyck, "profile_to_perm", lambda profile: wrong)
     with pytest.raises(SynthesisFailed):
         synthesize_perm({(1, 1), (1, 2), (1, 3)}, 2, 6)
@@ -288,7 +288,6 @@ def test_double_move_path_identity():
     # set; every avoiding path either passes through the new point (splitting
     # into a path pair for the factors) or avoids the bigger set
     from posicat import enumerate_theta
-    from posicat.invsets import SHEARED
 
     checked = 0
     for n in range(2, 8):
@@ -303,7 +302,7 @@ def test_double_move_path_identity():
 
                 def paths(p):
                     return count_avoiding_paths(
-                        p.k, p.n, inversion_multiset(p, SHEARED).points()
+                        p.k, p.n, inversion_multiset(p).to_sheared().points()
                     )
 
                 assert paths(conj) == paths(f1) * paths(f2) + paths(f)

@@ -36,6 +36,19 @@ def test_theta_partition_identity():
     assert sum(counts5) == 24 and counts5 == [1, 11, 11, 1]
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_enumerate_theta_is_empty_below_period_two(n):
+    # Theta(k, 1) is empty, as `from_cycle` says by raising DegeneratePeriod
+    assert list(enumerate_theta(None, n)) == []
+    assert list(enumerate_theta(1, n)) == []
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_classes_census_is_empty_below_period_two(n):
+    report = classes_census(1, n)
+    assert report["groups"] == [] and report["repetition_free_total"] == 0
+
+
 def test_bounded_enumeration_counts():
     # permutations with fixed points doubled: sum_j C(n,j) 2^j D(n-j)
     derange = [1, 0, 1, 2, 9, 44, 265]
@@ -119,7 +132,7 @@ def test_engine_chunks_record_exception_and_continue(monkeypatch, chunk, windows
 def test_synthesis_chunk_records_missed_postconditions(monkeypatch):
     import posicat.harness as harness
 
-    wrong = BoundedAffinePerm.from_window([1, 4, 3, 6, 5, 8])
+    wrong = BoundedAffinePerm([1, 4, 3, 6, 5, 8])
     monkeypatch.setattr(harness, "profile_to_perm", lambda profile: wrong)
     window = list(wrong.window)
     tasks = [(2, 6, ((1, 1), (1, 2), (1, 3)))]

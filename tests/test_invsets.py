@@ -22,9 +22,9 @@ from posicat import (
 )
 from posicat.affine import _c_class_members
 from posicat.errors import MalformedText, NotRepetitionFree, PosicatError, PreconditionViolated
-from posicat.invsets import RECT, SHEARED, _upper_chain, is_convex_points
+from posicat.invsets import RECT, SHEARED, _upper_chain, is_convex_points, sheared_to_rect
 
-FIG2 = BoundedAffinePerm.from_window([3, 6, 4, 5, 7, 8, 9])
+FIG2 = BoundedAffinePerm([3, 6, 4, 5, 7, 8, 9])
 
 
 def first_non_repetition_free(n):
@@ -196,7 +196,7 @@ def test_extremal_sets():
 def test_f_min_always_contained():
     for n in range(2, 7):
         for f in enumerate_theta(None, n):
-            sheared = set(inversion_multiset(f, SHEARED).entries)
+            sheared = set(inversion_multiset(f).to_sheared().entries)
             assert f_min(f.k, n) <= sheared
 
 
@@ -248,7 +248,7 @@ def test_resolution_types_are_hull_vertices():
                 if not f.has_double_crossing_at(i):
                     continue
                 f1, f2 = f.resolve_crossing((i, i + 1))
-                sheared = set(inversion_multiset(f, SHEARED).entries)
+                sheared = set(inversion_multiset(f).to_sheared().entries)
                 aug = sheared | {(0, 0), (f.k, n)}
                 lower = _upper_chain((-a, -b) for a, b in aug)
                 hull = set(_upper_chain(aug)) | {(-a, -b) for a, b in lower}
@@ -259,9 +259,11 @@ def test_resolution_types_are_hull_vertices():
 
 def test_frame_conversion_round_trip():
     ms = inversion_multiset(FIG2)
-    assert ms.to_sheared().entries == {(1, 2): 1, (2, 5): 1}
-    assert ms.to_sheared().converted(RECT) == ms
-    assert ms.converted(RECT) == ms
+    sheared = ms.to_sheared()
+    assert sheared.entries == {(1, 2): 1, (2, 5): 1}
+    assert sheared.frame == SHEARED and sheared.delta == (3, 7)
+    assert {sheared_to_rect(p): m for p, m in sheared.entries.items()} == ms.entries
+    assert sheared.to_sheared() is sheared
 
 
 def test_multiset_text_and_json():
@@ -289,7 +291,7 @@ def test_lambda_named():
 def test_lambda_non_staircase_shape():
     # a 4-point symmetric convex set in the 5 x 4 rectangle whose diagram
     # has non-monotone first differences
-    f = BoundedAffinePerm.from_window([1, 6, 7, 8, 9, 11, 12, 13, 14])
+    f = BoundedAffinePerm([1, 6, 7, 8, 9, 11, 12, 13, 14])
     assert sorted(inversion_multiset(f).points()) == [(1, 1), (2, 2), (3, 2), (4, 3)]
     assert lambda_partition(f) == (2, 1, 1, 0, 0)
     assert a_sequence(f) == (1, 0, 1, 0)

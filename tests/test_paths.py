@@ -17,7 +17,7 @@ from posicat import (
 from posicat.affine import _c_class_members
 from posicat.errors import AlphaOnDeltaLine, NotTheta
 
-FIG2 = BoundedAffinePerm.from_window([3, 6, 4, 5, 7, 8, 9])
+FIG2 = BoundedAffinePerm([3, 6, 4, 5, 7, 8, 9])
 FIG3 = BoundedAffinePerm.from_cycle([0, 3, 2, 5, 1, 4])
 
 
@@ -53,7 +53,7 @@ def test_small_path_endpoint_exhaustive():
 
 def test_small_path_requires_theta():
     with pytest.raises(NotTheta):
-        small_path(BoundedAffinePerm.from_window([1, 4, 3, 6]))
+        small_path(BoundedAffinePerm([1, 4, 3, 6]))
 
 
 @pytest.mark.parametrize(
@@ -69,7 +69,7 @@ def test_small_path_requires_theta():
 )
 @pytest.mark.parametrize("window", [(1, 4, 3, 6), (0, 1)], ids=["two_cycles", "not_strict"])
 def test_routes_require_theta(route, window):
-    f = BoundedAffinePerm.from_window(window)
+    f = BoundedAffinePerm(window)
     for _ in range(2):  # the second call reads the cached verdict
         with pytest.raises(NotTheta):
             route(f)
@@ -128,7 +128,7 @@ def test_translation_has_no_crossings():
 def test_path_oracle_matches_resolution():
     for n in range(2, 7):
         for f in enumerate_theta(None, n):
-            assert fset_from_paths(f) == inversion_multiset(f, "sheared").entries
+            assert fset_from_paths(f) == inversion_multiset(f).to_sheared().entries
 
 
 def test_rotation_reflects_small_path():
@@ -154,7 +154,7 @@ def test_nu_frozen_values_2_4():
         (3, 2, 4, 5): (0, 0),
     }
     for window, (expect_nu, expect_bar) in values.items():
-        f = BoundedAffinePerm.from_window(window)
+        f = BoundedAffinePerm(window)
         assert nu(f) == expect_nu
         assert nu_bar(f) == expect_bar
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from posicat import (  # noqa: E402
     BoundedAffinePerm,
-    compute_C,
+    Engine,
     count_avoiding_paths,
     fset_from_paths,
     inversion_multiset,
@@ -47,17 +47,17 @@ def test_path_oracle_matches_per_shift_and_resolution(f):
             if m:
                 per_shift[(a, b)] = m
     assert fset == per_shift
-    assert fset == inversion_multiset(f, "sheared").entries
+    assert fset == inversion_multiset(f).to_sheared().entries
     assert sum(fset.values()) == f.length()
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(single_cycles(9, 11))
 def test_counting_formula(f):
-    sheared = inversion_multiset(f, "sheared")
+    sheared = inversion_multiset(f).to_sheared()
     if not sheared.is_set():
         return
-    assert compute_C(f) == count_avoiding_paths(f.k, f.n, sheared.points())
+    assert Engine().compute_C(f) == count_avoiding_paths(f.k, f.n, sheared.points())
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
