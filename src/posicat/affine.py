@@ -144,26 +144,28 @@ def _right_s(w: Window, i: int) -> Window:
     return tuple(out)
 
 
-def _conj_s(w: Window, i: int) -> Window:
-    return _left_s(_right_s(w, i), i)
+def _conj_s(w: Window, i: int, pos: Sequence[int]) -> Window:
+    """Window of s_i o f o s_i for i in [0, n) and n >= 2, given f's residue
+    positions pos.
 
-
-def _left_delta(w: Window, i: int, pos: Sequence[int]) -> int:
-    """Length change of s_i o f: +1 iff the values i, i+1 sit in order."""
-    a = _inverse_at(w, i, pos)
-    b = _inverse_at(w, i + 1, pos)
-    return 1 if a < b else -1
-
-
-def _right_delta(w: Window, i: int) -> int:
-    """Length change of f o s_i: +1 iff f(i) < f(i+1)."""
-    return 1 if _value_at(w, i) < _value_at(w, i + 1) else -1
-
-
-def _conj_delta(w: Window, i: int) -> int:
-    """Length change of s_i f s_i, in {-2, 0, +2}."""
-    g = _right_s(w, i)
-    return _right_delta(w, i) + _left_delta(g, i, _residue_positions(g))
+    f o s_i swaps the entries at positions i and i+1 (i = n-1 wraps to
+    position 0, shifting both values by n).  s_i o then moves the value of
+    residue i up by one and the value of residue i+1 down by one; f holds
+    them at pos[i] and pos[i+1], and f o s_i at those positions with i and
+    i+1 swapped.
+    """
+    n = len(w)
+    i1 = i + 1 if i + 1 < n else 0
+    out = list(w)
+    if i1:
+        out[i], out[i1] = w[i1], w[i]
+    else:
+        out[i], out[0] = w[0] + n, w[i] - n
+    p = pos[i]
+    out[i1 if p == i else i if p == i1 else p] += 1
+    p = pos[i1]
+    out[i1 if p == i else i if p == i1 else p] -= 1
+    return tuple(out)
 
 
 def _sigma(w: Window) -> Window:
@@ -181,12 +183,19 @@ def _orbit_key(d: Window) -> Window:
     """Lexicographically minimal cyclic rotation of the displacement word d.
 
     The displacement word of sigma^t(f) is a rotation of that of f, so equal
-    keys characterise equal sigma-orbits.  The n rotations are the length-n
-    slices of the doubled word, and `min` compares them as tuples.
+    keys characterise equal sigma-orbits.  The least rotation starts at an
+    occurrence of min(d): a unique minimum at t gives d[t:] + d[:t] at once,
+    and otherwise the rotations that start at one are compared as tuples.
     """
-    n = len(d)
-    doubled = d * 2
-    return min([doubled[t:t + n] for t in range(n)])
+    m = min(d)
+    t = d.index(m)
+    best = d[t:] + d[:t]
+    for _ in range(d.count(m) - 1):
+        t = d.index(m, t + 1)
+        rotation = d[t:] + d[:t]
+        if rotation < best:
+            best = rotation
+    return best
 
 
 def _canonical_key(w: Window) -> Window:
@@ -239,9 +248,10 @@ def _has_double_crossing(w: Window, i: int, pos: Sequence[int]) -> bool:
     return i + 1 < c < d
 
 
-def _conj_has_double_crossing(w: Window, i: int, pos: Sequence[int]) -> bool:
-    """Whether g = s_i f s_i is bounded with a double crossing at i, for i in
-    [0, n) and n >= 2, read off f's window w and pos without building g.
+def _first_double_move(w: Window, pos: Sequence[int]) -> int:
+    """The first i in [0, n) where g = s_i f s_i is bounded with a double
+    crossing at i, or -1; n >= 2.  Each index is read off f's window w and
+    its residue positions pos in O(1), without building g.
 
     With s = s_i acting on values, g(i) = s(f(i+1)), g(i+1) = s(f(i)) and
     g^-1(y) = s(f^-1(s(y))), so the pattern of `_has_double_crossing` on g
@@ -253,22 +263,35 @@ def _conj_has_double_crossing(w: Window, i: int, pos: Sequence[int]) -> bool:
     i+1 <= g(i+1) <= i+1+n, which the chain above reduces to g(i) <= i+n.
     """
     n = len(w)
-    i1 = i + 1 if i + 1 < n else 0
-    # c = s(f(i)) and d = s(f(i+1)); s moves a value by its residue alone
-    c = w[i]
-    r = c % n
-    c += 1 if r == i else -1 if r == i1 else 0
-    d = w[i + 1] if i1 else w[0] + n
-    r = d % n
-    d += 1 if r == i else -1 if r == i1 else 0
-    if not i + 1 < c < d <= i + n:
-        return False
-    # a = s(f^-1(i)) and b = s(f^-1(i+1)); f^-1(y) has residue pos[y mod n]
-    p = pos[i]
-    a = p + i - w[p] + (1 if p == i else -1 if p == i1 else 0)
-    p = pos[i1]
-    b = p + i + 1 - w[p] + (1 if p == i else -1 if p == i1 else 0)
-    return a < b < i
+    top = n - 1
+    for i in range(n):
+        i1 = i + 1 if i < top else 0
+        # c = s(f(i)) and d = s(f(i+1)); s moves a value by one at most, and
+        # by its residue alone
+        c = w[i]
+        d = w[i + 1] if i1 else w[0] + n
+        if c > d + 1:
+            continue
+        r = c % n
+        if r == i:
+            c += 1
+        elif r == i1:
+            c -= 1
+        r = d % n
+        if r == i:
+            d += 1
+        elif r == i1:
+            d -= 1
+        if not i + 1 < c < d <= i + n:
+            continue
+        # a = s(f^-1(i)) and b = s(f^-1(i+1)); f^-1(y) has residue pos[y mod n]
+        p = pos[i]
+        a = p + i - w[p] + (1 if p == i else -1 if p == i1 else 0)
+        p = pos[i1]
+        b = p + i + 1 - w[p] + (1 if p == i else -1 if p == i1 else 0)
+        if a < b < i:
+            return i
+    return -1
 
 
 def _swap_split(w: Window, i: int, j: int) -> tuple[list[int], list[int]]:
@@ -485,8 +508,19 @@ def _c_class_members(w: Window) -> Iterator[Window]:
     Yields w first, then each member as it is discovered (not when it is
     dequeued), with conjugation indices in increasing order; consumers that
     stop early skip the rest of the search.
+
+    Each index is read in O(1) off the dequeued member f and its residue
+    positions, and s_i f s_i is built only when it passes.  With s = s_i,
+    f s_i is one longer than f iff f(i) < f(i+1), s_i f s_i is one longer
+    than f s_i iff s(f^-1(i)) < s(f^-1(i+1)), and the length is kept iff
+    exactly one of the two holds.  A kept length keeps s_i f s_i bounded,
+    so no bound is tested.  Off the positions i and i+1 its values stay in
+    range (see `_first_double_move`), and at them only s(f(i)) <= i or
+    s(f(i+1)) > i+n could break a bound.  The first needs f(i) = i+1 and
+    the second f(i+1) = i+n, and either makes both length changes +1.
     """
     n = len(w)
+    top = n - 1
     seen = {w}
     queue = [w]
     yield w
@@ -494,11 +528,19 @@ def _c_class_members(w: Window) -> Iterator[Window]:
     while qi < len(queue):
         cur = queue[qi]
         qi += 1
+        pos = _residue_positions(cur)
         for i in range(n):
-            if _conj_delta(cur, i) != 0:
+            i1 = i + 1 if i < top else 0
+            c = cur[i]
+            d = cur[i + 1] if i1 else cur[0] + n
+            p = pos[i]
+            a = p + i - cur[p] + (1 if p == i else -1 if p == i1 else 0)
+            p = pos[i1]
+            b = p + i + 1 - cur[p] + (1 if p == i else -1 if p == i1 else 0)
+            if (c < d) == (a < b):
                 continue
-            g = _conj_s(cur, i)
-            if g in seen or not _is_bounded(g):
+            g = _conj_s(cur, i, pos)
+            if g in seen:
                 continue
             seen.add(g)
             queue.append(g)

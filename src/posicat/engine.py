@@ -37,25 +37,30 @@ one residue is fused with its removal into one contraction: drop that
 residue's position and map every other value y to y - y//n - [y mod n > i].
 The scan then resumes at i-1: no simple factor applies below it afterwards.
 The simple factor at i = n-1, and one that fixes both i and i+1, go through
-s_i f and the general removal.  Each contraction is one O(n) comprehension
-and lowers the period, so a chain costs O(n) per step it takes.
+s_i f and the removal.  A single fixed residue j is dropped by the same
+contraction with j in place of i; two or more go through the general
+removal.  Each contraction is one O(n) comprehension and lowers the period,
+so a chain costs O(n) per step it takes.
 
 Values are cached per sigma-orbit: R~ is invariant under the cyclic shift,
 and the lex-min rotation of the displacement word identifies the orbit.  The
-key is the least of the n length-n slices of the doubled displacement word.
-A value is stored under the key of the request window and under the key of
-its normal form; the request key is looked up first, so a repeated request
-is one lookup.  Windows passed through inside a chain get no entry, so
+key is the least rotation that starts at an occurrence of the word's
+minimum: one rotation when the minimum is unique.  A value is stored under
+the key of the request window and under the key of its normal form; the
+request key is looked up first, so a repeated request is one lookup.  Windows passed through inside a chain get no entry, so
 their `simple_factor` and `remove_fixed_points` trace records may repeat
 where a cache keyed on every window would have stopped early.  For a
 class-search hit, every visited member shares the value and is cached as
 well.
 
 A reduced node does O(n) Python-level work: one residue-position table and
-the double-move scan, which reads each index's test off f and that table in
-O(1) (`affine._conj_has_double_crossing`) and builds g only for the index it
-takes.  Building the n slices of the key copies O(n^2) integers, but in
-native code.
+one pass of `affine._first_double_move`, which reads each index's test off f
+and that table in O(1) and stops at the first index that passes.  g is built
+once, for that index, by editing four entries of a copy of the window
+(`affine._conj_s`).  The keys cost a few native passes over the word, plus
+one rotation per repeated occurrence of its minimum.  A class search builds
+one residue table per member it dequeues and reads each index's length
+change off it in O(1); a kept length keeps the conjugate bounded.
 
 The reduction recurses once per double move, and its depth can pass the
 interpreter's default recursion limit.  The outermost reduction of a
@@ -73,9 +78,9 @@ from .affine import (
     BoundedAffinePerm,
     _c_class_members,
     _canonical_key,
-    _conj_has_double_crossing,
     _conj_s,
     _displacements,
+    _first_double_move,
     _is_bounded,
     _left_s,
     _orbit_key,
@@ -161,7 +166,7 @@ class Engine:
         if not perm.has_double_crossing_at(i):
             raise PreconditionViolated(f"no double crossing at {i}")
         f1, f2 = perm.resolve_crossing((i, i + 1))
-        conj = _conj_s(perm.window, i)
+        conj = _conj_s(perm.window, i, perm._pos)
         if not _is_bounded(conj):
             raise NotBounded(f"conjugate of {perm!r} at {i} is unbounded: {list(conj)}")
         lhs = self.compute_C(BoundedAffinePerm(conj, _validated=True))
@@ -223,24 +228,35 @@ class Engine:
         """The normal form of w and its displacement word, given w's word d:
         rule 1 of the module docstring.  Returns w itself when it is normal,
         and emits the records of the steps it takes."""
+        trace = self._trace
         n = len(w)
         start = 0  # no simple factor applies at an index below start
         while n > 1:
             top = n - 1
             if 0 in d or n in d:
-                self._emit("remove_fixed_points", w)
-                w, _ = _remove_fixed(w)
+                if trace is not None:
+                    self._emit("remove_fixed_points", w)
+                if d.count(0) + d.count(n) == 1:
+                    j = d.index(0) if 0 in d else d.index(n)
+                    w = tuple([y - y // n - (y % n > j) for y in w[:j] + w[j + 1:]])
+                else:
+                    w, _ = _remove_fixed(w)
                 start = 0
             elif 1 in d or top in d:
                 # first i >= start with d[i] == 1 or d[i+1 mod n] == n-1
                 i = d.index(1, start) if 1 in d else n
                 if top in d:
-                    i = min(i, (d[1:] + d[:1]).index(top, start))
-                self._emit("simple_factor", w, i=i)
+                    # with no n-1 past start + 1, it is d[0]: the wrap i = n-1
+                    try:
+                        i = min(i, d.index(top, start + 1) - 1)
+                    except ValueError:
+                        i = min(i, top)
+                if trace is not None:
+                    self._emit("simple_factor", w, i=i)
                 if i == top or d[i] == 1 and d[i + 1] == top:
                     w = _left_s(w, i)  # the next pass removes what it fixes
                 else:
-                    if self._trace is not None:
+                    if trace is not None:
                         self._emit("remove_fixed_points", _left_s(w, i))
                     p = i if d[i] == 1 else i + 1
                     w = tuple([y - y // n - (y % n > i) for y in w[:p] + w[p + 1:]])
@@ -259,18 +275,19 @@ class Engine:
             self._emit("base", w)
             return ring.one
         pos = _residue_positions(w)
-        for i in range(n):
-            if _conj_has_double_crossing(w, i, pos):
-                g = _conj_s(w, i)
-                same_cycle = _same_cycle(g, i)
-                self._emit("double_move", w, i=i, same_cycle=same_cycle)
-                if same_cycle:
-                    return self._value(_right_s(w, i), ring) + ring.q * self._value(g, ring)
-                if ring.q_minus_1_sq:
-                    return (ring.q_minus_1_sq * self._value(_right_s(w, i), ring)
-                            + ring.q * self._value(g, ring))
-                return ring.q * self._value(g, ring)
-        return None
+        i = _first_double_move(w, pos)
+        if i < 0:
+            return None
+        g = _conj_s(w, i, pos)
+        same_cycle = _same_cycle(g, i)
+        if self._trace is not None:
+            self._emit("double_move", w, i=i, same_cycle=same_cycle)
+        if same_cycle:
+            return self._value(_right_s(w, i), ring) + ring.q * self._value(g, ring)
+        if ring.q_minus_1_sq:
+            return (ring.q_minus_1_sq * self._value(_right_s(w, i), ring)
+                    + ring.q * self._value(g, ring))
+        return ring.q * self._value(g, ring)
 
     def _reduce(self, w: Window, ring: _Ring):
         limit = sys.getrecursionlimit()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from posicat import (
@@ -10,18 +12,19 @@ from posicat.harness import _bounded_windows
 from posicat.affine import (
     _c_class_members,
     _canonical_key,
-    _conj_delta,
-    _conj_has_double_crossing,
     _conj_s,
+    _first_double_move,
     _has_double_crossing,
+    _inverse_at,
     _is_bounded,
-    _left_delta,
     _left_s,
+    _orbit_key,
     _relabel_restriction,
     _remove_fixed,
     _residue_positions,
-    _right_delta,
     _right_s,
+    _value_at,
+    _window_from_cycle,
 )
 from posicat.errors import (
     DegeneratePeriod,
@@ -36,6 +39,66 @@ from posicat.errors import (
 )
 
 FIG2 = (3, 6, 4, 5, 7, 8, 9)
+
+
+# -- references built one O(n) window at a time ---------------------------------
+
+def _left_delta(w, i, pos):
+    """Length change of s_i o f: +1 iff the values i, i+1 sit in order."""
+    return 1 if _inverse_at(w, i, pos) < _inverse_at(w, i + 1, pos) else -1
+
+
+def _right_delta(w, i):
+    """Length change of f o s_i: +1 iff f(i) < f(i+1)."""
+    return 1 if _value_at(w, i) < _value_at(w, i + 1) else -1
+
+
+def _conj_ref(w, i):
+    """s_i f s_i, built as two whole-window transpositions."""
+    return _left_s(_right_s(w, i), i)
+
+
+def _conj_delta(w, i):
+    """Length change of s_i f s_i, in {-2, 0, +2}."""
+    g = _right_s(w, i)
+    return _right_delta(w, i) + _left_delta(g, i, _residue_positions(g))
+
+
+def _class_members_ref(w):
+    """The class BFS that builds each conjugate and measures its length
+    change from scratch; `_c_class_members` must discover the same order."""
+    seen = {w}
+    queue = [w]
+    for cur in queue:
+        for i in range(len(w)):
+            if _conj_delta(cur, i) != 0:
+                continue
+            g = _conj_ref(cur, i)
+            if g in seen or not _is_bounded(g):
+                continue
+            seen.add(g)
+            queue.append(g)
+    return queue
+
+
+def _random_cycle_windows(seed, n, count):
+    """Windows of `count` seeded random single n-cycles."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        rest = list(range(1, n))
+        rng.shuffle(rest)
+        out.append(_window_from_cycle([0] + rest))
+    return out
+
+
+def _sample_windows():
+    """Every bounded window with 2 <= n <= 6, then 200 seeded random cycles
+    at each of n = 12, 16 and 18."""
+    for n in range(2, 7):
+        yield from _bounded_windows(n)
+    for n in (12, 16, 18):
+        yield from _random_cycle_windows(f"sample-{n}", n, 200)
 
 
 def brute_length(perm):
@@ -155,7 +218,7 @@ def test_length_delta_rules_match_brute_force():
                     assert delta in (-1, 1)
                     if _is_bounded(g):
                         assert brute_length(BoundedAffinePerm(g)) - ell == delta
-                g, delta = _conj_s(w, i), _conj_delta(w, i)
+                g, delta = _conj_s(w, i, pos), _conj_delta(w, i)
                 assert delta in (-2, 0, 2)
                 if _is_bounded(g):
                     assert brute_length(BoundedAffinePerm(g)) - ell == delta
@@ -164,9 +227,9 @@ def test_length_delta_rules_match_brute_force():
 def test_conjugate_involution():
     for f in enumerate_theta(2, 5):
         for i in range(5):
-            g = _conj_s(f.window, i)
+            g = _conj_s(f.window, i, f._pos)
             if _is_bounded(g):
-                assert _conj_s(g, i) == f.window
+                assert _conj_s(g, i, _residue_positions(g)) == f.window
 
 
 def test_cyclic_shift_properties():
@@ -238,18 +301,27 @@ def test_double_crossing_detection():
 
 
 def test_conj_double_crossing_matches_built_conjugate():
-    """The test read off f agrees with building g = s_i f s_i, for every
-    bounded window with 2 <= n <= 6 and every i."""
-    hits = 0
-    for n in range(2, 7):
-        for w in _bounded_windows(n):
-            pos = _residue_positions(w)
-            for i in range(n):
-                g = _conj_s(w, i)
-                expected = _is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g))
-                assert _conj_has_double_crossing(w, i, pos) == expected, (w, i)
-                hits += expected
-    assert hits > 0
+    """The scan read off f finds the first i where the built g = s_i f s_i
+    is bounded with a double crossing at i, or -1 when there is none."""
+    found = missing = 0
+    for w in _sample_windows():
+        expected = -1
+        for i in range(len(w)):
+            g = _conj_ref(w, i)
+            if _is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g)):
+                expected = i
+                break
+        assert _first_double_move(w, _residue_positions(w)) == expected, w
+        found += expected >= 0
+        missing += expected < 0
+    assert found > 0 and missing > 0
+
+
+def test_conj_s_matches_two_transpositions():
+    for w in _sample_windows():
+        pos = _residue_positions(w)
+        for i in range(len(w)):
+            assert _conj_s(w, i, pos) == _conj_ref(w, i), (w, i)
 
 
 def test_resolve_crossing_named():
@@ -304,15 +376,35 @@ def test_canonical_key_sigma_invariant():
         assert _canonical_key(f.cyclic_shift().window) == _canonical_key(f.window)
 
 
-def test_canonical_key_matches_rotation_reference():
-    def rotation_key(w):
-        n = len(w)
-        disp = [w[i] - i for i in range(n)]
-        return min(tuple(disp[(i + t) % n] for i in range(n)) for t in range(n))
+def _rotation_key(d):
+    n = len(d)
+    return min(tuple(d[(i + t) % n] for i in range(n)) for t in range(n))
 
+
+def test_canonical_key_matches_rotation_reference():
     for n in range(1, 7):
         for w in _bounded_windows(n):
-            assert _canonical_key(w) == rotation_key(w), w
+            assert _canonical_key(w) == _rotation_key([w[i] - i for i in range(n)]), w
+    for w in _random_cycle_windows("keys-18", 18, 200):
+        assert _canonical_key(w) == _rotation_key([w[i] - i for i in range(18)]), w
+    # words whose minimum repeats: translations, sigma-periodic words, and
+    # small alphabets at n = 18
+    words = [
+        (2,) * 5,
+        (1, 2, 1, 2, 1, 2),
+        (2, 1, 3, 1, 2, 1, 3, 1),
+        (3, 1, 2, 1, 1, 2, 1, 3),
+        (1, 1, 2, 1, 1, 3),
+        (4, 2, 2, 4, 2, 2, 4, 2, 3),
+    ]
+    rng = random.Random("repeated-minimum")
+    words += [tuple(rng.randrange(3) for _ in range(18)) for _ in range(300)]
+    words += [tuple(rng.choice((1, 5)) for _ in range(18)) for _ in range(100)]
+    repeated = 0
+    for d in words:
+        assert _orbit_key(d) == _rotation_key(d), d
+        repeated += d.count(min(d)) > 1
+    assert repeated > 300
 
 
 def test_canonical_key_translation():
@@ -357,6 +449,16 @@ def test_c_equivalence_class_two_members():
     members = list(_c_class_members((1, 3, 4, 6)))
     assert members[0] == (1, 3, 4, 6)
     assert len(set(members)) == len(members) == 2
+
+
+def test_c_class_discovery_order_matches_built_conjugates():
+    sizes = set()
+    for n in range(1, 7):
+        for w in _bounded_windows(n):
+            members = list(_c_class_members(w))
+            assert members == _class_members_ref(w), w
+            sizes.add(len(members))
+    assert max(sizes) > 10
 
 
 def test_min_length_witness():

@@ -298,7 +298,7 @@ def test_double_move_path_identity():
                 if not f.has_double_crossing_at(i):
                     continue
                 f1, f2 = f.resolve_crossing((i, i + 1))
-                conj = BoundedAffinePerm(_conj_s(f.window, i))
+                conj = BoundedAffinePerm(_conj_s(f.window, i, f._pos))
 
                 def paths(p):
                     return count_avoiding_paths(

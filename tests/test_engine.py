@@ -124,7 +124,7 @@ def test_double_crossing_recurrence_example(engine):
     g = BoundedAffinePerm([1, 4, 3, 5, 7])
     assert engine.compute_C(g) == 1
     assert engine.double_crossing_recurrence_check(g, 1)
-    conj = BoundedAffinePerm(_conj_s(g.window, 1))
+    conj = BoundedAffinePerm(_conj_s(g.window, 1, g._pos))
     assert conj == BoundedAffinePerm.translation(2, 5)
     f1, f2 = g.resolve_crossing((1, 2))
     assert engine.compute_C(f1) == 1 and engine.compute_C(f2) == 1
@@ -153,7 +153,7 @@ def test_double_crossing_recurrence_unbounded_conjugate_raises(monkeypatch, engi
     g = BoundedAffinePerm([1, 4, 3, 5, 7])
     unbounded = (0, 4, 3, 5, 10)  # f(4) = 10 > 4 + 5
     assert not _is_bounded(unbounded)
-    monkeypatch.setattr(posicat.engine, "_conj_s", lambda w, i: unbounded)
+    monkeypatch.setattr(posicat.engine, "_conj_s", lambda w, i, pos: unbounded)
     with pytest.raises(NotBounded):
         engine.double_crossing_recurrence_check(g, 1)
 
@@ -244,7 +244,38 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("cycle, c, rtilde, stats", GOLDEN)
+# The same for eight random 12-cycles drawn with random.Random("golden-n12"),
+# taken from the engine whose nodes scanned the double moves one index at a
+# time and built a residue table per conjugate in the class search.
+GOLDEN_12 = [
+    ([0, 8, 6, 2, 1, 3, 7, 4, 10, 5, 11, 9], 7, [1, 0, 1, 1, 1, 1, 1, 0, 1],
+     {"r_hits": 19, "r_misses": 22, "c_hits": 6, "c_misses": 15,
+      "r_entries": 49, "c_entries": 29}),
+    ([0, 11, 6, 3, 7, 9, 8, 5, 10, 2, 4, 1], 3, [1, 0, 1, 0, 1],
+     {"r_hits": 5, "r_misses": 7, "c_hits": 2, "c_misses": 6,
+      "r_entries": 17, "c_entries": 13}),
+    ([0, 6, 2, 11, 3, 4, 9, 10, 8, 5, 7, 1], 3, [1, 0, 1, 0, 1],
+     {"r_hits": 4, "r_misses": 5, "c_hits": 2, "c_misses": 5,
+      "r_entries": 14, "c_entries": 12}),
+    ([0, 11, 2, 3, 10, 9, 1, 8, 4, 7, 5, 6], 2, [1, 0, 1],
+     {"r_hits": 2, "r_misses": 3, "c_hits": 1, "c_misses": 3,
+      "r_entries": 8, "c_entries": 7}),
+    ([0, 2, 9, 7, 4, 11, 10, 5, 6, 3, 1, 8], 5, [1, 0, 1, 1, 1, 0, 1],
+     {"r_hits": 11, "r_misses": 16, "c_hits": 4, "c_misses": 13,
+      "r_entries": 39, "c_entries": 28}),
+    ([0, 1, 11, 3, 8, 4, 5, 10, 6, 2, 7, 9], 5, [1, 0, 1, 1, 1, 0, 1],
+     {"r_hits": 11, "r_misses": 15, "c_hits": 4, "c_misses": 13,
+      "r_entries": 32, "c_entries": 25}),
+    ([0, 6, 5, 3, 7, 11, 1, 4, 10, 2, 9, 8], 7, [1, 0, 1, 1, 1, 1, 1, 0, 1],
+     {"r_hits": 27, "r_misses": 33, "c_hits": 6, "c_misses": 19,
+      "r_entries": 75, "c_entries": 37}),
+    ([0, 1, 10, 5, 6, 9, 2, 8, 4, 7, 3, 11], 3, [1, 0, 1, 0, 1],
+     {"r_hits": 4, "r_misses": 5, "c_hits": 2, "c_misses": 5,
+      "r_entries": 14, "c_entries": 12}),
+]
+
+
+@pytest.mark.parametrize("cycle, c, rtilde, stats", GOLDEN + GOLDEN_12)
 def test_golden_values_and_cold_engine_stats(cycle, c, rtilde, stats):
     engine = Engine()
     perm = BoundedAffinePerm.from_cycle(cycle)
@@ -259,9 +290,9 @@ def test_step_builds_the_conjugate_only_for_the_chosen_index(monkeypatch):
     built = []
     original = engine_module._conj_s
 
-    def counted(w, i):
+    def counted(w, i, pos):
         built.append((w, i))
-        return original(w, i)
+        return original(w, i, pos)
 
     monkeypatch.setattr(engine_module, "_conj_s", counted)
     records = []
