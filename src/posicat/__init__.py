@@ -28,7 +28,6 @@ from .harness import (
     census_report,
     classes_census,
     cs_convex_subsets,
-    enumerate_bounded,
     enumerate_theta,
     verify_engine,
     verify_main_theorem,
@@ -38,15 +37,12 @@ from .harness import (
 from .invsets import (
     LatticeMultiset,
     a_sequence,
-    f_max,
     f_min,
     inversion_multiset,
     is_centrally_symmetric,
     is_convex,
-    is_repetition_free,
     lambda_partition,
     parse_forbidden,
-    split_identity_check,
 )
 from .paths import (
     RatPath,
@@ -76,16 +72,13 @@ __all__ = [
     "count_avoiding_paths",
     "cs_convex_subsets",
     "enumerate_avoiding_paths",
-    "enumerate_bounded",
     "enumerate_theta",
-    "f_max",
     "f_min",
     "fset_from_paths",
     "intersection_count",
     "inversion_multiset",
     "is_centrally_symmetric",
     "is_convex",
-    "is_repetition_free",
     "lambda_partition",
     "min_length_witness",
     "multiplicity_from_paths",
@@ -96,7 +89,6 @@ __all__ = [
     "profile_forbidden_set",
     "profile_to_perm",
     "small_path",
-    "split_identity_check",
     "synthesize_perm",
     "synthesize_profile",
     "validate_profile",

@@ -28,7 +28,6 @@ from .errors import (
     NotNCycle,
     NotTheta,
     PosicatError,
-    _json_integers,
 )
 
 Window = tuple[int, ...]
@@ -221,20 +220,36 @@ def _relabel_restriction(w: Window, residues: Iterable[int]) -> Window:
     return tuple(out)
 
 
-def _remove_fixed(w: Window) -> tuple[Window, bool]:
-    """Drop all residues with f(i) = i or f(i) = i + n.
+def _drop(w: Window, p: int) -> Window:
+    """Delete position p and the residue r = w[p] mod n, mapping every other
+    value y to y - y//n - [y mod n > r]: the period n-1 window on the
+    positions and residues left.  When w[p] is p or p + n, this is
+    `_relabel_restriction` onto the residues other than p.
 
-    Returns (window, emptied).  When every residue is fixed the canonical
-    period-1 identity is returned with emptied = True, so that recurrences
-    bottom out at the n = 1 base case.
+    The map is one floor division, y - (y + n-1-r)//n, since y mod n + n-1-r
+    reaches n exactly when y mod n > r.  Window values are distinct, so w[p]
+    is skipped by value rather than sliced out.
     """
     n = len(w)
-    surv = [i for i in range(n) if w[i] != i and w[i] != i + n]
-    if len(surv) == n:
-        return w, False
-    if not surv:
-        return (0,), True
-    return _relabel_restriction(w, surv), False
+    v = w[p]
+    c = n - 1 - v % n
+    return tuple([y - (y + c) // n for y in w if y != v])
+
+
+def _remove_fixed(w: Window) -> Window:
+    """Drop all residues with f(i) = i or f(i) = i + n, the last first, so
+    each drop leaves the positions still to drop in place and fixed.
+
+    When every residue is fixed the canonical period-1 identity (0,) is
+    returned, so that recurrences bottom out at the n = 1 base case.
+    """
+    n = len(w)
+    fixed = [i for i in range(n) if w[i] == i or w[i] == i + n]
+    if len(fixed) == n:
+        return (0,)
+    for p in reversed(fixed):
+        w = _drop(w, p)
+    return w
 
 
 def _has_double_crossing(w: Window, i: int, pos: Sequence[int]) -> bool:
@@ -398,7 +413,10 @@ class BoundedAffinePerm:
         except ValueError as exc:
             raise MalformedText(f"invalid JSON permutation {text!r}: {exc}") from None
         window = obj.get("window") if isinstance(obj, dict) else None
-        perm = cls(_json_integers(window, 'permutation "window"', text))
+        # a JSON boolean is not an integer, though Python's bool is an int
+        if not isinstance(window, list) or not all(type(v) is int for v in window):
+            raise MalformedText(f'JSON permutation "window" must be a list of integers: {text!r}')
+        perm = cls(window)
         for field in ("n", "k"):
             if field not in obj:
                 continue

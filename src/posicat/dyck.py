@@ -143,9 +143,6 @@ class ConcaveProfile:
     def fractional_parts(self) -> list[Fraction]:
         return [h - math.floor(h) for h in self.heights[:-1]]
 
-    def as_json(self) -> list[list[int]]:
-        return [[h.numerator, h.denominator] for h in self.heights]
-
 
 def _fractions(heights: Iterable[Rational]) -> tuple[Fraction, ...]:
     """The heights as Fractions.  Only `numbers.Rational` heights are read, so

@@ -33,14 +33,16 @@ Normalisation reads the displacement word d = (f(0) - 0, ..., f(n-1) -
 (n-1)): residue j is fixed iff d[j] is 0 or n, and a simple factor applies
 at i iff d[i] = 1 or d[i+1] = n-1 (d[0] for i = n-1).  So a normal window
 costs four native membership tests.  A simple factor at i < n-1 that fixes
-one residue is fused with its removal into one contraction: drop that
-residue's position and map every other value y to y - y//n - [y mod n > i].
-The scan then resumes at i-1: no simple factor applies below it afterwards.
-The simple factor at i = n-1, and one that fixes both i and i+1, go through
-s_i f and the removal.  A single fixed residue j is dropped by the same
-contraction with j in place of i; two or more go through the general
-removal.  Each contraction is one O(n) comprehension and lowers the period,
-so a chain costs O(n) per step it takes.
+one residue is fused with its removal into one contraction,
+`affine._drop(w, p)`: delete position p and the residue r = f(p) mod n
+(p = i and r = i+1 when f(i) = i+1, p = i+1 and r = i when f(i+1) = i+n),
+and map every other value y to y - y//n - [y mod n > r].  The scan then
+resumes at i-1: no simple factor applies below it afterwards.  The simple
+factor at i = n-1, and one that fixes both i and i+1, go through s_i f and
+the removal.  The removal, `affine._remove_fixed`, drops each fixed residue
+j with `_drop(w, j)`, the last first.  Each contraction is one O(n)
+comprehension and lowers the period, so a chain costs O(n) per step it
+takes.
 
 Values are cached per sigma-orbit: R~ is invariant under the cyclic shift,
 and the lex-min rotation of the displacement word identifies the orbit.  The
@@ -80,6 +82,7 @@ from .affine import (
     _canonical_key,
     _conj_s,
     _displacements,
+    _drop,
     _first_double_move,
     _is_bounded,
     _left_s,
@@ -236,11 +239,7 @@ class Engine:
             if 0 in d or n in d:
                 if trace is not None:
                     self._emit("remove_fixed_points", w)
-                if d.count(0) + d.count(n) == 1:
-                    j = d.index(0) if 0 in d else d.index(n)
-                    w = tuple([y - y // n - (y % n > j) for y in w[:j] + w[j + 1:]])
-                else:
-                    w, _ = _remove_fixed(w)
+                w = _remove_fixed(w)
                 start = 0
             elif 1 in d or top in d:
                 # first i >= start with d[i] == 1 or d[i+1 mod n] == n-1
@@ -258,8 +257,7 @@ class Engine:
                 else:
                     if trace is not None:
                         self._emit("remove_fixed_points", _left_s(w, i))
-                    p = i if d[i] == 1 else i + 1
-                    w = tuple([y - y // n - (y % n > i) for y in w[:p] + w[p + 1:]])
+                    w = _drop(w, i if d[i] == 1 else i + 1)
                     start = i - 1 if i else 0
             else:
                 break

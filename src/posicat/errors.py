@@ -12,19 +12,10 @@ class PosicatError(Exception):
 # --- window / cycle construction ---
 
 class MalformedText(PosicatError):
-    """Text input (a permutation, a point list or a polynomial) does not
-    follow its documented format, a window, cycle, point or polynomial
-    coefficient has a non-integer entry, or a profile height is not an
-    integer or a rational."""
-
-
-def _json_integers(value, what: str, text: str) -> list[int]:
-    """`value`, read from the JSON `text`, if it is a list of integers; the
-    one rule of both JSON readers.  Anything else, a boolean entry included,
-    raises MalformedText."""
-    if not isinstance(value, list) or not all(type(v) is int for v in value):
-        raise MalformedText(f"JSON {what} must be a list of integers: {text!r}")
-    return value
+    """Text input (a permutation or a point list) does not follow its
+    documented format, a window, cycle, point or polynomial coefficient has
+    a non-integer entry, or a profile height is not an integer or a
+    rational."""
 
 
 class InvalidFrame(PosicatError):

@@ -83,12 +83,6 @@ def _bounded_windows(n: int) -> Iterator[Window]:
             yield tuple(w)
 
 
-def enumerate_bounded(n: int) -> Iterator[BoundedAffinePerm]:
-    """All of B(k, n) across k, including multi-cycle permutations."""
-    for w in _bounded_windows(n):
-        yield BoundedAffinePerm(w, _validated=True)
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -128,11 +122,7 @@ def _fail(window: Window, check: str, expected, actual) -> dict:
 
 
 def _sort_failures(failures: list[dict]) -> list[dict]:
-    # a synthesis task's exception record has (k, n, points) as its window,
-    # so a non-integer entry sorts after the integers it is compared with
-    return sorted(failures, key=lambda f: (
-        len(f["window"]), [(type(v) is not int, v) for v in f["window"]], f["check"]
-    ))
+    return sorted(failures, key=lambda f: (len(f["window"]), f["window"], f["check"]))
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +269,20 @@ def cs_convex_subsets(k: int, n: int) -> list[frozenset[tuple[int, int]]]:
 
 def _synthesis_checks(task: tuple, engine: Engine, failures: list[dict]) -> None:
     """Synthesize a permutation for one (k, n, points) task and check the
-    round trip; a synthesis that raises is a `synthesis_error` of (k, n)."""
+    round trip; a task that raises records a `synthesis_error` of (k, n), so
+    every failure record has an integer window."""
     k, n, points = task
     rect = set(points)
     try:
         sheared = {rect_to_sheared(p) for p in rect}
         profile = synthesize_profile(sheared, k, n)
         perm = profile_to_perm(profile)
+        for check, expected, actual in _synthesis_failures(
+            perm, inversion_multiset(perm), profile, rect
+        ):
+            failures.append(_fail(perm.window, check, expected, actual))
     except Exception as exc:  # report, do not abort the sweep
         failures.append(_fail((k, n), "synthesis_error", sorted(rect), repr(exc)))
-        return
-    for check, expected, actual in _synthesis_failures(
-        perm, inversion_multiset(perm), profile, rect
-    ):
-        failures.append(_fail(perm.window, check, expected, actual))
 
 
 def verify_synthesis(n_max: int, jobs: int = 1) -> VerificationReport:
@@ -441,14 +431,11 @@ def classes_census(k: int, n: int) -> dict:
         groups.setdefault(frozenset(ms.points()), []).append(w)
     group_reports = []
     for fset, members in sorted(groups.items(), key=lambda kv: sorted(kv[0])):
-        remaining = set(members)
-        classes: list[list[Window]] = []
-        while remaining:
-            seed = min(remaining)
-            cls = [w for w in _c_class_members(seed) if w in remaining]
-            classes.append(sorted(cls))
-            remaining.difference_update(cls)
-        classes.sort()
+        rep_of = _class_reps(members)
+        by_rep: dict[Window, list[Window]] = {}
+        for w in members:
+            by_rep.setdefault(rep_of[w], []).append(w)
+        classes = sorted(sorted(cls) for cls in by_rep.values())
         nu_bars = [
             sorted({nu_bar(BoundedAffinePerm(w, _validated=True)) for w in cls})
             for cls in classes

@@ -16,7 +16,7 @@ from operator import floordiv, index
 from typing import Iterable
 
 from .affine import BoundedAffinePerm, _inversion_pairs, _swap_split
-from .errors import MalformedText, NotRepetitionFree, PosicatError, PreconditionViolated
+from .errors import MalformedText, NotRepetitionFree, PosicatError
 
 Point = tuple[int, int]
 
@@ -154,12 +154,6 @@ def inversion_multiset(perm: BoundedAffinePerm) -> LatticeMultiset:
     return LatticeMultiset(RECT, (perm.k, perm.n - perm.k), entries)
 
 
-def is_repetition_free(perm: BoundedAffinePerm) -> bool:
-    """True iff all multiplicities are 1, i.e. the multiset has length(f)
-    distinct points."""
-    return inversion_multiset(perm).is_set()
-
-
 def is_centrally_symmetric(ms: LatticeMultiset) -> bool:
     """multiplicity(p) == multiplicity(delta - p) for every point."""
     dk, dn = ms.delta
@@ -246,48 +240,6 @@ def is_convex(ms: LatticeMultiset) -> bool:
 def f_min(k: int, n: int) -> set[Point]:
     """Sheared-frame points with the same slope as (k, n); empty iff gcd = 1."""
     return {(a, b) for a in range(1, k) for b in range(1, n) if a * n == k * b}
-
-
-def f_max(k: int, n: int) -> set[Point]:
-    """Sheared image of the full open rectangle [1, k-1] x [1, n-k-1]."""
-    return {
-        rect_to_sheared((a, b)) for a in range(1, k) for b in range(1, n - k)
-    }
-
-
-# -- the split identity at a double crossing ------------------------------------------
-
-def split_identity_check(perm: BoundedAffinePerm, i: int) -> bool:
-    """Verify that resolving (i, i+1) splits the sheared multiset by slope.
-
-    Writing delta_1 and delta_2 for the factor frames, the points of slope
-    at most slope(delta_1), with delta_1 removed, determine the first
-    factor's multiset via reflection closure, and dually for the second.
-    Requires a repetition-free permutation with a double crossing at i.
-    """
-    perm.require_theta()
-    i = i % perm.n
-    if not perm.has_double_crossing_at(i):
-        raise PreconditionViolated(f"no double crossing at {i}")
-    ms = inversion_multiset(perm).to_sheared()
-    if not ms.is_set():
-        raise PreconditionViolated("permutation is not repetition-free")
-    f1, f2 = perm.resolve_crossing((i, i + 1))
-    d1 = (f1.k, f1.n)
-    d2 = (f2.k, f2.n)
-    fset = set(ms.points())
-
-    def slope_le(p: Point, q: Point) -> bool:
-        return p[0] * q[1] <= q[0] * p[1]
-
-    g1p = {p for p in fset - {d1} if slope_le(p, d1)}
-    g2p = {p for p in fset - {d2} if slope_le(d2, p)}
-    g1 = g1p | {(d1[0] - a, d1[1] - b) for a, b in g1p}
-    g2 = g2p | {(d2[0] - a, d2[1] - b) for a, b in g2p}
-    return (
-        set(inversion_multiset(f1).to_sheared().points()) == g1
-        and set(inversion_multiset(f2).to_sheared().points()) == g2
-    )
 
 
 # -- partition export ----------------------------------------------------------------

@@ -1,21 +1,23 @@
 """Dense univariate integer polynomials in the variable q.
 
 Coefficients are arbitrary-precision Python ints stored in ascending degree
-with no trailing zeros; the zero polynomial is the empty tuple.  The engine
-uses only ring operations: it computes R~ directly and R as R~ (q-1)^(n-c).
-The one non-ring operation, exact_div, has no caller in the package: it
-stays only because `perfbench/tracing.py` patches it by name, and goes once
-that tracer spans the ring operations instead.  InexactDivision is raised by
-exact_div alone, on a nonzero remainder or a zero divisor.
+with no trailing zeros; the zero polynomial is the empty tuple.  Nothing
+reads a polynomial from text or JSON: one is built from its coefficients,
+and a coefficient that is not an integer raises MalformedText.  The engine
+uses only ring operations between polynomials: it computes R~ directly and
+R as R~ (q-1)^(n-c).  The one non-ring operation, exact_div, has no caller
+in the package: it stays only because `perfbench/tracing.py` patches it by
+name, and goes once that tracer spans the ring operations instead.
+InexactDivision is raised by exact_div alone, on a nonzero remainder or a
+zero divisor.
 """
 
 from __future__ import annotations
 
-import json
 from operator import index
 from typing import Iterable
 
-from .errors import InexactDivision, MalformedText, PosicatError, _json_integers
+from .errors import InexactDivision, MalformedText, PosicatError
 
 
 class IntPoly:
@@ -35,18 +37,6 @@ class IntPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntPoly":
-        """Read a coefficient array in ascending degree, as `as_json` writes
-        it.  Text of another shape raises MalformedText."""
-        try:
-            coeffs = json.loads(text)
-        except ValueError:
-            coeffs = None
-        return cls(_json_integers(coeffs, "polynomial", text))
 
     # -- structure ------------------------------------------------------------
 
@@ -89,9 +79,7 @@ class IntPoly:
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         return self + (-other)
 
-    def __mul__(self, other) -> "IntPoly":
-        if isinstance(other, int):
-            return IntPoly(tuple(other * x for x in self.coeffs))
+    def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
@@ -100,8 +88,6 @@ class IntPoly:
             for j, y in enumerate(b):
                 out[i + j] += x * y
         return IntPoly(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "IntPoly":
         if e < 0:
@@ -173,10 +159,6 @@ class IntPoly:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
-
-    def as_json(self) -> str:
-        """Coefficient array in ascending degree."""
-        return json.dumps(list(self.coeffs))
 
 
 ZERO = IntPoly()

@@ -13,6 +13,7 @@ from posicat.affine import (
     _c_class_members,
     _canonical_key,
     _conj_s,
+    _drop,
     _first_double_move,
     _has_double_crossing,
     _inverse_at,
@@ -347,18 +348,51 @@ def test_resolution_type_sums_exhaustive():
 # -- reductions ------------------------------------------------------------------
 
 def test_remove_fixed_points_all_fixed():
-    assert _remove_fixed((0, 3)) == ((0,), True)
+    assert _remove_fixed((0, 3)) == (0,)
 
 
 def test_remove_fixed_points_mixed():
     f = BoundedAffinePerm([0, 2, 5, 7])
-    reduced, emptied = _remove_fixed(f.window)
-    assert not emptied
+    reduced = _remove_fixed(f.window)
     assert reduced == (1, 2) and BoundedAffinePerm(reduced).k == f.k - 1
 
 
 def test_remove_fixed_points_idempotent_without_fixed():
-    assert _remove_fixed(FIG2) == (FIG2, False)
+    assert _remove_fixed(FIG2) == FIG2
+
+
+def test_remove_fixed_matches_restriction():
+    # dropping the fixed residues one at a time, the last first, restricts f
+    # to the others
+    emptied = 0
+    for n in range(1, 8):
+        for w in _bounded_windows(n):
+            surv = [i for i in range(n) if w[i] not in (i, i + n)]
+            expected = _relabel_restriction(w, surv) if surv else (0,)
+            assert _remove_fixed(w) == expected, w
+            emptied += not surv
+    assert emptied == sum(2 ** n for n in range(1, 8))
+
+
+def test_drop_matches_simple_factor_then_removal():
+    # the engine's fused contraction: at a simple factor i < n-1 whose s_i f
+    # fixes one residue, dropping the position it fixes equals s_i f with
+    # its fixed residue removed
+    cases = {"f(i) = i+1": 0, "f(i+1) = i+n": 0}
+    for n in range(2, 7):
+        for w in _bounded_windows(n):
+            for i in range(n - 1):
+                if (w[i] == i + 1) == (w[i + 1] == i + n):
+                    continue  # no simple factor at i, or one fixing two residues
+                v = _left_s(w, i)
+                fixed = [j for j in range(n) if v[j] in (j, j + n)]
+                if len(fixed) != 1:
+                    continue
+                p = i if w[i] == i + 1 else i + 1
+                assert fixed == [p]
+                assert _drop(w, p) == _remove_fixed(v), (w, i)
+                cases["f(i) = i+1" if p == i else "f(i+1) = i+n"] += 1
+    assert all(cases.values()), cases
 
 
 def test_relabel_restriction():

@@ -11,7 +11,6 @@ from posicat import (
     count_avoiding_paths,
     enumerate_avoiding_paths,
     inversion_multiset,
-    is_repetition_free,
     profile_forbidden_set,
     profile_to_perm,
     small_path,
@@ -172,7 +171,7 @@ def test_synthesize_profile_empty_2_5():
     ok, problems = validate_profile(profile.heights, 2, 5)
     assert ok, problems
     assert profile_forbidden_set(profile) == set()
-    assert is_repetition_free(profile_to_perm(profile))
+    assert inversion_multiset(profile_to_perm(profile)).is_set()
 
 
 def test_synthesize_profile_diagonal_2_4():
@@ -251,7 +250,7 @@ def test_synthesize_profile_raises_when_validation_reports_a_problem(monkeypatch
 
 def test_synthesize_perm_empty():
     perm = synthesize_perm(set(), 2, 5)
-    assert is_repetition_free(perm)
+    assert inversion_multiset(perm).is_set()
     assert inversion_multiset(perm).entries == {}
 
 
@@ -292,7 +291,7 @@ def test_double_move_path_identity():
     checked = 0
     for n in range(2, 8):
         for f in enumerate_theta(None, n):
-            if not is_repetition_free(f):
+            if not inversion_multiset(f).is_set():
                 continue
             for i in range(n):
                 if not f.has_double_crossing_at(i):
@@ -314,13 +313,6 @@ def test_double_move_path_identity():
 def test_synthesize_profile_frame_outside_range_raises(k, n):
     with pytest.raises(InvalidFrame):
         synthesize_profile(set(), k, n)
-
-
-def test_profile_json():
-    profile = synthesize_profile(set(), 2, 5)
-    data = profile.as_json()
-    assert data[0] == [0, 1] and data[-1] == [2, 1]
-    assert all(len(pair) == 2 for pair in data)
 
 
 def test_enumerate_cap_boundary():

@@ -8,7 +8,6 @@ import posicat.engine
 from posicat import (
     BoundedAffinePerm,
     Engine,
-    enumerate_bounded,
     enumerate_theta,
     parse_perm,
 )
@@ -22,6 +21,7 @@ from posicat.affine import (
     _value_at,
 )
 from posicat.errors import NotBounded, PosicatError, PreconditionViolated
+from posicat.harness import _bounded_windows
 from posicat.polynomial import IntPoly, ONE
 
 FIG2 = BoundedAffinePerm([3, 6, 4, 5, 7, 8, 9])
@@ -102,7 +102,7 @@ def test_sigma_invariance(engine):
 
 def test_positivity(engine):
     for n in range(1, 6):
-        for f in enumerate_bounded(n):
+        for f in map(BoundedAffinePerm, _bounded_windows(n)):
             assert engine.compute_C(f) >= 1
 
 
@@ -115,7 +115,7 @@ def test_decoupling_example(engine):
 
 def test_decoupling_exhaustive(engine):
     for n in range(1, 6):
-        for f in enumerate_bounded(n):
+        for f in map(BoundedAffinePerm, _bounded_windows(n)):
             if f.cycle_count() > 1:
                 assert engine.compute_C_decoupled(f) == engine.compute_C(f)
 
@@ -309,7 +309,7 @@ def _stepwise_normal_form(w):
     records = []
     while len(w) > 1:
         n = len(w)
-        reduced, _ = _remove_fixed(w)
+        reduced = _remove_fixed(w)
         if reduced != w:
             records.append(("remove_fixed_points", w, None))
             w = reduced
@@ -339,7 +339,7 @@ def test_normalise_matches_stepwise_reference():
     cases = set()
     windows = 0
     for n in range(1, 7):
-        for f in enumerate_bounded(n):
+        for f in map(BoundedAffinePerm, _bounded_windows(n)):
             w = f.window
             records = []
             engine = Engine(trace_hook=records.append)
@@ -361,7 +361,7 @@ def test_class_search_normalises_the_member_it_takes():
     # which the loop normalises before the member's step
     taken = 0
     for n in range(2, 7):
-        for f in enumerate_bounded(n):
+        for f in map(BoundedAffinePerm, _bounded_windows(n)):
             records = []
             Engine(trace_hook=records.append).compute_Rtilde(f)
             for searched, after in zip(records, records[1:]):

@@ -11,15 +11,16 @@ from posicat import (
     classes_census,
     census_report,
     cs_convex_subsets,
-    enumerate_bounded,
     enumerate_theta,
     verify_engine,
     verify_main_theorem,
     verify_structure,
     verify_synthesis,
 )
+from posicat import harness
 from posicat.errors import PosicatError
-from posicat.invsets import is_convex_points
+from posicat.invsets import LatticeMultiset, is_convex_points
+from posicat.polynomial import ONE
 
 
 def test_cycle_counts():
@@ -60,7 +61,7 @@ def test_bounded_enumeration_counts():
 
     for n in range(1, 6):
         seen = set()
-        for perm in enumerate_bounded(n):
+        for perm in map(BoundedAffinePerm, harness._bounded_windows(n)):
             seen.add(perm.window)
         assert len(seen) == expected(n)
 
@@ -179,19 +180,10 @@ def test_verify_synthesis_records_exception_and_continues(monkeypatch):
         len(cs_convex_subsets(k, n)) for n in range(2, 8) for k in range(1, n)
     )
     assert report.failures == [
-        {"window": list(bad), "check": "exception", "expected": None,
+        {"window": [3, 7], "check": "synthesis_error", "expected": [(1, 1), (2, 3)],
          "actual": "RuntimeError('injected')"}
     ]
     json.loads(report.to_json())
-
-
-def test_failures_sort_with_a_synthesis_task_window():
-    import posicat.harness as harness
-
-    task = {"window": [2, 3, ()], "check": "exception"}
-    perm = {"window": [2, 3, 4], "check": "fset_roundtrip"}
-    short = {"window": [2, 3], "check": "synthesis_error"}
-    assert harness._sort_failures([task, perm, short]) == [short, perm, task]
 
 
 def test_structure_records_a_short_window():
@@ -204,6 +196,80 @@ def test_structure_records_a_short_window():
     assert failures == [
         {"window": [2, 3, 4, 5], "check": "min_length", "expected": ">= 1", "actual": 0}
     ]
+
+
+def _plus_one(original):
+    return lambda *args: original(*args) + 1
+
+
+def _raising(original):
+    def raising(*args):
+        raise RuntimeError("injected")
+    return raising
+
+
+def _suite_report(suite):
+    """The report of `suite` at n_max = 5; `engine_theta` and
+    `engine_bounded` run one phase of the engine suite alone, since both
+    phases have an `rtilde_at_1` check."""
+    phases = {
+        "engine_theta": (harness._engine_theta_checks, harness._theta_range(5)),
+        "engine_bounded": (harness._engine_bounded_checks,
+                           [w for n in range(1, 6) for w in harness._bounded_windows(n)]),
+    }
+    if suite in phases:
+        return harness._run_suite("engine", 5, 1, phases[suite])
+    return {"main": verify_main_theorem, "synthesis": verify_synthesis,
+            "engine": verify_engine, "structure": verify_structure}[suite](5)
+
+
+def _translation_shift(original):
+    # the translation shares k and n but not, at every window, C and R~
+    return lambda self: BoundedAffinePerm.translation(self.k, self.n)
+
+
+def _one_class(original):
+    # every window checked against the first: a class of its own
+    return lambda windows: dict.fromkeys(windows, windows[0])
+
+
+def _longest_member(original):
+    return lambda k, n: max(enumerate_theta(k, n), key=BoundedAffinePerm.length)
+
+
+FAILING_CHECKS = [
+    ("total_multiplicity", "main", LatticeMultiset, "total", _plus_one),
+    ("central_symmetry", "main", harness, "is_centrally_symmetric",
+     lambda original: lambda ms: False),
+    ("path_oracle", "main", harness, "fset_from_paths", lambda original: lambda perm: {}),
+    ("f_min_subset", "main", harness, "f_min", lambda original: lambda k, n: {(0, 0)}),
+    ("convexity", "main", harness, "is_convex", lambda original: lambda ms: False),
+    ("counting_formula", "main", harness, "count_avoiding_paths", _plus_one),
+    ("synthesis_error", "synthesis", harness, "synthesize_profile", _raising),
+    ("rtilde_at_1", "engine_theta", Engine, "compute_Rtilde",
+     lambda original: lambda *args: original(*args) + ONE),
+    ("sigma_C", "engine_theta", BoundedAffinePerm, "cyclic_shift", _translation_shift),
+    ("sigma_Rtilde", "engine_theta", BoundedAffinePerm, "cyclic_shift", _translation_shift),
+    ("double_crossing_identity_0", "engine_theta", Engine,
+     "double_crossing_recurrence_check", lambda original: lambda *args: False),
+    ("class_C", "engine", harness, "_class_reps", _one_class),
+    ("class_Rtilde", "engine", harness, "_class_reps", _one_class),
+    ("positivity", "engine_bounded", Engine, "compute_C", lambda original: lambda *args: 0),
+    ("rtilde_at_1", "engine_bounded", Engine, "compute_Rtilde",
+     lambda original: lambda *args: original(*args) + ONE),
+    ("decoupling", "engine_bounded", Engine, "compute_C_decoupled", _plus_one),
+    ("witness_length", "structure", harness, "min_length_witness", _longest_member),
+]
+
+
+@pytest.mark.parametrize("check, suite, owner, name, replace", FAILING_CHECKS,
+                         ids=[f"{suite}-{check}" for check, suite, *_ in FAILING_CHECKS])
+def test_every_check_is_seen_to_fail(monkeypatch, check, suite, owner, name, replace):
+    # each check passes unpatched and fails once one name it reads is wrong
+    assert _suite_report(suite).passed
+    monkeypatch.setattr(owner, name, replace(getattr(owner, name)))
+    failed = {f["check"] for f in _suite_report(suite).failures}
+    assert check in failed, failed
 
 
 @pytest.mark.parametrize("suite, n_max", [

@@ -8,17 +8,14 @@ from posicat import (
     LatticeMultiset,
     a_sequence,
     enumerate_theta,
-    f_max,
     f_min,
     intersection_count,
     inversion_multiset,
     is_centrally_symmetric,
     is_convex,
-    is_repetition_free,
     lambda_partition,
     parse_forbidden,
     parse_perm,
-    split_identity_check,
 )
 from posicat.affine import _c_class_members
 from posicat.errors import MalformedText, NotRepetitionFree, PosicatError, PreconditionViolated
@@ -27,9 +24,42 @@ from posicat.invsets import RECT, SHEARED, _upper_chain, is_convex_points, shear
 FIG2 = BoundedAffinePerm([3, 6, 4, 5, 7, 8, 9])
 
 
+def split_identity_check(perm, i):
+    """Verify that resolving (i, i+1) splits the sheared multiset by slope.
+
+    Writing delta_1 and delta_2 for the factor frames, the points of slope
+    at most slope(delta_1), with delta_1 removed, determine the first
+    factor's multiset via reflection closure, and dually for the second.
+    Requires a repetition-free permutation with a double crossing at i.
+    """
+    perm.require_theta()
+    i = i % perm.n
+    if not perm.has_double_crossing_at(i):
+        raise PreconditionViolated(f"no double crossing at {i}")
+    ms = inversion_multiset(perm).to_sheared()
+    if not ms.is_set():
+        raise PreconditionViolated("permutation is not repetition-free")
+    f1, f2 = perm.resolve_crossing((i, i + 1))
+    d1 = (f1.k, f1.n)
+    d2 = (f2.k, f2.n)
+    fset = set(ms.points())
+
+    def slope_le(p, q):
+        return p[0] * q[1] <= q[0] * p[1]
+
+    g1p = {p for p in fset - {d1} if slope_le(p, d1)}
+    g2p = {p for p in fset - {d2} if slope_le(d2, p)}
+    g1 = g1p | {(d1[0] - a, d1[1] - b) for a, b in g1p}
+    g2 = g2p | {(d2[0] - a, d2[1] - b) for a, b in g2p}
+    return (
+        set(inversion_multiset(f1).to_sheared().points()) == g1
+        and set(inversion_multiset(f2).to_sheared().points()) == g2
+    )
+
+
 def first_non_repetition_free(n):
     for f in enumerate_theta(None, n):
-        if not is_repetition_free(f):
+        if not inversion_multiset(f).is_set():
             return f
     return None
 
@@ -53,11 +83,11 @@ def test_total_multiplicity_is_length():
 
 
 def test_repetition_free():
-    assert is_repetition_free(FIG2)
-    assert is_repetition_free(BoundedAffinePerm.translation(3, 7))
+    assert inversion_multiset(FIG2).is_set()
+    assert inversion_multiset(BoundedAffinePerm.translation(3, 7)).is_set()
     witness = first_non_repetition_free(6)
     assert witness is not None
-    assert not is_repetition_free(witness)
+    assert not inversion_multiset(witness).is_set()
 
 
 def test_repetition_free_equals_path_criterion():
@@ -68,7 +98,7 @@ def test_repetition_free_equals_path_criterion():
                 for a in range(1, f.k)
                 for b in range(1, n)
             )
-            assert is_repetition_free(f) == at_most_two
+            assert inversion_multiset(f).is_set() == at_most_two
 
 
 def test_central_symmetry():
@@ -189,8 +219,6 @@ def test_convexity_frame_independent():
 def test_extremal_sets():
     assert f_min(2, 4) == {(1, 2)}
     assert f_min(2, 5) == set()
-    assert len(f_max(3, 7)) == 6
-    assert f_max(3, 7) == {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5)}
 
 
 def test_f_min_always_contained():
@@ -212,7 +240,7 @@ def test_sigma_preserves_multiset():
 def test_class_preserves_multiset_when_repetition_free():
     for n in range(2, 7):
         for f in enumerate_theta(None, n):
-            if not is_repetition_free(f):
+            if not inversion_multiset(f).is_set():
                 continue
             expected = inversion_multiset(f).entries
             for w in _c_class_members(f.window):
@@ -223,7 +251,7 @@ def test_split_identity_exhaustive():
     checked = 0
     for n in range(2, 8):
         for f in enumerate_theta(None, n):
-            if not is_repetition_free(f):
+            if not inversion_multiset(f).is_set():
                 continue
             for i in range(n):
                 if f.has_double_crossing_at(i):
@@ -242,7 +270,7 @@ def test_resolution_types_are_hull_vertices():
     # augmented sheared set
     for n in range(2, 8):
         for f in enumerate_theta(None, n):
-            if not is_repetition_free(f):
+            if not inversion_multiset(f).is_set():
                 continue
             for i in range(n):
                 if not f.has_double_crossing_at(i):
@@ -300,7 +328,7 @@ def test_lambda_non_staircase_shape():
 def test_lambda_weakly_decreasing_exhaustive():
     for n in range(2, 8):
         for f in enumerate_theta(None, n):
-            if not is_repetition_free(f):
+            if not inversion_multiset(f).is_set():
                 continue
             lam = lambda_partition(f)
             assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
