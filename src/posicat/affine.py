@@ -203,20 +203,25 @@ def _canonical_key(w: Window) -> Window:
 
 
 def _relabel_restriction(w: Window, residues: Iterable[int]) -> Window:
-    """Restrict f to the residue classes in `residues`, relabeled onto [0, m).
+    """Restrict f to the residue classes in `residues`, a union of cycles of
+    its reduction, relabeled onto [0, m).
 
     The order-preserving bijection between the support and Z commutes with
-    the period shift, so weak and strict bounds are both preserved.
+    the period shift, so weak and strict bounds are both preserved.  A
+    residue's rank is read from a list indexed by residue, which holds None
+    off the support: a set that f does not map into itself raises TypeError
+    rather than give a window.
     """
     surv = sorted(residues)
     n = len(w)
     m = len(surv)
-    index = {r: idx for idx, r in enumerate(surv)}
+    rank: list[Optional[int]] = [None] * n
+    for idx, r in enumerate(surv):
+        rank[r] = idx
     out = []
     for s in surv:
         v = w[s]
-        r = v % n
-        out.append(index[r] + m * ((v - r) // n))
+        out.append(rank[v % n] + m * (v // n))
     return tuple(out)
 
 
@@ -357,7 +362,7 @@ def _window_from_cycle(cycle: Sequence[int]) -> Window:
 class BoundedAffinePerm:
     """Immutable bounded affine permutation, identified by its window."""
 
-    __slots__ = ("n", "window", "k", "_pos", "_length", "_theta")
+    __slots__ = ("n", "window", "k", "_pos", "_length", "_theta", "_cycle_cache")
 
     def __init__(self, window: Sequence[int], _validated: bool = False):
         w = _integers(window, "window")
@@ -375,6 +380,7 @@ class BoundedAffinePerm:
         self._pos = _residue_positions(w)
         self._length: Optional[int] = None
         self._theta: Optional[bool] = None
+        self._cycle_cache: Optional[tuple[tuple[int, ...], ...]] = None
 
     # -- construction -------------------------------------------------------
 
@@ -442,11 +448,20 @@ class BoundedAffinePerm:
     def __repr__(self) -> str:
         return f"BoundedAffinePerm({list(self.window)})"
 
+    def _cycle_tuples(self) -> tuple[tuple[int, ...], ...]:
+        """The cycles of the reduction, computed once and kept as tuples, so
+        no caller can change the cached value."""
+        if self._cycle_cache is None:
+            self._cycle_cache = tuple(map(tuple, _cycles(self.window)))
+        return self._cycle_cache
+
     def cycles(self) -> list[list[int]]:
-        return _cycles(self.window)
+        """Cycles of the reduction modulo n, each starting at its smallest
+        residue; a fresh list on every call."""
+        return [list(c) for c in self._cycle_tuples()]
 
     def cycle_count(self) -> int:
-        return len(self.cycles())
+        return len(self._cycle_tuples())
 
     @property
     def is_theta(self) -> bool:

@@ -2,8 +2,8 @@
 
 R~_f(q) = R_f(q) / (q-1)^(n-c), where c counts the cycles of the reduction
 of f; the Catalan number is C_f = R~_f(1).  One reduction computes R~ on a
-window w, reading three constants of the ring it evaluates in: one, q and
-(q-1)^2.
+window w, reading the base value and the two steps of rule 3 off the ring
+it evaluates in.
 
   1. normalise: while the period exceeds 1, drop every fixed residue
      (f(j) = j or f(j) = j + n), or else take the first i with f(i) = i + 1
@@ -18,9 +18,12 @@ window w, reading three constants of the ring it evaluates in: one, q and
      that is not normal or where rule 2 or 3 applies; R~ is constant on the
      class.
 
-The polynomial ring uses (1, q, (q-1)^2) and gives R~; the integer ring uses
-(1, 1, 0) and gives C directly.  A zero coefficient skips its branch rather
-than evaluating it, which keeps C far cheaper than R~.  R itself is
+The polynomial ring gives R~: its base value is 1 and its steps are
+x + q y and (q-1)^2 x + q y, for x = R~(f s_i) and y = R~(g).  Each step is
+one pass over the coefficients of x and y that builds one IntPoly, so a
+reduced node makes no product of polynomials.  The integer ring gives C
+directly: at q = 1 the steps are x + y and y alone, and the second never
+evaluates x = R~(f s_i), which keeps C far cheaper than R~.  R itself is
 R~ (q-1)^(n-c).
 
 Steps scan i = 0..n-1 and take the first applicable index, so traces are
@@ -74,6 +77,7 @@ engine changes no process-wide state.
 from __future__ import annotations
 
 import sys
+from operator import add
 from typing import Callable, Optional
 
 from .affine import (
@@ -94,7 +98,7 @@ from .affine import (
     Window,
 )
 from .errors import IrreducibleElement, NotBounded, PreconditionViolated
-from .polynomial import IntPoly, ONE, Q, Q_MINUS_1
+from .polynomial import IntPoly, ONE, Q_MINUS_1
 
 TraceHook = Callable[[dict], None]
 
@@ -102,15 +106,43 @@ TraceHook = Callable[[dict], None]
 _RECURSION_LIMIT = 20000
 
 
+def _same_step(x: IntPoly, y: IntPoly) -> IntPoly:
+    """x + q y, in one pass over the coefficients."""
+    a, b = x.coeffs, y.coeffs
+    m = max(len(a), len(b) + 1)
+    return IntPoly(map(add, a + (0,) * (m - len(a)), (0,) + b + (0,) * (m - 1 - len(b))))
+
+
+def _apart_step(x: IntPoly, y: IntPoly) -> IntPoly:
+    """(q-1)^2 x + q y, in one pass over the coefficients: the coefficient of
+    q^j is x_j - 2 x_{j-1} + x_{j-2} + y_{j-1}."""
+    a, b = x.coeffs, y.coeffs
+    m = max(len(a) + 2, len(b) + 1)
+    return IntPoly([
+        u - 2 * v + t + z
+        for u, v, t, z in zip(
+            a + (0,) * (m - len(a)),
+            (0,) + a + (0,) * (m - 1 - len(a)),
+            (0, 0) + a + (0,) * (m - 2 - len(a)),
+            (0,) + b + (0,) * (m - 1 - len(b)),
+        )
+    ])
+
+
 class _Ring:
-    """The constants (one, q, (q-1)^2) of one ring, with its memo table."""
+    """The base value of one ring and its two steps, with its memo table.
 
-    __slots__ = ("one", "q", "q_minus_1_sq", "cache", "hits", "misses")
+    `same(x, y)` is R~(f) from x = R~(f s_i) and y = R~(g) when i, i+1 share
+    a cycle of the reduction of g, and `apart(x, y)` when they do not; an
+    `apart` of None means R~(f) = y, and x is never evaluated.
+    """
 
-    def __init__(self, one, q, q_minus_1_sq):
+    __slots__ = ("one", "same", "apart", "cache", "hits", "misses")
+
+    def __init__(self, one, same, apart):
         self.one = one
-        self.q = q
-        self.q_minus_1_sq = q_minus_1_sq
+        self.same = same
+        self.apart = apart
         self.cache: dict[Window, object] = {}
         self.hits = self.misses = 0
 
@@ -130,8 +162,9 @@ class Engine:
     """Holds the memo tables; computations are pure given the cache state."""
 
     def __init__(self, trace_hook: Optional[TraceHook] = None):
-        self._rtilde = _Ring(ONE, Q, Q_MINUS_1 * Q_MINUS_1)
-        self._catalan = _Ring(1, 1, 0)
+        self._rtilde = _Ring(ONE, _same_step, _apart_step)
+        # at q = 1: x + q y is x + y, and (q-1)^2 x + q y is y
+        self._catalan = _Ring(1, add, None)
         self._trace = trace_hook
 
     # -- public API -------------------------------------------------------------
@@ -148,17 +181,17 @@ class Engine:
 
     def compute_C(self, perm: BoundedAffinePerm) -> int:
         """The integer invariant; equals compute_Rtilde(f) at q = 1."""
-        value = self._value(perm.window, self._catalan)
-        if value < 1:
-            raise IrreducibleElement(f"nonpositive C = {value} for {perm!r}: recurrence bug")
-        return value
+        return self._catalan_of(perm.window)
 
     def compute_C_decoupled(self, perm: BoundedAffinePerm) -> int:
-        """Product of compute_C over the restrictions to each cycle."""
+        """Product of C over the restrictions of f to each cycle of its
+        reduction.  `_relabel_restriction` needs its residues to be a union
+        of cycles, which one cycle is; each relabeled window goes to the C
+        table without a `BoundedAffinePerm` of its own."""
+        w = perm.window
         product = 1
-        for cyc in perm.cycles():
-            part = _relabel_restriction(perm.window, cyc)
-            product *= self.compute_C(BoundedAffinePerm(part, _validated=True))
+        for cyc in perm._cycle_tuples():
+            product *= self._catalan_of(_relabel_restriction(w, cyc))
         return product
 
     def double_crossing_recurrence_check(self, perm: BoundedAffinePerm, i: int) -> bool:
@@ -203,6 +236,15 @@ class Engine:
             record = {"rule": rule, "n": len(w), "window": list(w)}
             record.update(extra)
             self._trace(record)
+
+    def _catalan_of(self, w: Window) -> int:
+        """C of the bounded window w, which must be positive."""
+        value = self._value(w, self._catalan)
+        if value < 1:
+            raise IrreducibleElement(
+                f"nonpositive C = {value} for BoundedAffinePerm({list(w)}): recurrence bug"
+            )
+        return value
 
     def _value(self, w: Window, ring: _Ring):
         """R~(w) in `ring`: the request's key, then its normal form's key,
@@ -280,12 +322,12 @@ class Engine:
         same_cycle = _same_cycle(g, i)
         if self._trace is not None:
             self._emit("double_move", w, i=i, same_cycle=same_cycle)
+        # x = R~(f s_i) is evaluated before y = R~(g), as the trace records
         if same_cycle:
-            return self._value(_right_s(w, i), ring) + ring.q * self._value(g, ring)
-        if ring.q_minus_1_sq:
-            return (ring.q_minus_1_sq * self._value(_right_s(w, i), ring)
-                    + ring.q * self._value(g, ring))
-        return ring.q * self._value(g, ring)
+            return ring.same(self._value(_right_s(w, i), ring), self._value(g, ring))
+        if ring.apart is None:
+            return self._value(g, ring)
+        return ring.apart(self._value(_right_s(w, i), ring), self._value(g, ring))
 
     def _reduce(self, w: Window, ring: _Ring):
         limit = sys.getrecursionlimit()

@@ -4,9 +4,11 @@ Coefficients are arbitrary-precision Python ints stored in ascending degree
 with no trailing zeros; the zero polynomial is the empty tuple.  Nothing
 reads a polynomial from text or JSON: one is built from its coefficients,
 and a coefficient that is not an integer raises MalformedText.  The engine
-uses only ring operations between polynomials: it computes R~ directly and
-R as R~ (q-1)^(n-c).  The one non-ring operation, exact_div, has no caller
-in the package: it stays only because `perfbench/tracing.py` patches it by
+builds the R~ of a reduced node from the coefficients of its two children
+in one pass (`engine._same_step` and `engine._apart_step`), equal to
+x + q y and (q-1)^2 x + q y in these ring operations, and computes R as
+R~ (q-1)^(n-c).  The one non-ring operation, exact_div, has no caller in
+the package: it stays only because `perfbench/tracing.py` patches it by
 name, and goes once that tracer spans the ring operations instead.
 InexactDivision is raised by exact_div alone, on a nonzero remainder or a
 zero divisor.

@@ -395,6 +395,63 @@ def test_drop_matches_simple_factor_then_removal():
     assert all(cases.values()), cases
 
 
+def _relabel_restriction_reference(w, residues):
+    """The restriction of `_relabel_restriction` through a dict from
+    residue to rank."""
+    surv = sorted(residues)
+    n = len(w)
+    m = len(surv)
+    index = {r: idx for idx, r in enumerate(surv)}
+    out = []
+    for s in surv:
+        v = w[s]
+        r = v % n
+        out.append(index[r] + m * ((v - r) // n))
+    return tuple(out)
+
+
+def test_relabel_restriction_matches_reference():
+    # every cycle and every union of cycles of every bounded window, n <= 7
+    checked = 0
+    for n in range(1, 8):
+        for w in _bounded_windows(n):
+            cycles = BoundedAffinePerm(w).cycles()
+            for mask in range(1, 1 << len(cycles)):
+                residues = [r for b, c in enumerate(cycles) if mask >> b & 1 for r in c]
+                got = _relabel_restriction(w, residues)
+                assert got == _relabel_restriction_reference(w, residues), (w, residues)
+                checked += 1
+    assert checked == 238195
+
+
+def test_relabel_restriction_refuses_a_set_f_does_not_preserve():
+    # a residue set that is not a union of cycles raises instead of giving a
+    # window, as the reference does
+    refused = 0
+    for n in range(2, 6):
+        for w in _bounded_windows(n):
+            for mask in range(1, 1 << n):
+                residues = [r for r in range(n) if mask >> r & 1]
+                if all(mask >> (w[r] % n) & 1 for r in residues):
+                    continue
+                with pytest.raises(KeyError):
+                    _relabel_restriction_reference(w, residues)
+                with pytest.raises(TypeError):
+                    _relabel_restriction(w, residues)
+                refused += 1
+    assert refused == 7422
+
+
+def test_cycles_hands_out_a_fresh_list():
+    f = BoundedAffinePerm((1, 4, 3, 6))
+    assert f.cycle_count() == 2
+    got = f.cycles()
+    got[0].append(7)
+    got.append([9])
+    assert f.cycles() == [[0, 1], [2, 3]]
+    assert f.cycle_count() == 2
+
+
 def test_relabel_restriction():
     # (1, 4, 3, 6) has the cycles {0, 1} and {2, 3}; FIG2 is one cycle
     w = (1, 4, 3, 6)

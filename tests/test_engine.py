@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 
@@ -20,9 +21,10 @@ from posicat.affine import (
     _remove_fixed,
     _value_at,
 )
+from posicat.engine import _apart_step, _same_step
 from posicat.errors import NotBounded, PosicatError, PreconditionViolated
 from posicat.harness import _bounded_windows
-from posicat.polynomial import IntPoly, ONE
+from posicat.polynomial import IntPoly, ONE, Q, Q_MINUS_1, ZERO
 
 FIG2 = BoundedAffinePerm([3, 6, 4, 5, 7, 8, 9])
 FIG3 = BoundedAffinePerm.from_cycle([0, 3, 2, 5, 1, 4])
@@ -147,6 +149,40 @@ def test_nonpositive_C_raises_posicat_error(monkeypatch):
     monkeypatch.setattr(engine, "_reduce", lambda w, ring: 0)
     with pytest.raises(PosicatError):
         engine.compute_C(BoundedAffinePerm.translation(2, 5))
+
+
+def test_decoupled_nonpositive_C_names_the_part(monkeypatch):
+    # the parts of (1, 4, 3, 6) are the restrictions to {0, 1} and {2, 3},
+    # both (1, 2); no BoundedAffinePerm is built for them, yet the message
+    # names the part as one
+    engine = Engine()
+    monkeypatch.setattr(engine, "_reduce", lambda w, ring: 0)
+    with pytest.raises(PosicatError, match=re.escape("BoundedAffinePerm([1, 2])")):
+        engine.compute_C_decoupled(BoundedAffinePerm([1, 4, 3, 6]))
+    with pytest.raises(PosicatError, match=re.escape("BoundedAffinePerm([1, 4, 3, 6])")):
+        engine.compute_C(BoundedAffinePerm([1, 4, 3, 6]))
+
+
+def test_ring_steps_equal_generic_arithmetic():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    polys = st.lists(st.integers(-20, 20), max_size=8).map(IntPoly)
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @hypothesis.given(polys, polys)
+    @hypothesis.example(ZERO, ZERO)
+    @hypothesis.example(ONE, ZERO)
+    @hypothesis.example(ZERO, ONE)
+    @hypothesis.example(IntPoly([0, 0, 1]), IntPoly([0, -1]))  # x + q y = 0
+    @hypothesis.example(ONE, IntPoly([0, -1]))  # (q-1)^2 x + q y = 1 - 2q
+    @hypothesis.example(IntPoly([5]), IntPoly([1, 2, 3, 4]))  # y's top past x's
+    def check(x, y):
+        assert _same_step(x, y).coeffs == (x + Q * y).coeffs
+        assert _apart_step(x, y).coeffs == (Q_MINUS_1 * Q_MINUS_1 * x + Q * y).coeffs
+
+    check()
+    assert _apart_step(ONE, IntPoly([0, -1])).coeffs == (1, -2)
+    assert _same_step(IntPoly([0, 0, 1]), IntPoly([0, -1])).coeffs == ()
 
 
 def test_double_crossing_recurrence_unbounded_conjugate_raises(monkeypatch, engine):
