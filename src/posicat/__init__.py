@@ -1,9 +1,10 @@
 """Exact combinatorics of positroid Catalan numbers.
 
 Core objects: bounded affine permutations (affine), integer polynomials
-(polynomial), rational paths (paths), inversion multisets (invsets), the
-memoized recurrence engine (engine), Dyck counting and profile synthesis
-(dyck), and exhaustive verification suites (harness).
+(polynomial), the path oracle for inversion multisets and the rotation
+statistic (paths), inversion multisets (invsets), the memoized recurrence
+engine (engine), Dyck counting and profile synthesis (dyck), and exhaustive
+verification suites (harness).
 """
 
 from .affine import (
@@ -45,13 +46,11 @@ from .invsets import (
     parse_forbidden,
 )
 from .paths import (
-    RatPath,
     fset_from_paths,
     intersection_count,
     multiplicity_from_paths,
     nu,
     nu_bar,
-    small_path,
 )
 from .polynomial import IntPoly
 
@@ -64,7 +63,6 @@ __all__ = [
     "IntPoly",
     "LatticeMultiset",
     "PosicatError",
-    "RatPath",
     "VerificationReport",
     "a_sequence",
     "census_report",
@@ -88,7 +86,6 @@ __all__ = [
     "parse_perm",
     "profile_forbidden_set",
     "profile_to_perm",
-    "small_path",
     "synthesize_perm",
     "synthesize_profile",
     "validate_profile",

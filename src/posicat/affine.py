@@ -455,11 +455,6 @@ class BoundedAffinePerm:
             self._cycle_cache = tuple(map(tuple, _cycles(self.window)))
         return self._cycle_cache
 
-    def cycles(self) -> list[list[int]]:
-        """Cycles of the reduction modulo n, each starting at its smallest
-        residue; a fresh list on every call."""
-        return [list(c) for c in self._cycle_tuples()]
-
     def cycle_count(self) -> int:
         return len(self._cycle_tuples())
 
@@ -497,8 +492,8 @@ class BoundedAffinePerm:
     def rotate_180(self) -> "BoundedAffinePerm":
         """The half-turn g(j) = -f^{-1}(-j); an involution on Theta(k, n).
 
-        The small path of g is the pointwise reflection delta - P of the small
-        path P of f.
+        It reflects the small path through the centre of the k x n frame:
+        g^r(0) = kn - f^(n-r)(0) for r = 0..n.
         """
         self.require_theta()
         w = tuple(-self.inverse_at(-j) for j in range(self.n))

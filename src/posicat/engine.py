@@ -222,13 +222,6 @@ class Engine:
             "c_entries": len(self._catalan.cache),
         }
 
-    def clear(self) -> None:
-        """Empty both memo tables and zero their counters, so a long-lived
-        process can bound an engine's memory; values do not change."""
-        for ring in (self._rtilde, self._catalan):
-            ring.cache.clear()
-            ring.hits = ring.misses = 0
-
     # -- the reduction --------------------------------------------------------------
 
     def _emit(self, rule: str, w: Window, **extra) -> None:

@@ -16,58 +16,19 @@ orbit f^r(0) is read, never a crossing resolution, so the result stays an
 independent check on `inversion_multiset`.
 
 Points in the plane are written (a, b) with a the vertical (k-) coordinate
-and b the horizontal (n-) coordinate; this convention is applied once here,
-and accessors are named rather than positional to keep the axes straight.
-All arithmetic is exact: vertical coordinates are integers scaled by n.
+and b the horizontal (n-) coordinate; this convention is applied once here.
+All arithmetic is exact: vertical coordinates are integers scaled by n, so
+the small path's vertices are the orbit `_orbit(f)` = [f^r(0) for r = 0..n].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .affine import BoundedAffinePerm
 from .errors import AlphaOnDeltaLine, NonIntegralNu
-
-
-@dataclass(frozen=True)
-class RatPath:
-    """Piecewise-linear path through exact rational points.
-
-    `verticals[r]` is f^r(0)/n for r = 0..n; the horizontal coordinate of the
-    r-th point is r itself.  `delta` is the frame vector (k, n).
-    """
-
-    verticals: tuple[Fraction, ...]
-    delta: tuple[int, int]
-
-    @property
-    def k(self) -> int:
-        return self.delta[0]
-
-    @property
-    def n(self) -> int:
-        return self.delta[1]
-
-    def as_json(self) -> list[list[int]]:
-        """Each point as [r, numerator, denominator]."""
-        return [[r, v.numerator, v.denominator] for r, v in enumerate(self.verticals)]
-
-    def svg_polyline(self, scale: int = 40) -> str:
-        """Tiny standalone SVG of the small path, for documentation figures."""
-        pts = " ".join(
-            f"{float(r) * scale},{float(self.k - v) * scale}"
-            for r, v in enumerate(self.verticals)
-        )
-        width = self.n * scale
-        height = self.k * scale
-        return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">'
-            f'<polyline points="{pts}" fill="none" stroke="black"/></svg>'
-        )
 
 
 def _orbit(perm: BoundedAffinePerm) -> list[int]:
@@ -87,14 +48,6 @@ def _orbit_at(orbit: Sequence[int], k: int, n: int, r: int) -> int:
     """f^r(0) for any integer r, via f^{r+n}(0) = f^r(0) + kn."""
     q, s = divmod(r, n)
     return orbit[s] + k * n * q
-
-
-def small_path(perm: BoundedAffinePerm) -> RatPath:
-    """The small path of f; requires a single-cycle strictly bounded f."""
-    perm.require_theta()
-    n = perm.n
-    orbit = _orbit(perm)
-    return RatPath(tuple(Fraction(v, n) for v in orbit), (perm.k, n))
 
 
 def _crossing_signs(perm: BoundedAffinePerm, alpha: tuple[int, int]) -> list[int]:

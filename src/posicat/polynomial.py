@@ -3,13 +3,15 @@
 Coefficients are arbitrary-precision Python ints stored in ascending degree
 with no trailing zeros; the zero polynomial is the empty tuple.  Nothing
 reads a polynomial from text or JSON: one is built from its coefficients,
-and a coefficient that is not an integer raises MalformedText.  The engine
-builds the R~ of a reduced node from the coefficients of its two children
-in one pass (`engine._same_step` and `engine._apart_step`), equal to
-x + q y and (q-1)^2 x + q y in these ring operations, and computes R as
-R~ (q-1)^(n-c).  The one non-ring operation, exact_div, has no caller in
-the package: it stays only because `perfbench/tracing.py` patches it by
-name, and goes once that tracer spans the ring operations instead.
+and a coefficient that is not an integer raises MalformedText.
+
+The operations are the ones the package uses: `*` and `**` (R is
+R~ (q-1)^(n-c)), evaluation at an integer and text.  The engine builds
+the R~ of a reduced node from the coefficients of its two children in one
+pass (`engine._same_step` and `engine._apart_step`); `+` stays as the
+tests' reference for those steps, x + q y and (q-1)^2 x + q y.  The one non-ring operation, exact_div, has no
+caller in the package: it stays only because `perfbench/tracing.py` patches
+it by name, and goes once that tracer spans the ring operations instead.
 InexactDivision is raised by exact_div alone, on a nonzero remainder or a
 zero divisor.
 """
@@ -46,10 +48,6 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        """Degree, with the usual convention deg 0 = -1."""
-        return len(self.coeffs) - 1
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = IntPoly((other,))
@@ -74,12 +72,6 @@ class IntPoly:
         for i, x in enumerate(b):
             out[i] += x
         return IntPoly(out)
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-x for x in self.coeffs))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
@@ -119,7 +111,7 @@ class IntPoly:
         rem = list(self.coeffs)
         div = divisor.coeffs
         if len(rem) < len(div):
-            raise InexactDivision(f"degree {self.degree()} < degree {divisor.degree()}")
+            raise InexactDivision(f"degree {len(rem) - 1} < degree {len(div) - 1}")
         out = [0] * (len(rem) - len(div) + 1)
         lead = div[-1]
         for d in range(len(out) - 1, -1, -1):

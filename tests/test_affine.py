@@ -137,7 +137,7 @@ def test_from_cycle_fig3():
     f = BoundedAffinePerm.from_cycle([0, 3, 2, 5, 1, 4])
     assert f.window == (3, 4, 5, 8, 6, 7)
     assert f.k == 3
-    assert f.cycles() == [[0, 3, 2, 5, 1, 4]]
+    assert f._cycle_tuples() == ((0, 3, 2, 5, 1, 4),)
 
 
 def test_from_cycle_theta_1_2():
@@ -166,7 +166,7 @@ def test_from_cycle_one_based_reading():
 def test_cycle_round_trip_exhaustive():
     for n in range(2, 9):
         for f in enumerate_theta(None, n):
-            [cycle] = f.cycles()
+            [cycle] = f._cycle_tuples()
             assert cycle[0] == 0
             assert BoundedAffinePerm.from_cycle(cycle) == f
             assert sorted(v % n for v in f.window) == list(range(n))
@@ -415,7 +415,7 @@ def test_relabel_restriction_matches_reference():
     checked = 0
     for n in range(1, 8):
         for w in _bounded_windows(n):
-            cycles = BoundedAffinePerm(w).cycles()
+            cycles = BoundedAffinePerm(w)._cycle_tuples()
             for mask in range(1, 1 << len(cycles)):
                 residues = [r for b, c in enumerate(cycles) if mask >> b & 1 for r in c]
                 got = _relabel_restriction(w, residues)
@@ -442,14 +442,14 @@ def test_relabel_restriction_refuses_a_set_f_does_not_preserve():
     assert refused == 7422
 
 
-def test_cycles_hands_out_a_fresh_list():
+def test_cycle_tuples_are_immutable():
+    # the cache itself is handed out, so it must hold tuples all the way down
     f = BoundedAffinePerm((1, 4, 3, 6))
     assert f.cycle_count() == 2
-    got = f.cycles()
-    got[0].append(7)
-    got.append([9])
-    assert f.cycles() == [[0, 1], [2, 3]]
-    assert f.cycle_count() == 2
+    got = f._cycle_tuples()
+    assert got == ((0, 1), (2, 3))
+    assert type(got) is tuple and all(type(c) is tuple for c in got)
+    assert f._cycle_tuples() is got
 
 
 def test_relabel_restriction():

@@ -1,9 +1,11 @@
 """The benchmark's traced smoke runs, from a subprocess.
 
-`perfbench/tracing.py` wraps engine methods such as `compute_C_decoupled`
-and `IntPoly.exact_div` by name, so a refactor of the engine that the
-tracer can no longer follow fails here rather than only when the
-benchmark runs.  Nothing under `perfbench/` is changed.
+`perfbench/tracing.py` wraps engine methods such as `compute_C_decoupled`,
+`IntPoly.exact_div` and the names the harness imports (`fset_from_paths`,
+`cs_convex_subsets`, `is_convex_points`, ...) by name.  Every workload runs
+traced here, so a refactor that the tracer can no longer follow fails here
+rather than only when the benchmark runs.  Nothing under `perfbench/` is
+changed.
 """
 
 import json
@@ -16,7 +18,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["engine_warm", "frontier_rtilde"])
+@pytest.mark.parametrize(
+    "workload", ["sweep_main", "frontier_c", "frontier_rtilde", "engine_warm", "synthesis"]
+)
 def test_traced_smoke_run_passes(workload):
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",

@@ -13,13 +13,13 @@ from posicat import (
     inversion_multiset,
     profile_forbidden_set,
     profile_to_perm,
-    small_path,
     synthesize_perm,
     synthesize_profile,
     validate_profile,
 )
 from posicat.affine import _conj_s
 from posicat.harness import cs_convex_subsets
+from posicat.paths import _orbit
 from posicat.invsets import (
     RECT,
     LatticeMultiset,
@@ -112,7 +112,8 @@ def test_validate_profile_valid_cases():
 
 def test_validate_profile_rejects_fig3_path():
     # small paths of arbitrary permutations need not be concave
-    verticals = small_path(BoundedAffinePerm.from_cycle([0, 3, 2, 5, 1, 4])).verticals
+    orbit = _orbit(BoundedAffinePerm.from_cycle([0, 3, 2, 5, 1, 4]))
+    verticals = [Fraction(v, 6) for v in orbit]
     ok, problems = validate_profile(verticals, 3, 6)
     assert not ok
     assert any("rises" in p for p in problems)

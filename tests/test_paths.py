@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -12,48 +11,41 @@ from posicat import (
     multiplicity_from_paths,
     nu,
     nu_bar,
-    small_path,
 )
 from posicat.affine import _c_class_members
 from posicat.errors import AlphaOnDeltaLine, NotTheta
+from posicat.paths import _orbit
 
 FIG2 = BoundedAffinePerm([3, 6, 4, 5, 7, 8, 9])
 FIG3 = BoundedAffinePerm.from_cycle([0, 3, 2, 5, 1, 4])
 
 
+# the small path's vertices are (r, f^r(0)/n): `_orbit` lists f^r(0) itself
+
 def test_small_path_fig3():
-    path = small_path(FIG3)
-    assert path.verticals == (
-        Fraction(0),
-        Fraction(1, 2),
-        Fraction(4, 3),
-        Fraction(11, 6),
-        Fraction(13, 6),
-        Fraction(8, 3),
-        Fraction(3),
-    )
-    assert path.delta == (3, 6)
+    assert _orbit(FIG3) == [0, 3, 8, 11, 13, 16, 18]
+    assert (FIG3.k, FIG3.n) == (3, 6)
 
 
 def test_small_path_translation():
-    path = small_path(BoundedAffinePerm.translation(3, 7))
-    assert path.verticals == tuple(Fraction(3 * r, 7) for r in range(8))
+    assert _orbit(BoundedAffinePerm.translation(3, 7)) == [3 * r for r in range(8)]
 
 
 def test_small_path_endpoint_exhaustive():
     for n in range(2, 7):
         for f in enumerate_theta(None, n):
-            path = small_path(f)
-            assert path.verticals[0] == 0
-            assert path.verticals[n] == f.k
-            assert all(
-                path.verticals[r] < path.verticals[r + 1] for r in range(n)
-            )
+            orbit = _orbit(f)
+            assert orbit[0] == 0
+            assert orbit[n] == f.k * n
+            assert all(orbit[r] < orbit[r + 1] for r in range(n))
 
 
 def test_small_path_requires_theta():
-    with pytest.raises(NotTheta):
-        small_path(BoundedAffinePerm([1, 4, 3, 6]))
+    # off Theta the orbit returns to residue 0 before step n, so it is no
+    # small path; that is why every path route refuses such windows
+    for window in [(1, 4, 3, 6), (0, 1)]:
+        n = len(window)
+        assert 0 in [v % n for v in _orbit(BoundedAffinePerm(window))[1:n]]
 
 
 @pytest.mark.parametrize(
@@ -62,10 +54,9 @@ def test_small_path_requires_theta():
         fset_from_paths,
         inversion_multiset,
         lambda f: f.resolve_crossing((1, 2)),
-        small_path,
         nu,
     ],
-    ids=["fset_from_paths", "inversion_multiset", "resolve_crossing", "small_path", "nu"],
+    ids=["fset_from_paths", "inversion_multiset", "resolve_crossing", "nu"],
 )
 @pytest.mark.parametrize("window", [(1, 4, 3, 6), (0, 1)], ids=["two_cycles", "not_strict"])
 def test_routes_require_theta(route, window):
@@ -73,12 +64,6 @@ def test_routes_require_theta(route, window):
     for _ in range(2):  # the second call reads the cached verdict
         with pytest.raises(NotTheta):
             route(f)
-
-
-def test_path_json_and_svg():
-    path = small_path(FIG3)
-    assert path.as_json()[1] == [1, 1, 2]
-    assert "<svg" in path.svg_polyline() and "polyline" in path.svg_polyline()
 
 
 def test_intersection_counts_fig2():
@@ -134,9 +119,9 @@ def test_path_oracle_matches_resolution():
 def test_rotation_reflects_small_path():
     for n in range(2, 7):
         for f in enumerate_theta(None, n):
-            p = small_path(f).verticals
-            q = small_path(f.rotate_180()).verticals
-            assert q == tuple(f.k - v for v in reversed(p))
+            p = _orbit(f)
+            q = _orbit(f.rotate_180())
+            assert q == [f.k * n - p[n - r] for r in range(n + 1)]
 
 
 # -- the rotation statistic ----------------------------------------------------------

@@ -96,7 +96,7 @@ def test_text_round_trip(f, w):
     n = len(w)
     assert g.k * n == sum(w) - n * (n - 1) // 2
     assert parse_perm(window_text(g)) == g
-    [cycle] = f.cycles()
+    [cycle] = f._cycle_tuples()
     assert parse_perm("cycle:(" + ",".join(map(str, cycle)) + ")") == f
     one_based = ",".join(str(x or f.n) for x in cycle)
     assert parse_perm(f"cycle:({one_based})", one_based=True) == f

@@ -1,7 +1,12 @@
 """Checks on the package source itself."""
 
 import ast
+import contextlib
+import importlib.util
+import io
+import os
 import re
+import sys
 from pathlib import Path
 
 import posicat
@@ -62,45 +67,115 @@ def test_every_definition_is_referenced():
     assert unnamed == []
 
 
-def _code_named(tree):
-    """The names of `_named` apart from string constants."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield from node.name.split(".")
+def _definitions():
+    """Every function and method the package defines, by the key of its code
+    object, (file, first line); a decorated definition starts at its first
+    decorator, as its code object does."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(os.path.realpath(path), first)] = f"{prefix}{child.name}"
+                visit(child, path, f"{prefix}{child.name}.")
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text(), str(path)), path, f"{path.stem}.")
+    return found
 
 
-# only the tests call these: they are the per-shift path reference that the
-# tests check `fset_from_paths` against
-TEST_REFERENCES = {"intersection_count", "multiplicity_from_paths"}
+WHATS = ["catalan", "rpoly", "rtilde", "inversions", "fset", "lambda", "nu"]
+SUITES = ["main", "synthesis", "engine", "structure", "census"]
+FIG3 = "cycle:(0,3,2,5,1,4)"
 
-
-def test_every_definition_has_a_non_test_caller():
-    # a definition that only the tests name is API nothing uses; the package
-    # counts by code (a trace rule's string is not a call) outside
-    # __init__.py, whose imports re-export names rather than call them, the
-    # benchmark by strings too (its tracer names its targets so), the README
-    # by word
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in MODULES}
-    named = {
-        name
-        for path, tree in trees.items()
-        if path.name != "__init__.py"
-        for name in _code_named(tree)
-    }
-    named |= TEST_REFERENCES
-    for path in sorted((ROOT / "perfbench").rglob("*.py")):
-        named.update(_named(ast.parse(path.read_text(), str(path))))
-    named.update(re.findall(r"\w+", (ROOT / "README.md").read_text()))
-    uncalled = [
-        f"{path.name}:{node.lineno} {node.name}"
-        for path in MODULES
-        for node in ast.walk(trees[path])
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in named
+# every CLI feature once, with the exit code it must give
+CLI_TOUR = (
+    [(["compute", "--perm", FIG3, "--what", what], 0) for what in WHATS]
+    + [(["verify", "--suite", suite, "--n-max", "5"], 0) for suite in SUITES]
+    + [
+        (["compute", "--perm", FIG3, "--what", "rtilde", "--trace"], 0),
+        (["compute", "--perm", "cycle:(1,4,6,2,5,7,3)", "--what", "catalan", "--one-based"], 0),
+        (["compute", "--perm", '{"window": [3, 6, 4, 5, 7, 8, 9]}', "--what", "fset"], 0),
+        (["dyck", "--k", "3", "--n", "7", "--forbid", "1,1;2,3", "--coords", "rect"], 0),
+        (["dyck", "--k", "3", "--n", "7", "--forbid", "1,2;2,5", "--coords", "sheared"], 0),
+        (["dyck", "--k", "3", "--n", "7", "--forbid", "", "--list"], 0),
+        (["synthesize", "--k", "4", "--n", "8", "--forbid", "1,1;2,2;3,3"], 0),
+        (["enumerate", "--n", "5", "--format", "json"], 0),
+        (["enumerate", "--n", "6", "--k", "3", "--repetition-free", "--format", "csv"], 0),
+        # refused: a permutation off Theta, and a range with no instance
+        (["compute", "--perm", "window:1,4,3,6", "--what", "nu"], 2),
+        (["verify", "--suite", "main", "--n-max", "1"], 2),
     ]
-    assert uncalled == []
+)
+
+
+def _tour(workloads):
+    """The real entry points on small inputs: the CLI, two suites at the
+    sizes the benchmark runs, each benchmark workload's smoke pass and
+    check, and the README's library example."""
+    from posicat.cli import main
+
+    for argv, code in CLI_TOUR:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == code, argv
+    assert posicat.verify_main_theorem(7, jobs=1).passed
+    assert posicat.verify_engine(6, jobs=1).passed
+    for workload in workloads.WORKLOADS.values():
+        state = workload.prepare(posicat, workload.make_inputs(posicat, 1, True))
+        result = workload.run_pass(posicat, state, posicat.Engine)
+        assert workload.check(posicat, state, [result])[0] == 0, workload.name
+    [example] = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    exec(example, {})
+
+
+DUNDER = "data-model dunder"
+PATH_REFERENCE = "the per-shift path reference that the tests check fset_from_paths against"
+TRACED = "perfbench/tracing.py names it"
+
+# what the tour never runs, each with the reason it stays
+NEVER_RUN = {
+    "affine.BoundedAffinePerm.__eq__": DUNDER,
+    "affine.BoundedAffinePerm.__hash__": DUNDER,
+    "polynomial.IntPoly.__setattr__": DUNDER,
+    "polynomial.IntPoly.__bool__": DUNDER,
+    "polynomial.IntPoly.__hash__": DUNDER,
+    "polynomial.IntPoly.__repr__": DUNDER,
+    "polynomial.IntPoly.__str__": DUNDER,
+    "harness._fail": "runs only when a check fails",
+    "paths._orbit_at": PATH_REFERENCE,
+    "paths._crossing_signs": PATH_REFERENCE,
+    "paths.intersection_count": PATH_REFERENCE,
+    "paths.multiplicity_from_paths": PATH_REFERENCE,
+    "polynomial.IntPoly.__add__": "the tests' reference for engine._same_step and _apart_step",
+    "polynomial.IntPoly.exact_div": TRACED + " as its polynomial-layer span",
+    "engine.Engine.stats": TRACED + " to merge engine counters",
+}
+
+
+def test_the_tour_runs_everything_but_the_allowlist(monkeypatch):
+    # a definition that no entry point runs is surface nothing uses, unless
+    # NEVER_RUN gives its reason; an entry that starts to run is stale
+    definitions = _definitions()
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        _tour(workloads)
+    finally:
+        sys.setprofile(previous)
+    ran = {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in seen}
+    never_run = {name for key, name in definitions.items() if key not in ran}
+    assert never_run == set(NEVER_RUN)
