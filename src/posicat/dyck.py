@@ -116,10 +116,11 @@ class ConcaveProfile:
     profile conditions.
 
     Construction is the one place a profile is validated: the heights become
-    Fractions, `validate_profile` runs once with k = floor(H_n), and any
-    violation raises InvalidProfile (a height that is not an integer or a
-    rational raises MalformedText).  So a ConcaveProfile never holds an
-    invalid profile, and no caller checks one again.
+    Fractions once (a height that is not an integer or a rational raises
+    MalformedText), and `validate_profile` runs once on them with
+    k = floor(H_n), where it finds them Fractions already and converts
+    nothing.  Any violation raises InvalidProfile.  So a ConcaveProfile
+    never holds an invalid profile, and no caller checks one again.
     """
 
     heights: tuple[Fraction, ...]
@@ -140,18 +141,22 @@ class ConcaveProfile:
     def k(self) -> int:
         return int(self.heights[-1])
 
-    def fractional_parts(self) -> list[Fraction]:
-        return [h - math.floor(h) for h in self.heights[:-1]]
-
 
 def _fractions(heights: Iterable[Rational]) -> tuple[Fraction, ...]:
-    """The heights as Fractions.  Only `numbers.Rational` heights are read, so
-    a float, string or None height raises MalformedText instead of being
-    converted or rounded."""
+    """The heights as Fractions; a Fraction is kept as it is.  Only
+    `numbers.Rational` heights are read, so a float, string or None height
+    raises MalformedText instead of being converted or rounded."""
     heights = tuple(heights)
-    if not all(isinstance(h, Rational) for h in heights):
+    if not all(type(h) in (Fraction, int) or isinstance(h, Rational) for h in heights):
         raise MalformedText(f"a profile height is not an integer or a rational: {heights!r}")
-    return tuple(map(Fraction, heights))
+    return tuple(h if type(h) is Fraction else Fraction(h) for h in heights)
+
+
+def _numerators(heights: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The heights on their least common denominator D, as (N, D) with
+    H_b = N_b / D."""
+    d = math.lcm(*(h.denominator for h in heights))
+    return [h.numerator * (d // h.denominator) for h in heights], d
 
 
 def validate_profile(
@@ -160,49 +165,62 @@ def validate_profile(
     """Check the three profile conditions exactly; returns (ok, violations).
     A profile has at least two heights, H_0 and H_n with n >= 1, and H_n
     must be the integer k.  A height that is not a `numbers.Rational`
-    raises MalformedText."""
+    raises MalformedText.
+
+    The check runs in integers on one common denominator D, with
+    N_b = H_b * D: N_0 = 0, N_n = kD, every increment N_{b+1} - N_b lies
+    strictly between 0 and D and none rises, and the N_b mod D are distinct
+    for b < n.  A violation's message, with its values as Fractions, is
+    built only when that violation occurs."""
     H = _fractions(heights)
-    problems: list[str] = []
     if len(H) != n + 1:
         return False, [f"expected {n + 1} heights, got {len(H)}"]
     if len(H) < 2:
         return False, [f"a profile needs at least two heights, got {len(H)}"]
-    if H[0] != 0:
+    N, d = _numerators(H)
+    problems: list[str] = []
+    if N[0]:
         problems.append(f"H_0 = {H[0]} != 0")
-    if H[n].denominator != 1:
+    if N[n] % d:
         problems.append(f"H_n = {H[n]} is not an integer")
-    elif H[n] != k:
+    elif N[n] != k * d:
         problems.append(f"H_n = {H[n]} != {k}")
-    increments = [H[i + 1] - H[i] for i in range(n)]
-    for i, d in enumerate(increments):
-        if not 0 < d < 1:
-            problems.append(f"increment H_{i + 1} - H_{i} = {d} outside (0, 1)")
-    for i in range(n - 1):
-        if increments[i] < increments[i + 1]:
+    steps = [N[i + 1] - N[i] for i in range(n)]
+    for i, step in enumerate(steps):
+        if not 0 < step < d:
             problems.append(
-                f"increment rises at {i + 1}: {increments[i]} < {increments[i + 1]}"
+                f"increment H_{i + 1} - H_{i} = {Fraction(step, d)} outside (0, 1)"
             )
-    fracs = [h - math.floor(h) for h in H[:n]]
-    if len(set(fracs)) != n:
+    for i in range(n - 1):
+        if steps[i] < steps[i + 1]:
+            problems.append(
+                f"increment rises at {i + 1}: "
+                f"{Fraction(steps[i], d)} < {Fraction(steps[i + 1], d)}"
+            )
+    if len({num % d for num in N[:n]}) != n:
         problems.append("fractional parts collide")
     return not problems, problems
 
 
 def profile_forbidden_set(profile: ConcaveProfile) -> set[Point]:
-    """Sheared points (a, b) with k - H_{n-b} <= a <= H_b."""
-    H = profile.heights
+    """Sheared points (a, b) with k - H_{n-b} <= a <= H_b, for
+    1 <= a <= k-1 and 1 <= b <= n-1.  Since a is an integer, column b is
+    the range k - floor(H_{n-b}) <= a <= floor(H_b), so the set takes n
+    floors and no comparison of Fractions.  The range needs no clamp to
+    [1, k-1]: the heights rise strictly to H_n = k, so floor(H_b) <= k-1
+    for every b < n."""
     k, n = profile.k, profile.n
-    out = set()
-    for b in range(1, n):
-        for a in range(1, k):
-            if k - H[n - b] <= a <= H[b]:
-                out.add((a, b))
-    return out
+    floors = [h.numerator // h.denominator for h in profile.heights]
+    return {
+        (a, b) for b in range(1, n) for a in range(k - floors[n - b], floors[b] + 1)
+    }
 
 
 def profile_to_perm(profile: ConcaveProfile | Sequence[Fraction]) -> BoundedAffinePerm:
     """The permutation whose orbit of 0 is order-isomorphic to the profile's
-    fractional parts: rank h_r to obtain the r-th orbit value modulo n.
+    fractional parts: rank h_r to obtain the r-th orbit value modulo n.  The
+    ranks are those of N_r mod D, the fractional parts on the heights'
+    common denominator D.
 
     A plain sequence of heights is made a ConcaveProfile first, whose
     construction validates it (InvalidProfile, or MalformedText for a height
@@ -211,8 +229,9 @@ def profile_to_perm(profile: ConcaveProfile | Sequence[Fraction]) -> BoundedAffi
     if not isinstance(profile, ConcaveProfile):
         profile = ConcaveProfile(profile)
     n = profile.n
-    fracs = profile.fractional_parts()
-    order = sorted(range(n), key=lambda r: fracs[r])
+    nums, d = _numerators(profile.heights)
+    residues = [num % d for num in nums[:n]]
+    order = sorted(range(n), key=residues.__getitem__)
     rank = [0] * n
     for position, r in enumerate(order):
         rank[r] = position

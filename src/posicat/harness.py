@@ -28,6 +28,7 @@ from .affine import (
     _c_class_members,
     _k_of,
     _length,
+    _require_theta_frame,
     _window_from_cycle,
     min_length_witness,
     Window,
@@ -41,6 +42,7 @@ from .dyck import (
 from .engine import Engine
 from .errors import PosicatError
 from .invsets import (
+    _lattice_closure,
     f_min,
     inversion_multiset,
     is_centrally_symmetric,
@@ -236,15 +238,26 @@ def verify_main_theorem(n_max: int, jobs: int = 1) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def cs_convex_subsets(k: int, n: int) -> list[frozenset[tuple[int, int]]]:
-    """All centrally symmetric convex subsets of [1, k-1] x [1, n-k-1].
+    """All centrally symmetric convex subsets of [1, k-1] x [1, n-k-1],
+    ordered by size and then by their sorted points.  A frame outside
+    1 <= k <= n-1 raises InvalidFrame.
 
-    Central symmetry pairs the points into orbits, so only orbit subsets are
-    scanned (2^ceil(P/2) candidates) and then filtered by convexity; at the
-    frame sizes the suites run this is exhaustive and fast.
+    Convex means convex together with the corners (0, 0) and (k, n-k), as
+    `is_convex_points` reads it.  Central symmetry pairs the points into
+    orbits {p, (k, n-k) - p}.  The search is a closure search over sets, not
+    a scan of orbit subsets: it starts from the lattice closure of the two
+    corners alone (the lattice points strictly inside the diagonal), and
+    from each set T found it adds one orbit not in T and takes the lattice
+    closure of T, the orbit and the corners.  A closure of a centrally
+    symmetric set is centrally symmetric, and it stays inside the rectangle:
+    the corners are the only points of the hull on the rectangle's border.
+    Every centrally symmetric convex set S is reached: adding the orbits of
+    its hull vertices one at a time gives closures inside S whose last one
+    is S.  So the search makes at most one closure per found set and orbit,
+    plus the first, and its cost follows the number of sets it returns.
     """
+    _require_theta_frame(k, n)
     m = n - k
-    from .invsets import is_convex_points
-
     orbits: list[tuple[tuple[int, int], ...]] = []
     seen: set[tuple[int, int]] = set()
     for a in range(1, k):
@@ -256,15 +269,17 @@ def cs_convex_subsets(k: int, n: int) -> list[frozenset[tuple[int, int]]]:
             seen.add(p)
             seen.add(q)
             orbits.append((p,) if p == q else (p, q))
-    out = []
-    for mask in range(1 << len(orbits)):
-        points: set[tuple[int, int]] = set()
-        for idx, orbit in enumerate(orbits):
-            if (mask >> idx) & 1:
-                points.update(orbit)
-        if is_convex_points(points, k, m):
-            out.append(frozenset(points))
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    found = [_lattice_closure((), k, m)]
+    visited = set(found)
+    for points in found:
+        for orbit in orbits:
+            if orbit[0] in points:
+                continue
+            closure = _lattice_closure(points.union(orbit), k, m)
+            if closure not in visited:
+                visited.add(closure)
+                found.append(closure)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def _synthesis_checks(task: tuple, engine: Engine, failures: list[dict]) -> None:

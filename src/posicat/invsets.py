@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from operator import floordiv, index
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .affine import BoundedAffinePerm, _inversion_pairs, _swap_split
 from .errors import MalformedText, NotRepetitionFree, PosicatError
@@ -199,6 +199,18 @@ def _chain_heights(chain: list[Point], div) -> list:
     return out
 
 
+def _hull_columns(points: Collection[Point]) -> tuple[int, list[int], list[int]]:
+    """The hull of `points` column by column, with x = b: the first column
+    x0, and for each column x0, x0 + 1, ... the floor of the hull's top and
+    the floor of minus its bottom, read off the upper and lower monotone
+    chains.  Column x0 + i holds the lattice points (a, x0 + i) with
+    -neg_bottoms[i] <= a <= tops[i]."""
+    upper = _upper_chain((b, a) for a, b in points)
+    tops = _chain_heights(upper, floordiv)
+    neg_bottoms = _chain_heights(_upper_chain((b, -a) for a, b in points), floordiv)
+    return upper[0][0], tops, neg_bottoms
+
+
 def is_convex_points(points: Iterable[Point], k: int, m: int) -> bool:
     """Lattice convexity of a point set, in either frame.
 
@@ -207,21 +219,33 @@ def is_convex_points(points: Iterable[Point], k: int, m: int) -> bool:
     shear is unimodular, so both give the same answer.  The augmented set is
     convex when it contains every lattice point of its hull.  With x = b,
     the hull's column at x runs from a bottom to a top given by the lower
-    and upper chains and holds floor(top) - ceil(bottom) + 1 lattice points;
-    the set is convex exactly when each column holds that many of its
-    points.  O(P log P + width).
+    and upper chains (`_hull_columns`) and holds floor(top) - ceil(bottom)
+    + 1 lattice points; the set is convex exactly when each column holds
+    that many of its points.  O(P log P + width).
     """
     aug = set(points) | {(0, 0), (k, m)}
     column: dict[int, int] = {}
     for _, b in aug:
         column[b] = column.get(b, 0) + 1
-    tops = _chain_heights(_upper_chain((b, a) for a, b in aug), floordiv)
-    neg_bottoms = _chain_heights(_upper_chain((b, -a) for a, b in aug), floordiv)
-    x0 = min(column)
+    x0, tops, neg_bottoms = _hull_columns(aug)
     return all(
         column.get(x0 + i, 0) == top + neg_bottom + 1
         for i, (top, neg_bottom) in enumerate(zip(tops, neg_bottoms))
     )
+
+
+def _lattice_closure(points: Iterable[Point], k: int, m: int) -> frozenset[Point]:
+    """The lattice points of conv(points | {(0, 0), (k, m)}), corners
+    excluded.  For points of [1, k-1] x [1, m-1] it is the smallest set
+    containing them that `is_convex_points` accepts in the frame (k, m).
+    Its columns come from `_hull_columns`."""
+    corners = {(0, 0), (k, m)}
+    x0, tops, neg_bottoms = _hull_columns([*points, *corners])
+    return frozenset(
+        (a, x0 + i)
+        for i, (top, neg_bottom) in enumerate(zip(tops, neg_bottoms))
+        for a in range(-neg_bottom, top + 1)
+    ) - corners
 
 
 def is_convex(ms: LatticeMultiset) -> bool:

@@ -106,7 +106,7 @@ def test_criterion_4_oracle_equivalence(main_sweep):
 # -- criterion 5: synthesis round-trip --------------------------------------------------
 
 def test_criterion_5_synthesis_round_trip():
-    report = verify_synthesis(8)
+    report = verify_synthesis(12)
     assert report.passed, report.failures[:3]
     assert report.elapsed < 60, f"took {report.elapsed:.1f}s, budget is 1min"
 
@@ -121,7 +121,7 @@ def test_criterion_5_synthesis_round_trip():
     assert [set(s) for s in catalog] == expected
     announce(
         5,
-        f"all {report.checked} symmetric convex subsets with n <= 8 "
+        f"all {report.checked} symmetric convex subsets with n <= 12 "
         f"synthesize and round-trip in {report.elapsed:.1f}s; the (4,8) "
         f"catalog lists all {len(catalog)} sets",
     )

@@ -126,6 +126,105 @@ def test_validate_profile_violations():
     assert not ok and any("collide" in p for p in problems)
 
 
+def _fraction_validate(heights, k, n):
+    """Reference validator in Fraction arithmetic, check by check."""
+    H = tuple(map(Fraction, heights))
+    problems = []
+    if len(H) != n + 1:
+        return False, [f"expected {n + 1} heights, got {len(H)}"]
+    if len(H) < 2:
+        return False, [f"a profile needs at least two heights, got {len(H)}"]
+    if H[0] != 0:
+        problems.append(f"H_0 = {H[0]} != 0")
+    if H[n].denominator != 1:
+        problems.append(f"H_n = {H[n]} is not an integer")
+    elif H[n] != k:
+        problems.append(f"H_n = {H[n]} != {k}")
+    increments = [H[i + 1] - H[i] for i in range(n)]
+    for i, d in enumerate(increments):
+        if not 0 < d < 1:
+            problems.append(f"increment H_{i + 1} - H_{i} = {d} outside (0, 1)")
+    for i in range(n - 1):
+        if increments[i] < increments[i + 1]:
+            problems.append(
+                f"increment rises at {i + 1}: {increments[i]} < {increments[i + 1]}"
+            )
+    fracs = [h - math.floor(h) for h in H[:n]]
+    if len(set(fracs)) != n:
+        problems.append("fractional parts collide")
+    return not problems, problems
+
+
+def _random_heights(rng, synthesized):
+    """(heights, k, n) that pass or break each profile condition.  The
+    heights are a synthesized profile's, whose denominators differ, or
+    concave increments on denominator 1, 2, 3, 6 or 12; then at most one
+    perturbation of a height, of H_0, of H_n, of the types or of the
+    length."""
+    if rng.random() < 0.5:
+        heights = list(rng.choice(synthesized))
+    else:
+        denominator = rng.choice([1, 2, 3, 6, 12])
+        steps = sorted(
+            (rng.randrange(-1, denominator + 2) for _ in range(rng.randrange(1, 9))),
+            reverse=True,
+        )
+        heights = [Fraction(0)]
+        for step in steps:
+            heights.append(heights[-1] + Fraction(step, denominator))
+    n = len(heights) - 1
+    kind = rng.randrange(7)
+    if kind == 1:
+        heights[rng.randrange(n + 1)] += Fraction(rng.choice([-1, 1]), rng.choice([2, 3, 6]))
+    elif kind == 2:
+        heights[0] = Fraction(rng.choice([-1, 1]), rng.choice([1, 2, 3]))
+    elif kind == 3:
+        heights[-1] = math.floor(heights[-1]) + Fraction(rng.randrange(1, 6), 6)
+    elif kind == 4:
+        heights = [int(h) if h.denominator == 1 else h for h in heights]
+    elif kind == 5:
+        heights = heights[:rng.randrange(2)]
+    k = math.floor(heights[-1]) if heights else 0
+    n = len(heights) - 1
+    return heights, k + rng.choice([0, 0, 0, 1]), n + rng.choice([0, 0, 0, 0, 1, -1])
+
+
+def _assert_matches_fraction_reading(profile):
+    """The forbidden set and the permutation of a valid profile against
+    their definitions read in Fractions."""
+    H, k, n = profile.heights, profile.k, profile.n
+    region = {(a, b) for b in range(1, n) for a in range(1, k) if k - H[n - b] <= a <= H[b]}
+    assert profile_forbidden_set(profile) == region
+    fracs = [h - math.floor(h) for h in H[:n]]
+    ranks = [sorted(fracs).index(x) for x in fracs]
+    assert profile_to_perm(profile).window == BoundedAffinePerm.from_cycle(ranks).window
+
+
+VIOLATION_KINDS = (
+    "expected", "at least two", "H_0", "not an integer", "H_n", "outside", "rises",
+    "collide",
+)
+
+
+def test_validate_profile_matches_the_fraction_reference():
+    synthesized = [
+        synthesize_profile({rect_to_sheared(p) for p in points}, k, n).heights
+        for n in range(2, 8) for k in range(1, n) for points in cs_convex_subsets(k, n)
+    ]
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(3000):
+        heights, k, n = _random_heights(rng, synthesized)
+        got = validate_profile(heights, k, n)
+        assert got == _fraction_validate(heights, k, n), (heights, k, n)
+        if got[0]:
+            _assert_matches_fraction_reading(ConcaveProfile(heights))
+        seen.add(got[0])
+        seen.update(next(kind for kind in VIOLATION_KINDS if kind in problem)
+                    for problem in got[1])
+    assert seen == {True, False, *VIOLATION_KINDS}
+
+
 def test_profile_to_perm_named():
     assert profile_to_perm(SAMPLE_PROFILE_25).window == (2, 3, 4, 5, 6)
     assert profile_to_perm((F(0), F(2, 3), F(4, 3), F(2))).window == (2, 3, 4)

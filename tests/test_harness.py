@@ -18,7 +18,7 @@ from posicat import (
     verify_synthesis,
 )
 from posicat import harness
-from posicat.errors import PosicatError
+from posicat.errors import InvalidFrame, PosicatError
 from posicat.invsets import LatticeMultiset, is_convex_points
 from posicat.polynomial import ONE
 
@@ -338,6 +338,66 @@ def test_cs_convex_subsets_4_8_catalog():
         {(a, b) for a in range(1, 4) for b in range(1, 4)},
     ]
     assert [set(s) for s in catalog] == expected
+
+
+def _mask_scan(k, n):
+    """Reference enumerator: every subset of the symmetric orbits, filtered
+    by `is_convex_points`; 2^ceil(P/2) candidates for P rectangle points."""
+    m = n - k
+    orbits = []
+    seen = set()
+    for a in range(1, k):
+        for b in range(1, m):
+            if (a, b) not in seen:
+                seen.update({(a, b), (k - a, m - b)})
+                orbits.append({(a, b), (k - a, m - b)})
+    out = []
+    for mask in range(1 << len(orbits)):
+        points = set()
+        for idx, orbit in enumerate(orbits):
+            if (mask >> idx) & 1:
+                points |= orbit
+        if is_convex_points(points, k, m):
+            out.append(frozenset(points))
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def test_cs_convex_subsets_match_the_mask_scan():
+    for n in range(2, 11):
+        for k in range(1, n):
+            assert cs_convex_subsets(k, n) == _mask_scan(k, n), (k, n)
+
+
+def test_cs_convex_subsets_totals_per_period():
+    totals = [
+        sum(len(cs_convex_subsets(k, n)) for k in range(1, n)) for n in range(2, 14)
+    ]
+    assert totals == [1, 2, 3, 6, 8, 16, 23, 38, 59, 94, 141, 220]
+
+
+def test_cs_convex_subsets_cost_follows_the_output(monkeypatch):
+    # one closure per found set and orbit, plus the first: a scan over orbit
+    # subsets, 2^18 of them in this frame, would make far more
+    calls = []
+    closure = harness._lattice_closure
+
+    def counted(points, k, m):
+        calls.append(1)
+        return closure(points, k, m)
+
+    monkeypatch.setattr(harness, "_lattice_closure", counted)
+    k, n = 7, 14
+    result = cs_convex_subsets(k, n)
+    assert len(result) == 51  # as the mask scan finds, in about 10 s
+    orbits = ((k - 1) * (n - k - 1) + 1) // 2
+    assert orbits == 18
+    assert 0 < len(calls) <= len(result) * orbits + 1
+
+
+@pytest.mark.parametrize("k, n", [(6, 5), (-1, 3), (0, 5), (2, 2)])
+def test_cs_convex_subsets_frame_outside_range_raises(k, n):
+    with pytest.raises(InvalidFrame):
+        cs_convex_subsets(k, n)
 
 
 def test_cs_convex_subsets_match_full_filter():
