@@ -45,6 +45,7 @@ from .invsets import (
     is_convex_points,
     rect_to_sheared,
 )
+from .paths import _orbit
 
 # ---------------------------------------------------------------------------
 # path counting
@@ -216,18 +217,13 @@ def profile_forbidden_set(profile: ConcaveProfile) -> set[Point]:
     }
 
 
-def profile_to_perm(profile: ConcaveProfile | Sequence[Fraction]) -> BoundedAffinePerm:
+def profile_to_perm(profile: ConcaveProfile) -> BoundedAffinePerm:
     """The permutation whose orbit of 0 is order-isomorphic to the profile's
     fractional parts: rank h_r to obtain the r-th orbit value modulo n.  The
     ranks are those of N_r mod D, the fractional parts on the heights'
-    common denominator D.
-
-    A plain sequence of heights is made a ConcaveProfile first, whose
-    construction validates it (InvalidProfile, or MalformedText for a height
-    that is not rational); a ConcaveProfile is valid by construction and is
-    not checked again."""
-    if not isinstance(profile, ConcaveProfile):
-        profile = ConcaveProfile(profile)
+    common denominator D.  A ConcaveProfile is valid by construction, so
+    its heights are not checked again; build one from plain heights with
+    `ConcaveProfile(heights)`."""
     n = profile.n
     nums, d = _numerators(profile.heights)
     residues = [num % d for num in nums[:n]]
@@ -357,13 +353,10 @@ def _synthesis_failures(
     if set(ms.points()) != rect:
         failures.append(("fset_roundtrip", sorted(rect), ms.points()))
     n = profile.n
-    orbit_value = 0
-    for r in range(n + 1):
-        if orbit_value // n != math.floor(profile.heights[r]):
-            failures.append(("orbit_floor", r, orbit_value // n))
+    for r, (value, height) in enumerate(zip(_orbit(perm), profile.heights)):
+        if value // n != math.floor(height):
+            failures.append(("orbit_floor", r, value // n))
             break
-        if r < n:
-            orbit_value = perm(orbit_value)
     return failures
 
 

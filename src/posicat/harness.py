@@ -3,11 +3,12 @@
 Every `verify_*` suite is one or more phases, each a list of items and a
 check `checks(item, engine, failures)` that appends failure records: a
 structured record carries the window and the expected/actual values.  One
-runner, `_run_suite`, drives them all.  One item is one checked instance; an
-item whose checks raise is recorded as an `exception` failure and the sweep
-goes on.  With `jobs` > 1 each phase's items are striped across worker
-processes, each chunk with its own engine, and the failures are sorted once,
-so serial and parallel reports differ only in `elapsed` and `params.jobs`.
+runner, `_run_suite`, drives them all; it builds the item lists inside the
+report's clock.  One item is one checked instance; an item whose checks
+raise is recorded as an `exception` failure and the sweep goes on.  With
+`jobs` > 1 each phase's items are striped across worker processes, each
+chunk with its own engine, and the failures are sorted once, so serial and
+parallel reports differ only in `elapsed` and `params.jobs`.
 
 The census is observational: it reports conjugation class counts per
 inversion set and flags, without asserting, whether they match gcd(k, n).
@@ -154,14 +155,16 @@ def _require_n_max(n_max: int) -> None:
         raise PosicatError(f"n_max must be at least 2, got {n_max}")
 
 
-def _run_suite(suite: str, n_max: int, jobs: int, *phases) -> VerificationReport:
-    """Run each `(checks, items)` phase through `_checked_chunk`, serially or
+def _run_suite(suite: str, n_max: int, jobs: int, build_phases) -> VerificationReport:
+    """Check `n_max` and `jobs`, start the clock, then run each `(checks,
+    items)` phase of `build_phases()` through `_checked_chunk`, serially or
     with its items striped across `jobs` processes, and report the checked
     count and the sorted failures of all phases."""
     _require_n_max(n_max)
     if jobs < 1:
         raise PosicatError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
+    phases = build_phases()
     chunks = []
     for checks, items in phases:
         if jobs <= 1 or len(items) < 2 * jobs:
@@ -230,7 +233,9 @@ def verify_main_theorem(n_max: int, jobs: int = 1) -> VerificationReport:
     """Exhaustively check, for every single-cycle permutation with period up
     to n_max: central symmetry, the path oracle, and for repetition-free
     permutations convexity and the counting formula."""
-    return _run_suite("main", n_max, jobs, (_main_theorem_checks, _theta_range(n_max)))
+    return _run_suite(
+        "main", n_max, jobs, lambda: [(_main_theorem_checks, _theta_range(n_max))]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +248,19 @@ def cs_convex_subsets(k: int, n: int) -> list[frozenset[tuple[int, int]]]:
     1 <= k <= n-1 raises InvalidFrame.
 
     Convex means convex together with the corners (0, 0) and (k, n-k), as
-    `is_convex_points` reads it.  Central symmetry pairs the points into
-    orbits {p, (k, n-k) - p}.  The search is a closure search over sets, not
-    a scan of orbit subsets: it starts from the lattice closure of the two
-    corners alone (the lattice points strictly inside the diagonal), and
-    from each set T found it adds one orbit not in T and takes the lattice
-    closure of T, the orbit and the corners.  A closure of a centrally
-    symmetric set is centrally symmetric, and it stays inside the rectangle:
-    the corners are the only points of the hull on the rectangle's border.
-    Every centrally symmetric convex set S is reached: adding the orbits of
-    its hull vertices one at a time gives closures inside S whose last one
-    is S.  So the search makes at most one closure per found set and orbit,
-    plus the first, and its cost follows the number of sets it returns.
+    `is_convex_points` reads it: the set is its own lattice closure.
+    Central symmetry pairs the points into orbits {p, (k, n-k) - p}.  The
+    search is a closure search over sets, not a scan of orbit subsets: it
+    starts from the lattice closure of the two corners alone (the lattice
+    points strictly inside the diagonal), and from each set T found it adds
+    one orbit not in T and takes the lattice closure of T, the orbit and the
+    corners.  A closure of a centrally symmetric set is centrally symmetric,
+    and it stays inside the rectangle: the corners are the only points of
+    the hull on the rectangle's border.  Every centrally symmetric convex
+    set S is reached: adding the orbits of its hull vertices one at a time
+    gives closures inside S whose last one is S.  So the search makes at
+    most one closure per found set and orbit, plus the first, and its cost
+    follows the number of sets it returns.
     """
     _require_theta_frame(k, n)
     m = n - k
@@ -303,13 +309,12 @@ def _synthesis_checks(task: tuple, engine: Engine, failures: list[dict]) -> None
 def verify_synthesis(n_max: int, jobs: int = 1) -> VerificationReport:
     """For every centrally symmetric convex subset of every frame with
     n <= n_max, synthesize a permutation and check the round-trip."""
-    tasks = [
+    return _run_suite("synthesis", n_max, jobs, lambda: [(_synthesis_checks, [
         (k, n, tuple(sorted(points)))
         for n in range(2, n_max + 1)
         for k in range(1, n)
         for points in cs_convex_subsets(k, n)
-    ]
-    return _run_suite("synthesis", n_max, jobs, (_synthesis_checks, tasks))
+    ])])
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +389,16 @@ def verify_engine(n_max: int, jobs: int = 1) -> VerificationReport:
     shift and conjugation invariance, decoupling, and the double-crossing
     identity.  Both values come from the one R~ recurrence, evaluated in the
     polynomial and the integer ring."""
-    theta = _theta_range(n_max)
-    rep_of = _class_reps(theta)
-    return _run_suite(
-        "engine", n_max, jobs,
-        (_engine_theta_checks, theta),
-        (functools.partial(_engine_class_checks, rep_of=rep_of), list(rep_of)),
-        (_engine_bounded_checks,
-         [w for n in range(1, n_max + 1) for w in _bounded_windows(n)]),
-    )
+    def phases():
+        theta = _theta_range(n_max)
+        rep_of = _class_reps(theta)
+        return [
+            (_engine_theta_checks, theta),
+            (functools.partial(_engine_class_checks, rep_of=rep_of), list(rep_of)),
+            (_engine_bounded_checks,
+             [w for n in range(1, n_max + 1) for w in _bounded_windows(n)]),
+        ]
+    return _run_suite("engine", n_max, jobs, phases)
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +414,11 @@ def _structure_checks(w: Window, engine: Engine, failures: list[dict]) -> None:
 
 def verify_structure(n_max: int, jobs: int = 1) -> VerificationReport:
     """Minimal length over each family Theta(k, n) is gcd(k, n) - 1: no
-    window is shorter, and the explicit witness, a member, attains it."""
+    window is shorter, and the explicit witness, a member, attains it.  The
+    report's `elapsed` includes the witness checks."""
+    start = time.perf_counter()
     report = _run_suite(
-        "structure", n_max, jobs, (_structure_checks, _theta_range(n_max))
+        "structure", n_max, jobs, lambda: [(_structure_checks, _theta_range(n_max))]
     )
     for n in range(2, n_max + 1):
         for k in range(1, n):
@@ -421,6 +429,7 @@ def verify_structure(n_max: int, jobs: int = 1) -> VerificationReport:
                     _fail(witness.window, "witness_length", expected, witness.length())
                 )
     report.failures = _sort_failures(report.failures)
+    report.elapsed = time.perf_counter() - start
     return report
 
 

@@ -11,9 +11,10 @@ lattice-point counts agree between frames.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from operator import floordiv, index
-from typing import Collection, Iterable
+from typing import Iterable
 
 from .affine import BoundedAffinePerm, _inversion_pairs, _swap_split
 from .errors import MalformedText, NotRepetitionFree, PosicatError
@@ -199,48 +200,28 @@ def _chain_heights(chain: list[Point], div) -> list:
     return out
 
 
-def _hull_columns(points: Collection[Point]) -> tuple[int, list[int], list[int]]:
-    """The hull of `points` column by column, with x = b: the first column
-    x0, and for each column x0, x0 + 1, ... the floor of the hull's top and
-    the floor of minus its bottom, read off the upper and lower monotone
-    chains.  Column x0 + i holds the lattice points (a, x0 + i) with
-    -neg_bottoms[i] <= a <= tops[i]."""
-    upper = _upper_chain((b, a) for a, b in points)
-    tops = _chain_heights(upper, floordiv)
-    neg_bottoms = _chain_heights(_upper_chain((b, -a) for a, b in points), floordiv)
-    return upper[0][0], tops, neg_bottoms
-
-
 def is_convex_points(points: Iterable[Point], k: int, m: int) -> bool:
-    """Lattice convexity of a point set, in either frame.
-
-    The set is augmented with the frame corners (0, 0) and delta = (k, m),
-    which is (k, n-k) in the RECT frame and (k, n) in the SHEARED frame; the
-    shear is unimodular, so both give the same answer.  The augmented set is
-    convex when it contains every lattice point of its hull.  With x = b,
-    the hull's column at x runs from a bottom to a top given by the lower
-    and upper chains (`_hull_columns`) and holds floor(top) - ceil(bottom)
-    + 1 lattice points; the set is convex exactly when each column holds
-    that many of its points.  O(P log P + width).
-    """
-    aug = set(points) | {(0, 0), (k, m)}
-    column: dict[int, int] = {}
-    for _, b in aug:
-        column[b] = column.get(b, 0) + 1
-    x0, tops, neg_bottoms = _hull_columns(aug)
-    return all(
-        column.get(x0 + i, 0) == top + neg_bottom + 1
-        for i, (top, neg_bottom) in enumerate(zip(tops, neg_bottoms))
-    )
+    """Lattice convexity of a point set, in either frame: together with the
+    corners (0, 0) and delta = (k, m), which is (k, n-k) in the RECT frame
+    and (k, n) in the SHEARED frame, it holds every lattice point of its
+    hull, so the set less the corners is its own `_lattice_closure`.  The
+    shear is unimodular, so both frames give the same answer."""
+    points = set(points)
+    return points - {(0, 0), (k, m)} == _lattice_closure(points, k, m)
 
 
 def _lattice_closure(points: Iterable[Point], k: int, m: int) -> frozenset[Point]:
     """The lattice points of conv(points | {(0, 0), (k, m)}), corners
-    excluded.  For points of [1, k-1] x [1, m-1] it is the smallest set
-    containing them that `is_convex_points` accepts in the frame (k, m).
-    Its columns come from `_hull_columns`."""
+    excluded: the smallest set containing `points` less the corners that
+    `is_convex_points` accepts.  Read column by column, with x = b: the
+    upper monotone chain gives the floor of the hull's top, and the upper
+    chain of the points with a negated the floor of minus its bottom."""
     corners = {(0, 0), (k, m)}
-    x0, tops, neg_bottoms = _hull_columns([*points, *corners])
+    aug = [*points, *corners]
+    upper = _upper_chain((b, a) for a, b in aug)
+    tops = _chain_heights(upper, floordiv)
+    neg_bottoms = _chain_heights(_upper_chain((b, -a) for a, b in aug), floordiv)
+    x0 = upper[0][0]
     return frozenset(
         (a, x0 + i)
         for i, (top, neg_bottom) in enumerate(zip(tops, neg_bottoms))
@@ -262,8 +243,11 @@ def is_convex(ms: LatticeMultiset) -> bool:
 # -- extremal sets ----------------------------------------------------------------
 
 def f_min(k: int, n: int) -> set[Point]:
-    """Sheared-frame points with the same slope as (k, n); empty iff gcd = 1."""
-    return {(a, b) for a in range(1, k) for b in range(1, n) if a * n == k * b}
+    """Sheared-frame points of [1, k-1] x [1, n-1] with the same slope as
+    (k, n): the gcd(k, n) - 1 points (j k/g, j n/g) for 1 <= j < g = gcd(k, n),
+    so empty iff gcd = 1, and empty for k < 1 or n < 1."""
+    g = math.gcd(k, n) if min(k, n) > 0 else 1
+    return {(j * k // g, j * n // g) for j in range(1, g)}
 
 
 # -- partition export ----------------------------------------------------------------

@@ -226,11 +226,11 @@ def test_validate_profile_matches_the_fraction_reference():
 
 
 def test_profile_to_perm_named():
-    assert profile_to_perm(SAMPLE_PROFILE_25).window == (2, 3, 4, 5, 6)
-    assert profile_to_perm((F(0), F(2, 3), F(4, 3), F(2))).window == (2, 3, 4)
-    assert profile_to_perm((F(0), F(1, 2), F(1))).window == (1, 2)
+    assert profile_to_perm(ConcaveProfile(SAMPLE_PROFILE_25)).window == (2, 3, 4, 5, 6)
+    assert profile_to_perm(ConcaveProfile((F(0), F(2, 3), F(4, 3), F(2)))).window == (2, 3, 4)
+    assert profile_to_perm(ConcaveProfile((F(0), F(1, 2), F(1)))).window == (1, 2)
     with pytest.raises(InvalidProfile):
-        profile_to_perm((F(0), F(3, 2), F(2)))
+        profile_to_perm(ConcaveProfile((F(0), F(3, 2), F(2))))
 
 
 @pytest.mark.parametrize("heights, message", [
@@ -240,7 +240,7 @@ def test_profile_to_perm_named():
 ], ids=["empty", "one", "non-integral-end"])
 def test_degenerate_profiles_raise_invalid_profile(heights, message):
     with pytest.raises(InvalidProfile, match=message):
-        profile_to_perm(heights)
+        profile_to_perm(ConcaveProfile(heights))
     with pytest.raises(InvalidProfile, match=message):
         ConcaveProfile(heights)
     k = math.floor(heights[-1]) if heights else 0
@@ -251,7 +251,8 @@ def test_degenerate_profiles_raise_invalid_profile(heights, message):
     (0.0, 0.5, 1.0), ("0", "1/2", "1"), (0, None, 1),
 ], ids=["float", "string", "None"])
 @pytest.mark.parametrize("entry", [
-    profile_to_perm, ConcaveProfile, lambda heights: validate_profile(heights, 1, 2),
+    lambda heights: profile_to_perm(ConcaveProfile(heights)), ConcaveProfile,
+    lambda heights: validate_profile(heights, 1, 2),
 ], ids=["profile_to_perm", "ConcaveProfile", "validate_profile"])
 def test_non_rational_heights_raise(entry, heights):
     # Fraction() would read 0.5 and "1/2" and answer

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import time
 
 import pytest
 
@@ -218,7 +219,7 @@ def _suite_report(suite):
                            [w for n in range(1, 6) for w in harness._bounded_windows(n)]),
     }
     if suite in phases:
-        return harness._run_suite("engine", 5, 1, phases[suite])
+        return harness._run_suite("engine", 5, 1, lambda: [phases[suite]])
     return {"main": verify_main_theorem, "synthesis": verify_synthesis,
             "engine": verify_engine, "structure": verify_structure}[suite](5)
 
@@ -296,6 +297,38 @@ def test_suites_reject_n_max_below_two(n_max):
             suite(n_max)
     with pytest.raises(PosicatError, match="n_max"):
         census_report(n_max)
+
+
+def test_suites_check_bounds_before_enumerating(monkeypatch):
+    # a bad n_max or jobs is reported before any item list is built
+    for name in ("_theta_range", "_class_reps", "cs_convex_subsets", "min_length_witness"):
+        monkeypatch.setattr(harness, name, _raising(None))
+    for suite in (verify_main_theorem, verify_synthesis, verify_engine, verify_structure):
+        with pytest.raises(PosicatError, match="n_max"):
+            suite(1)
+        with pytest.raises(PosicatError, match="jobs"):
+            suite(3, jobs=0)
+
+
+@pytest.mark.parametrize("suite, name", [
+    (verify_main_theorem, "_theta_range"),
+    (verify_synthesis, "cs_convex_subsets"),
+    (verify_engine, "_theta_range"),
+    (verify_structure, "_theta_range"),
+    (verify_structure, "min_length_witness"),
+], ids=["main", "synthesis", "engine", "structure", "structure-witness"])
+def test_suite_elapsed_includes_enumeration(monkeypatch, suite, name):
+    # at n_max = 2 each wrapped name is called once, from inside the suite
+    original = getattr(harness, name)
+
+    def slow(*args):
+        time.sleep(0.2)
+        return original(*args)
+
+    monkeypatch.setattr(harness, name, slow)
+    report = suite(2)
+    assert report.passed
+    assert report.elapsed >= 0.2
 
 
 def test_suites_reject_jobs_below_one():

@@ -19,7 +19,9 @@ from posicat import (
 )
 from posicat.affine import _c_class_members
 from posicat.errors import MalformedText, NotRepetitionFree, PosicatError, PreconditionViolated
-from posicat.invsets import RECT, SHEARED, _upper_chain, is_convex_points, sheared_to_rect
+from posicat.invsets import (
+    RECT, SHEARED, _lattice_closure, _upper_chain, is_convex_points, sheared_to_rect,
+)
 
 FIG2 = BoundedAffinePerm([3, 6, 4, 5, 7, 8, 9])
 
@@ -179,6 +181,23 @@ def brute_force_convex(points, k, m):
     return True
 
 
+def brute_force_closure(points, k, m):
+    """Reference for `_lattice_closure`: the lattice points of the bounding
+    box that lie in the hull of the points and the corners, by the
+    Caratheodory test of `brute_force_convex`, corners excluded."""
+    corners = {(0, 0), (k, m)}
+    aug = set(points) | corners
+    xs = [p[0] for p in aug]
+    ys = [p[1] for p in aug]
+    return {
+        q
+        for q in itertools.product(range(min(xs), max(xs) + 1), range(min(ys), max(ys) + 1))
+        if q in aug
+        or any(_on_segment(q, a, b) for a, b in itertools.combinations(aug, 2))
+        or any(_in_triangle(q, *t) for t in itertools.combinations(aug, 3))
+    } - corners
+
+
 def convexity_inputs():
     """Every subset of the open rectangle for k, m <= 4, then a seeded
     sample of random sets, some with points outside the frame."""
@@ -204,6 +223,17 @@ def test_convexity_matches_brute_force():
     assert convex > 100
 
 
+def test_lattice_closure_matches_brute_force():
+    # the closure itself, not only its equality on convex sets, against a
+    # reference that reads no monotone chain
+    grown = 0
+    for points, k, m in convexity_inputs():
+        expected = brute_force_closure(points, k, m)
+        assert _lattice_closure(points, k, m) == expected, (sorted(points), k, m)
+        grown += expected != points - {(0, 0), (k, m)}
+    assert grown > 100
+
+
 def test_convexity_shear_invariant():
     for points, k, m in convexity_inputs():
         sheared = {(a, a + b) for a, b in points}
@@ -219,6 +249,17 @@ def test_convexity_frame_independent():
 def test_extremal_sets():
     assert f_min(2, 4) == {(1, 2)}
     assert f_min(2, 5) == set()
+
+
+def _f_min_scan(k, n):
+    """Reference: scan [1, k-1] x [1, n-1] for the points of slope k/n."""
+    return {(a, b) for a in range(1, k) for b in range(1, n) if a * n == k * b}
+
+
+def test_f_min_matches_the_scan():
+    for k in range(-3, 41):
+        for n in range(-3, 41):
+            assert f_min(k, n) == _f_min_scan(k, n), (k, n)
 
 
 def test_f_min_always_contained():
