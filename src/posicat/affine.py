@@ -242,19 +242,23 @@ def _drop(w: Window, p: int) -> Window:
 
 
 def _remove_fixed(w: Window) -> Window:
-    """Drop all residues with f(i) = i or f(i) = i + n, the last first, so
-    each drop leaves the positions still to drop in place and fixed.
+    """Drop all residues with f(i) = i or f(i) = i + n in one pass.  Several
+    go by `_relabel_restriction` onto the rest, a union of cycles since each
+    fixed residue is a cycle of its own; it gives what a chain of `_drop`s,
+    the last first, would.  A single one goes by `_drop`, one comprehension,
+    which is faster than the relabelling there.
 
     When every residue is fixed the canonical period-1 identity (0,) is
     returned, so that recurrences bottom out at the n = 1 base case.
     """
     n = len(w)
-    fixed = [i for i in range(n) if w[i] == i or w[i] == i + n]
-    if len(fixed) == n:
+    unfixed = [i for i in range(n) if w[i] != i and w[i] != i + n]
+    if not unfixed:
         return (0,)
-    for p in reversed(fixed):
-        w = _drop(w, p)
-    return w
+    if len(unfixed) == n - 1:
+        # the one fixed residue is the index that unfixed misses
+        return _drop(w, n * (n - 1) // 2 - sum(unfixed))
+    return _relabel_restriction(w, unfixed)
 
 
 def _has_double_crossing(w: Window, i: int, pos: Sequence[int]) -> bool:
@@ -268,8 +272,8 @@ def _has_double_crossing(w: Window, i: int, pos: Sequence[int]) -> bool:
     return i + 1 < c < d
 
 
-def _first_double_move(w: Window, pos: Sequence[int]) -> int:
-    """The first i in [0, n) where g = s_i f s_i is bounded with a double
+def _first_double_move(w: Window, pos: Sequence[int], start: int = 0) -> int:
+    """The first i in [start, n) where g = s_i f s_i is bounded with a double
     crossing at i, or -1; n >= 2.  Each index is read off f's window w and
     its residue positions pos in O(1), without building g.
 
@@ -284,7 +288,7 @@ def _first_double_move(w: Window, pos: Sequence[int]) -> int:
     """
     n = len(w)
     top = n - 1
-    for i in range(n):
+    for i in range(start, n):
         i1 = i + 1 if i < top else 0
         # c = s(f(i)) and d = s(f(i+1)); s moves a value by one at most, and
         # by its residue alone

@@ -70,6 +70,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace", action="store_true",
         help="emit the applied recurrence rules as JSON lines on stderr",
     )
+    p_compute.add_argument(
+        "--stats", action="store_true",
+        help="print the engine's cache counters as one JSON object on stderr",
+    )
 
     p_dyck = sub.add_parser("dyck", help="count (or list) avoiding Dyck paths")
     p_dyck.add_argument("--k", type=int, required=True)
@@ -131,6 +135,8 @@ def _cmd_compute(args) -> int:
             "nu_bar": nu_bar(perm),
             "gcd": math.gcd(perm.k, perm.n),
         }))
+    if args.stats:
+        print(json.dumps(engine.stats), file=sys.stderr)
     return 0
 
 

@@ -26,11 +26,17 @@ directly: at q = 1 the steps are x + y and y alone, and the second never
 evaluates x = R~(f s_i), which keeps C far cheaper than R~.  R itself is
 R~ (q-1)^(n-c).
 
-Steps scan i = 0..n-1 and take the first applicable index, so traces are
-reproducible.  Each recursion reduces the period or increases the length at
-fixed period, and length is bounded by k(n-k), so the recursion terminates;
-a class with no applicable member would contradict the constructive
-reduction, hence IrreducibleElement signals a bug.
+Rule 3 holds at every double move, so each ring picks its own, by a fixed
+scan that keeps traces reproducible.  The polynomial ring takes the first
+double move.  The integer ring takes the first one whose i, i+1 lie on
+different cycles (an apart move, with one child), and the first double move
+when none is apart.  Apartness is read off f itself: conjugating by s_i
+maps the cycle of i onto the cycle of i+1, so i and i+1 share a cycle of g
+exactly when they share one of f.  Each recursion reduces the period or
+increases the length at fixed period, and length is bounded by k(n-k), so
+the recursion terminates; a class with no applicable member would
+contradict the constructive reduction, hence IrreducibleElement signals a
+bug.
 
 Normalisation reads the displacement word d = (f(0) - 0, ..., f(n-1) -
 (n-1)): residue j is fixed iff d[j] is 0 or n, and a simple factor applies
@@ -42,28 +48,35 @@ one residue is fused with its removal into one contraction,
 and map every other value y to y - y//n - [y mod n > r].  The scan then
 resumes at i-1: no simple factor applies below it afterwards.  The simple
 factor at i = n-1, and one that fixes both i and i+1, go through s_i f and
-the removal.  The removal, `affine._remove_fixed`, drops each fixed residue
-j with `_drop(w, j)`, the last first.  Each contraction is one O(n)
-comprehension and lowers the period, so a chain costs O(n) per step it
-takes.
+the removal.  The removal, `affine._remove_fixed`, restricts f to the
+residues that are not fixed in one `_relabel_restriction` pass.  Each
+contraction is one O(n) pass and lowers the period, so a chain costs O(n)
+per step it takes.
 
 Values are cached per sigma-orbit: R~ is invariant under the cyclic shift,
 and the lex-min rotation of the displacement word identifies the orbit.  The
 key is the least rotation that starts at an occurrence of the word's
-minimum: one rotation when the minimum is unique.  A value is stored under
-the key of the request window and under the key of its normal form; the
-request key is looked up first, so a repeated request is one lookup.  Windows passed through inside a chain get no entry, so
-their `simple_factor` and `remove_fixed_points` trace records may repeat
-where a cache keyed on every window would have stopped early.  For a
-class-search hit, every visited member shares the value and is cached as
-well.
+minimum: one rotation when the minimum is unique.  Only a public
+`compute_*` request uses its own key: it is looked up first, so a repeated
+request is one lookup, and the value is stored under it and under the key
+of the normal form.  Every other window, a child of a step or a class
+member that is not normal, is normalised first and then looked up and
+stored under its normal form's key alone.  Normality depends only on the
+displacement word up to rotation, so one sigma-orbit always meets the same
+entry.  Windows passed through inside a chain get no entry, so their
+`simple_factor` and `remove_fixed_points` trace records repeat each time the
+window is met.  For a class-search hit, every normal member visited shares
+the value and is cached as well.
 
 A reduced node does O(n) Python-level work: one residue-position table and
 one pass of `affine._first_double_move`, which reads each index's test off f
-and that table in O(1) and stops at the first index that passes.  g is built
-once, for that index, by editing four entries of a copy of the window
-(`affine._conj_s`).  The keys cost a few native passes over the word, plus
-one rotation per repeated occurrence of its minimum.  A class search builds
+and that table in O(1) and stops at the first index that passes.  In the
+integer ring, when that index is not apart, the scan resumes past each
+later double move until one is; each apartness test is a walk along one
+cycle of f, made only for a double move, and no cycle table is built.  g is
+built once, for the chosen index, by editing four entries of a copy of the
+window (`affine._conj_s`).  The keys cost a few native passes over the
+word, plus one rotation per repeated occurrence of its minimum.  A class search builds
 one residue table per member it dequeues and reads each index's length
 change off it in O(1); a kept length keeps the conjugate bounded.
 
@@ -133,8 +146,10 @@ class _Ring:
     """The base value of one ring and its two steps, with its memo table.
 
     `same(x, y)` is R~(f) from x = R~(f s_i) and y = R~(g) when i, i+1 share
-    a cycle of the reduction of g, and `apart(x, y)` when they do not; an
-    `apart` of None means R~(f) = y, and x is never evaluated.
+    a cycle of the reduction of g, and `apart(x, y)` when they do not.  An
+    `apart` of None means R~(f) = y: x is never evaluated, and the ring's
+    steps prefer an apart double move, which has one child.  `cache` maps
+    sigma-orbit keys to values; `hits` and `misses` count lookups.
     """
 
     __slots__ = ("one", "same", "apart", "cache", "hits", "misses")
@@ -211,8 +226,12 @@ class Engine:
     @property
     def stats(self) -> dict[str, int]:
         """Cache counters: r_* for the R~ table, c_* for the C table.  A miss
-        is a normal window reduced; a hit is a request answered from the
-        table, by its own key or by its normal form's."""
+        is a normal window reduced.  A hit is a lookup answered from the
+        table: a public request by its own key or its normal form's, and a
+        child of a step or a class member by its normal form's.  Entries
+        count the keys stored: the request's and the normal form's for a
+        public request, the normal form's for every other window, and one
+        per normal member a successful class search visited."""
         return {
             "r_hits": self._rtilde.hits,
             "r_misses": self._rtilde.misses,
@@ -240,8 +259,8 @@ class Engine:
         return value
 
     def _value(self, w: Window, ring: _Ring):
-        """R~(w) in `ring`: the request's key, then its normal form's key,
-        then a reduction of the normal form, stored under both keys."""
+        """R~(w) in `ring` for a public request: the request's key, then its
+        normal form's, stored under both."""
         cache = ring.cache
         d = _displacements(w)
         key = _orbit_key(d)
@@ -249,17 +268,24 @@ class Engine:
         if value is not None:
             ring.hits += 1
             return value
-        v, d = self._normalise(w, d)
-        normal_key = key
-        if v is not w:
-            normal_key = _orbit_key(d)
-            value = cache.get(normal_key)
+        value = cache[key] = self._normal_value(*self._normalise(w, d), ring)
+        return value
+
+    def _child_value(self, w: Window, ring: _Ring):
+        """R~(w) in `ring` for a window met inside a reduction: keyed by its
+        normal form alone."""
+        return self._normal_value(*self._normalise(w, _displacements(w)), ring)
+
+    def _normal_value(self, v: Window, d: Window, ring: _Ring):
+        """R~ of the normal window v, with displacement word d: its key, else
+        a reduction stored under it."""
+        key = _orbit_key(d)
+        value = ring.cache.get(key)
         if value is None:
             ring.misses += 1
-            value = cache[normal_key] = self._reduce(v, ring)
+            value = ring.cache[key] = self._reduce(v, ring)
         else:
             ring.hits += 1
-        cache[key] = value
         return value
 
     def _normalise(self, w: Window, d: Window) -> tuple[Window, Window]:
@@ -301,8 +327,9 @@ class Engine:
         return w, d
 
     def _step(self, w: Window, ring: _Ring):
-        """R~ of the normal window w in `ring` by rule 2 or the first double
-        move, or None."""
+        """R~ of the normal window w in `ring` by rule 2 or a double move, or
+        None: the first double move, or in a ring whose `apart` step drops x
+        the first apart one if the first is not apart."""
         n = len(w)
         if n == 1:
             self._emit("base", w)
@@ -311,16 +338,25 @@ class Engine:
         i = _first_double_move(w, pos)
         if i < 0:
             return None
+        # i, i+1 share a cycle of g = s_i f s_i iff they share one of f,
+        # since conjugating by s_i swaps the labels i and i+1
+        same_cycle = _same_cycle(w, i)
+        if same_cycle and ring.apart is None:
+            j = _first_double_move(w, pos, i + 1)
+            while j >= 0:
+                if not _same_cycle(w, j):
+                    i, same_cycle = j, False
+                    break
+                j = _first_double_move(w, pos, j + 1)
         g = _conj_s(w, i, pos)
-        same_cycle = _same_cycle(g, i)
         if self._trace is not None:
             self._emit("double_move", w, i=i, same_cycle=same_cycle)
         # x = R~(f s_i) is evaluated before y = R~(g), as the trace records
         if same_cycle:
-            return ring.same(self._value(_right_s(w, i), ring), self._value(g, ring))
+            return ring.same(self._child_value(_right_s(w, i), ring), self._child_value(g, ring))
         if ring.apart is None:
-            return self._value(g, ring)
-        return ring.apart(self._value(_right_s(w, i), ring), self._value(g, ring))
+            return self._child_value(g, ring)
+        return ring.apart(self._child_value(_right_s(w, i), ring), self._child_value(g, ring))
 
     def _reduce(self, w: Window, ring: _Ring):
         limit = sys.getrecursionlimit()
@@ -337,15 +373,18 @@ class Engine:
             return value
         # class search: R~ is constant on the conjugation class, so the first
         # member that is not normal or admits a step determines the value.
-        # Members are tried in discovery order; all members seen so far share
-        # the value and are cached with it.
+        # Members are tried in discovery order; the normal members seen so far
+        # share the value and are cached with it.
         self._emit("class_search", w)
         members = _c_class_members(w)
         seen = [next(members)]  # w itself
         for g in members:
-            seen.append(g)
-            v, _ = self._normalise(g, _displacements(g))
-            value = self._step(g, ring) if v is g else self._value(v, ring)
+            v, d = self._normalise(g, _displacements(g))
+            if v is not g:
+                value = self._normal_value(v, d, ring)
+            else:
+                seen.append(g)
+                value = self._step(g, ring)
             if value is not None:
                 for member in seen:
                     ring.cache.setdefault(_canonical_key(member), value)

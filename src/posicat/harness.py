@@ -322,11 +322,19 @@ def verify_synthesis(n_max: int, jobs: int = 1) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _engine_theta_checks(w: Window, engine: Engine, failures: list[dict]) -> None:
+    """R~ at q = 1 against C, shift invariance, the double-crossing identity,
+    and the shape of the whole polynomial: on Theta, R~ has degree exactly
+    k(n-k) - length - (n-1), constant term 1, and palindromic coefficients."""
     perm = BoundedAffinePerm(w, _validated=True)
     c = engine.compute_C(perm)
     rt = engine.compute_Rtilde(perm)
     if rt.eval_at(1) != c:
         failures.append(_fail(w, "rtilde_at_1", c, rt.eval_at(1)))
+    coeffs = rt.coeffs
+    degree = perm.k * (perm.n - perm.k) - perm.length() - (perm.n - 1)
+    if len(coeffs) != degree + 1 or coeffs[:1] != (1,) or coeffs != coeffs[::-1]:
+        failures.append(_fail(w, "rtilde_symmetry",
+                              f"palindromic, degree {degree}, constant term 1", list(coeffs)))
     shifted = perm.cyclic_shift()
     if engine.compute_C(shifted) != c:
         failures.append(_fail(w, "sigma_C", c, engine.compute_C(shifted)))

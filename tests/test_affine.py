@@ -318,6 +318,28 @@ def test_conj_double_crossing_matches_built_conjugate():
     assert found > 0 and missing > 0
 
 
+def test_first_double_move_from_start_lists_every_move():
+    """Restarting the scan past each index found lists exactly the indices
+    where the built g = s_i f s_i is bounded with a double crossing at i."""
+    several = 0
+    for w in _sample_windows():
+        expected = []
+        for i in range(len(w)):
+            g = _conj_ref(w, i)
+            if _is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g)):
+                expected.append(i)
+        pos = _residue_positions(w)
+        moves = []
+        i = _first_double_move(w, pos, 0)
+        while i >= 0:
+            moves.append(i)
+            i = _first_double_move(w, pos, i + 1)
+        assert moves == expected, w
+        assert _first_double_move(w, pos, len(w)) == -1
+        several += len(moves) > 1
+    assert several > 0
+
+
 def test_conj_s_matches_two_transpositions():
     for w in _sample_windows():
         pos = _residue_positions(w)
@@ -372,6 +394,31 @@ def test_remove_fixed_matches_restriction():
             assert _remove_fixed(w) == expected, w
             emptied += not surv
     assert emptied == sum(2 ** n for n in range(1, 8))
+
+
+def _drop_chain(w):
+    """Reference removal: drop each fixed residue with `_drop`, the last
+    first, so each drop leaves the positions still to drop in place."""
+    n = len(w)
+    fixed = [i for i in range(n) if w[i] == i or w[i] == i + n]
+    if len(fixed) == n:
+        return (0,)
+    for p in reversed(fixed):
+        w = _drop(w, p)
+    return w
+
+
+def test_remove_fixed_matches_the_drop_chain():
+    # the one-pass restriction equals k contractions on every bounded window
+    # with n <= 7 that has a fixed residue
+    checked = 0
+    for n in range(1, 8):
+        for w in _bounded_windows(n):
+            if all(w[i] not in (i, i + n) for i in range(n)):
+                continue
+            assert _remove_fixed(w) == _drop_chain(w), w
+            checked += 1
+    assert checked == 13896
 
 
 def test_drop_matches_simple_factor_then_removal():

@@ -60,6 +60,30 @@ def test_compute_trace(capsys):
     assert rules == ["simple_factor", "remove_fixed_points", "base"]
 
 
+def test_compute_stats(capsys):
+    # the engine's counters go to stderr as one JSON object; stdout is as
+    # without the flag
+    perm = "window:" + ",".join(str(i + 7) for i in range(16))  # C(7, 16)
+    plain = run(capsys, "compute", "--perm", perm, "--what", "catalan")
+    code, out, err = run(capsys, "compute", "--perm", perm, "--what", "catalan", "--stats")
+    assert plain == (0, "715\n", "")
+    assert code == 0 and out == plain[1]
+    engine = posicat.Engine()
+    engine.compute_C(posicat.BoundedAffinePerm.translation(7, 16))
+    assert json.loads(err) == engine.stats and len(err.splitlines()) == 1
+    # after the trace, and all zero for a statistic the engine does not compute
+    code, out, err = run(capsys, "compute", "--perm", "window:1,2", "--what", "rtilde",
+                         "--trace", "--stats")
+    *trace, stats = err.splitlines()
+    assert code == 0 and out == "1\n"
+    rules = [json.loads(line)["rule"] for line in trace]
+    assert rules == ["simple_factor", "remove_fixed_points", "base"]
+    assert json.loads(stats) == {"r_hits": 0, "r_misses": 1, "c_hits": 0, "c_misses": 0,
+                                 "r_entries": 2, "c_entries": 0}
+    code, out, err = run(capsys, "compute", "--perm", perm, "--what", "inversions", "--stats")
+    assert code == 0 and json.loads(err) == dict.fromkeys(engine.stats, 0)
+
+
 def test_dyck_rect_coords(capsys):
     code, out, _ = run(
         capsys, "dyck", "--k", "3", "--n", "7", "--forbid", "1,1;2,3", "--coords", "rect"

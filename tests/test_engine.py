@@ -16,12 +16,15 @@ from posicat.affine import (
     _c_class_members,
     _conj_s,
     _displacements,
+    _first_double_move,
+    _has_double_crossing,
     _is_bounded,
     _left_s,
     _remove_fixed,
+    _residue_positions,
     _value_at,
 )
-from posicat.engine import _apart_step, _same_step
+from posicat.engine import _apart_step, _same_cycle, _same_step
 from posicat.errors import NotBounded, PosicatError, PreconditionViolated
 from posicat.harness import _bounded_windows
 from posicat.polynomial import IntPoly, ONE, Q, Q_MINUS_1, ZERO
@@ -256,58 +259,62 @@ def test_trace_contains_double_move():
 
 # C, R~ and the counters of a cold engine for seeded random cycles.  The
 # values were taken from the engine before its nodes read the double-move
-# test off f; the counters from the engine that caches only request windows
-# and normal forms.  Equal counters mean the same reduction path.
+# test off f.  The counters are from the engine whose C ring takes an apart
+# double move when one exists and whose nested windows are keyed by their
+# normal form alone; r_hits and r_misses are unchanged since the engine that
+# also keyed them by their own window.  Equal counters mean the same
+# reduction path.
 GOLDEN = [
     ([0, 8, 4, 3, 9, 1, 7, 5, 6, 2], 2, [1, 0, 1],
      {"r_hits": 2, "r_misses": 4, "c_hits": 1, "c_misses": 4,
-      "r_entries": 10, "c_entries": 9}),
+      "r_entries": 5, "c_entries": 5}),
     ([0, 6, 3, 1, 2, 4, 5, 7, 8, 9], 1, [1],
      {"r_hits": 0, "r_misses": 1, "c_hits": 0, "c_misses": 1,
       "r_entries": 2, "c_entries": 2}),
     ([0, 9, 8, 6, 3, 7, 1, 4, 10, 5, 2], 5, [1, 0, 1, 1, 1, 0, 1],
      {"r_hits": 11, "r_misses": 20, "c_hits": 4, "c_misses": 16,
-      "r_entries": 41, "c_entries": 30}),
+      "r_entries": 21, "c_entries": 17}),
     ([0, 8, 2, 3, 1, 10, 4, 7, 9, 6, 5], 3, [1, 0, 1, 0, 1],
      {"r_hits": 4, "r_misses": 6, "c_hits": 2, "c_misses": 6,
-      "r_entries": 15, "c_entries": 14}),
+      "r_entries": 7, "c_entries": 7}),
     ([0, 6, 8, 1, 7, 11, 4, 3, 5, 10, 9, 2], 7, [1, 0, 1, 1, 1, 1, 1, 0, 1],
-     {"r_hits": 15, "r_misses": 17, "c_hits": 5, "c_misses": 12,
-      "r_entries": 44, "c_entries": 25}),
+     {"r_hits": 15, "r_misses": 17, "c_hits": 4, "c_misses": 11,
+      "r_entries": 18, "c_entries": 12}),
     ([0, 3, 10, 1, 9, 11, 5, 4, 2, 7, 8, 6], 5, [1, 0, 1, 1, 1, 0, 1],
      {"r_hits": 13, "r_misses": 15, "c_hits": 4, "c_misses": 10,
-      "r_entries": 36, "c_entries": 21}),
+      "r_entries": 16, "c_entries": 11}),
 ]
 
 
-# The same for eight random 12-cycles drawn with random.Random("golden-n12"),
-# taken from the engine whose nodes scanned the double moves one index at a
-# time and built a residue table per conjugate in the class search.
+# The same for eight random 12-cycles drawn with random.Random("golden-n12").
+# The values and r_hits/r_misses were taken from the engine whose nodes
+# scanned the double moves one index at a time and built a residue table per
+# conjugate in the class search; the other counters as for GOLDEN.
 GOLDEN_12 = [
     ([0, 8, 6, 2, 1, 3, 7, 4, 10, 5, 11, 9], 7, [1, 0, 1, 1, 1, 1, 1, 0, 1],
-     {"r_hits": 19, "r_misses": 22, "c_hits": 6, "c_misses": 15,
-      "r_entries": 49, "c_entries": 29}),
+     {"r_hits": 19, "r_misses": 22, "c_hits": 4, "c_misses": 12,
+      "r_entries": 23, "c_entries": 13}),
     ([0, 11, 6, 3, 7, 9, 8, 5, 10, 2, 4, 1], 3, [1, 0, 1, 0, 1],
      {"r_hits": 5, "r_misses": 7, "c_hits": 2, "c_misses": 6,
-      "r_entries": 17, "c_entries": 13}),
+      "r_entries": 8, "c_entries": 7}),
     ([0, 6, 2, 11, 3, 4, 9, 10, 8, 5, 7, 1], 3, [1, 0, 1, 0, 1],
      {"r_hits": 4, "r_misses": 5, "c_hits": 2, "c_misses": 5,
-      "r_entries": 14, "c_entries": 12}),
+      "r_entries": 6, "c_entries": 6}),
     ([0, 11, 2, 3, 10, 9, 1, 8, 4, 7, 5, 6], 2, [1, 0, 1],
      {"r_hits": 2, "r_misses": 3, "c_hits": 1, "c_misses": 3,
-      "r_entries": 8, "c_entries": 7}),
+      "r_entries": 4, "c_entries": 4}),
     ([0, 2, 9, 7, 4, 11, 10, 5, 6, 3, 1, 8], 5, [1, 0, 1, 1, 1, 0, 1],
      {"r_hits": 11, "r_misses": 16, "c_hits": 4, "c_misses": 13,
-      "r_entries": 39, "c_entries": 28}),
+      "r_entries": 17, "c_entries": 14}),
     ([0, 1, 11, 3, 8, 4, 5, 10, 6, 2, 7, 9], 5, [1, 0, 1, 1, 1, 0, 1],
      {"r_hits": 11, "r_misses": 15, "c_hits": 4, "c_misses": 13,
-      "r_entries": 32, "c_entries": 25}),
+      "r_entries": 16, "c_entries": 14}),
     ([0, 6, 5, 3, 7, 11, 1, 4, 10, 2, 9, 8], 7, [1, 0, 1, 1, 1, 1, 1, 0, 1],
-     {"r_hits": 27, "r_misses": 33, "c_hits": 6, "c_misses": 19,
-      "r_entries": 75, "c_entries": 37}),
+     {"r_hits": 27, "r_misses": 33, "c_hits": 6, "c_misses": 17,
+      "r_entries": 34, "c_entries": 18}),
     ([0, 1, 10, 5, 6, 9, 2, 8, 4, 7, 3, 11], 3, [1, 0, 1, 0, 1],
      {"r_hits": 4, "r_misses": 5, "c_hits": 2, "c_misses": 5,
-      "r_entries": 14, "c_entries": 12}),
+      "r_entries": 6, "c_entries": 6}),
 ]
 
 
@@ -331,11 +338,84 @@ def test_step_builds_the_conjugate_only_for_the_chosen_index(monkeypatch):
         return original(w, i, pos)
 
     monkeypatch.setattr(engine_module, "_conj_s", counted)
-    records = []
-    engine = Engine(trace_hook=records.append)
-    engine.compute_Rtilde(BoundedAffinePerm.from_cycle(GOLDEN[2][0]))
-    moves = [(tuple(r["window"]), r["i"]) for r in records if r["rule"] == "double_move"]
-    assert moves and built == moves
+    # the C ring tests later indices for apartness on f, and builds g only
+    # for the one it takes
+    total = switched = 0
+    for method in ("compute_Rtilde", "compute_C"):
+        for cycle, *_ in GOLDEN + GOLDEN_12:
+            built.clear()
+            records = []
+            engine = Engine(trace_hook=records.append)
+            getattr(engine, method)(BoundedAffinePerm.from_cycle(cycle))
+            moves = [(tuple(r["window"]), r["i"]) for r in records if r["rule"] == "double_move"]
+            assert built == moves
+            total += len(moves)
+            switched += sum(i != _first_double_move(w, _residue_positions(w)) for w, i in moves)
+    assert total > 0 and switched > 0
+
+
+def test_same_cycle_is_conjugation_invariant():
+    # conjugating by s_i maps the cycle of i onto the cycle of i+1, so i and
+    # i+1 share a cycle of s_i f s_i exactly when they share one of f
+    checked = 0
+    for n in range(2, 8):
+        for w in _bounded_windows(n):
+            pos = _residue_positions(w)
+            for i in range(n):
+                assert _same_cycle(w, i) == _same_cycle(_conj_s(w, i, pos), i), (w, i)
+                checked += 1
+    assert checked == 109590
+
+
+def _double_moves(w):
+    """Each i where the built g = s_i f s_i is bounded with a double crossing
+    at i, with whether i, i+1 share a cycle of g."""
+    pos = _residue_positions(w)
+    moves = []
+    for i in range(len(w)):
+        g = _conj_s(w, i, pos)
+        if _is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g)):
+            moves.append((i, _same_cycle(g, i)))
+    return moves
+
+
+def test_c_ring_takes_an_apart_move_when_one_exists():
+    # the C ring takes the first apart double move, or the first double move
+    # when none is apart; the R~ ring always takes the first
+    rings = {"compute_C": [], "compute_Rtilde": []}
+    for method, records in rings.items():
+        engine = Engine(trace_hook=records.append)
+        for n in range(2, 7):
+            for w in _bounded_windows(n):
+                getattr(engine, method)(BoundedAffinePerm(w))
+        for cycle, *_ in GOLDEN + GOLDEN_12:
+            getattr(Engine(trace_hook=records.append), method)(BoundedAffinePerm.from_cycle(cycle))
+    switched = 0
+    for method, records in rings.items():
+        for record in records:
+            if record["rule"] != "double_move":
+                continue
+            w = tuple(record["window"])
+            moves = _double_moves(w)
+            apart = [i for i, same in moves if not same]
+            if method == "compute_C":
+                expected = (apart[0], False) if apart else moves[0]
+                switched += expected[0] != moves[0][0]
+            else:
+                expected = moves[0]
+                assert record["i"] == _first_double_move(w, _residue_positions(w))
+            assert (record["i"], record["same_cycle"]) == expected, (method, w)
+    assert switched > 0
+
+
+def test_translation_cold_engine_stats():
+    # C(7, 16) on a cold engine: when the C ring took the first double move
+    # and nested windows were keyed by themselves as well as by their normal
+    # form, it took 660 hits, 5031 misses and 6825 entries
+    engine = Engine()
+    assert engine.compute_C(BoundedAffinePerm.translation(7, 16)) == 715
+    assert engine.stats == {"r_hits": 0, "r_misses": 0, "c_hits": 366, "c_misses": 1666,
+                            "r_entries": 0, "c_entries": 1676}
 
 
 def _stepwise_normal_form(w):

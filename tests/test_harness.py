@@ -18,10 +18,11 @@ from posicat import (
     verify_structure,
     verify_synthesis,
 )
+import posicat.engine
 from posicat import harness
 from posicat.errors import InvalidFrame, PosicatError
 from posicat.invsets import LatticeMultiset, is_convex_points
-from posicat.polynomial import ONE
+from posicat.polynomial import IntPoly, ONE, Q, Q_MINUS_1
 
 
 def test_cycle_counts():
@@ -249,6 +250,7 @@ FAILING_CHECKS = [
     ("synthesis_error", "synthesis", harness, "synthesize_profile", _raising),
     ("rtilde_at_1", "engine_theta", Engine, "compute_Rtilde",
      lambda original: lambda *args: original(*args) + ONE),
+    ("rtilde_symmetry", "engine_theta", BoundedAffinePerm, "length", _plus_one),
     ("sigma_C", "engine_theta", BoundedAffinePerm, "cyclic_shift", _translation_shift),
     ("sigma_Rtilde", "engine_theta", BoundedAffinePerm, "cyclic_shift", _translation_shift),
     ("double_crossing_identity_0", "engine_theta", Engine,
@@ -271,6 +273,43 @@ def test_every_check_is_seen_to_fail(monkeypatch, check, suite, owner, name, rep
     monkeypatch.setattr(owner, name, replace(getattr(owner, name)))
     failed = {f["check"] for f in _suite_report(suite).failures}
     assert check in failed, failed
+
+
+RING_STEP_MUTATIONS = {
+    # (q-1) x + q y in place of (q-1)^2 x + q y
+    "apart_step_one_factor": ("_apart_step", lambda x, y: Q_MINUS_1 * x + Q * y),
+    # x + y in place of x + q y
+    "same_step_without_shift": ("_same_step", lambda x, y: x + y),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(RING_STEP_MUTATIONS))
+def test_rtilde_symmetry_sees_a_wrong_ring_step(monkeypatch, mutation):
+    # both mutations leave R~(1), and so every q = 1 check, unchanged; only
+    # the shape of the whole polynomial shows them.  The ring takes its steps
+    # when an engine is built, so each chunk's engine gets the mutated one
+    name, step = RING_STEP_MUTATIONS[mutation]
+    monkeypatch.setattr(posicat.engine, name, step)
+    failures = _suite_report("engine_theta").failures
+    assert {f["check"] for f in failures} == {"rtilde_symmetry"}
+    assert len(failures) == 2
+
+
+@pytest.mark.parametrize("coeffs", [[1, 0, 2], [2, 0, 2], [1, 1]],
+                         ids=["not_palindromic", "constant_term", "degree"])
+def test_rtilde_symmetry_reads_each_condition(monkeypatch, coeffs):
+    # the window's R~ is 1 + q^2; each polynomial breaks one of the three
+    # conditions and keeps the other two
+    w = BoundedAffinePerm.from_cycle([0, 3, 2, 5, 1, 4]).window
+    failures = []
+    harness._engine_theta_checks(w, Engine(), failures)
+    assert failures == []
+    monkeypatch.setattr(Engine, "compute_Rtilde", lambda self, perm: IntPoly(coeffs))
+    harness._engine_theta_checks(w, Engine(), failures)
+    assert [f for f in failures if f["check"] == "rtilde_symmetry"] == [
+        {"window": list(w), "check": "rtilde_symmetry",
+         "expected": "palindromic, degree 2, constant term 1", "actual": coeffs}
+    ]
 
 
 @pytest.mark.parametrize("suite, n_max", [

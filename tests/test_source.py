@@ -96,7 +96,7 @@ CLI_TOUR = (
     [(["compute", "--perm", FIG3, "--what", what], 0) for what in WHATS]
     + [(["verify", "--suite", suite, "--n-max", "5"], 0) for suite in SUITES]
     + [
-        (["compute", "--perm", FIG3, "--what", "rtilde", "--trace"], 0),
+        (["compute", "--perm", FIG3, "--what", "rtilde", "--trace", "--stats"], 0),
         (["compute", "--perm", "cycle:(1,4,6,2,5,7,3)", "--what", "catalan", "--one-based"], 0),
         (["compute", "--perm", '{"window": [3, 6, 4, 5, 7, 8, 9]}', "--what", "fset"], 0),
         (["dyck", "--k", "3", "--n", "7", "--forbid", "1,1;2,3", "--coords", "rect"], 0),
@@ -151,7 +151,6 @@ NEVER_RUN = {
     "paths.multiplicity_from_paths": PATH_REFERENCE,
     "polynomial.IntPoly.__add__": "the tests' reference for engine._same_step and _apart_step",
     "polynomial.IntPoly.exact_div": TRACED + " as its polynomial-layer span",
-    "engine.Engine.stats": TRACED + " to merge engine counters",
 }
 
 
