@@ -242,11 +242,10 @@ def _drop(w: Window, p: int) -> Window:
 
 
 def _remove_fixed(w: Window) -> Window:
-    """Drop all residues with f(i) = i or f(i) = i + n in one pass.  Several
-    go by `_relabel_restriction` onto the rest, a union of cycles since each
-    fixed residue is a cycle of its own; it gives what a chain of `_drop`s,
-    the last first, would.  A single one goes by `_drop`, one comprehension,
-    which is faster than the relabelling there.
+    """Drop all residues with f(i) = i or f(i) = i + n in one pass:
+    `_relabel_restriction` onto the rest, a union of cycles since each fixed
+    residue is a cycle of its own.  It gives what a chain of `_drop`s, the
+    last first, would.
 
     When every residue is fixed the canonical period-1 identity (0,) is
     returned, so that recurrences bottom out at the n = 1 base case.
@@ -255,9 +254,6 @@ def _remove_fixed(w: Window) -> Window:
     unfixed = [i for i in range(n) if w[i] != i and w[i] != i + n]
     if not unfixed:
         return (0,)
-    if len(unfixed) == n - 1:
-        # the one fixed residue is the index that unfixed misses
-        return _drop(w, n * (n - 1) // 2 - sum(unfixed))
     return _relabel_restriction(w, unfixed)
 
 

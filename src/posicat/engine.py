@@ -268,7 +268,12 @@ class Engine:
         if value is not None:
             ring.hits += 1
             return value
-        value = cache[key] = self._normal_value(*self._normalise(w, d), ring)
+        v, d = self._normalise(w, d)
+        if v is w:  # its key is the normal form's, and it just missed
+            ring.misses += 1
+            value = cache[key] = self._reduce(v, ring)
+        else:
+            value = cache[key] = self._normal_value(v, d, ring)
         return value
 
     def _child_value(self, w: Window, ring: _Ring):

@@ -409,9 +409,7 @@ def test_c_ring_takes_an_apart_move_when_one_exists():
 
 
 def test_translation_cold_engine_stats():
-    # C(7, 16) on a cold engine: when the C ring took the first double move
-    # and nested windows were keyed by themselves as well as by their normal
-    # form, it took 660 hits, 5031 misses and 6825 entries
+    # C(7, 16) on a cold engine; the README's `compute --stats` example
     engine = Engine()
     assert engine.compute_C(BoundedAffinePerm.translation(7, 16)) == 715
     assert engine.stats == {"r_hits": 0, "r_misses": 0, "c_hits": 366, "c_misses": 1666,
