@@ -167,39 +167,38 @@ def _cmd_synthesize(args) -> int:
     return 0
 
 
+_ENUMERATE_FIELDS = ("n", "k", "window", "ell", "repetition_free", "catalan", "fset", "nu_bar")
+
+
 def _cmd_enumerate(args) -> int:
+    """One record per permutation, computed once; only the window and the
+    inversion multiset are written differently in CSV."""
     engine = Engine()
     writer = None
     if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "k", "window", "ell", "repetition_free", "catalan", "fset", "nu_bar"])
+        writer = csv.DictWriter(sys.stdout, _ENUMERATE_FIELDS)
+        writer.writeheader()
     for perm in enumerate_theta(args.k, args.n):
         ms = inversion_multiset(perm)
         repfree = ms.is_set()
         if args.repetition_free and not repfree:
             continue
+        record = dict(zip(_ENUMERATE_FIELDS, (
+            perm.n,
+            perm.k,
+            perm.window,
+            perm.length(),
+            repfree,
+            engine.compute_C(perm),
+            [p for p in ms.points() for _ in range(ms.multiplicity(p))],
+            nu_bar(perm),
+        )))
         if writer is None:
-            print(json.dumps({
-                "n": perm.n,
-                "k": perm.k,
-                "window": list(perm.window),
-                "ell": perm.length(),
-                "repetition_free": repfree,
-                "catalan": engine.compute_C(perm),
-                "fset": [list(p) for p in ms.points() for _ in range(ms.multiplicity(p))],
-                "nu_bar": nu_bar(perm),
-            }))
+            print(json.dumps(record))  # tuples are written as JSON lists
         else:
-            writer.writerow([
-                perm.n,
-                perm.k,
-                ",".join(str(v) for v in perm.window),
-                perm.length(),
-                repfree,
-                engine.compute_C(perm),
-                ms.text(),
-                nu_bar(perm),
-            ])
+            record["window"] = ",".join(map(str, perm.window))
+            record["fset"] = ms.text()
+            writer.writerow(record)
     return 0
 
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .affine import BoundedAffinePerm, _require_theta_frame
 from .errors import (
@@ -86,22 +86,23 @@ def enumerate_avoiding_paths(
     if total > cap:
         raise TooManyPaths(f"{total} paths exceed the cap of {cap}")
     out: list[list[Point]] = []
-    path: list[Point] = [(0, 0)]
-
-    def walk(a: int, b: int) -> None:
+    # depth-first on an explicit stack, so no period meets the recursion
+    # limit.  A point's column b is its depth in the walk, and the up-right
+    # step is pushed before the right step, so paths that turn right first
+    # are listed first
+    path: list[Point] = []
+    stack: list[Point] = [(0, 0)]
+    while stack:
+        a, b = point = stack.pop()
+        del path[b:]
+        path.append(point)
         if b == n:
             if a == k:
                 out.append(list(path))
-            return
-        for step in (0, 1):
-            na, nb = a + step, b + 1
-            if na > k or not _admissible(na, nb, k, n, fset):
-                continue
-            path.append((na, nb))
-            walk(na, nb)
-            path.pop()
-
-    walk(0, 0)
+            continue
+        for na in (a + 1, a):
+            if na <= k and _admissible(na, b + 1, k, n, fset):
+                stack.append((na, b + 1))
     if len(out) != total:
         raise PathCountMismatch(f"listed {len(out)} paths, counted {total} in ({k}, {n})")
     return out
@@ -251,29 +252,25 @@ def _require_cs_convex(points: set[Point], k: int, n: int) -> None:
         raise NotConvex(f"{sorted(points)} misses lattice points of its hull")
 
 
-def _integer_profile_ok(
-    nums: list[int], q: int, k: int, n: int, columns: list[list[int]]
-) -> bool:
-    """Whether the heights nums[b] / q form a profile whose forbidden region
-    has, in each column 1 <= b <= n-1, exactly the sorted entries
-    columns[b]; the integer form of `validate_profile` plus
-    `profile_forbidden_set`."""
-    if nums[0] != 0 or nums[n] != k * q:
-        return False
-    prev = q
-    for i in range(n):
-        step = nums[i + 1] - nums[i]
-        if not 0 < step < q or step > prev:
-            return False
-        prev = step
-    if len({num % q for num in nums[:n]}) != n:
-        return False
-    for b in range(1, n):
-        lo = max(1, k - nums[n - b] // q)
-        hi = min(k - 1, nums[b] // q)
-        if list(range(lo, hi + 1)) != columns[b]:
-            return False
-    return True
+def _candidates(
+    points: set[Point], k: int, n: int
+) -> Iterator[tuple[int, int, int, list[int]]]:
+    """The schedule of `synthesize_profile` in integers: (m, s, Q, N) for
+    m = 2..63 and s = 1, 2, 3, in order, with heights H_b = N_b / Q.  With L
+    the lcm of the hull's edge widths, each hull height is hull_b / L,
+    Q = L * 2^m * 8n^2 * s and
+    N_b = hull_b * 2^m * 8n^2 * s + L * b(n-b) * (8n^2 * s + b)."""
+    chain = _upper_chain([(b, a) for a, b in points] + [(0, 0), (n, k)])
+    lcm = math.lcm(*(x2 - x1 for (x1, _), (x2, _) in zip(chain, chain[1:])))
+    hull = _chain_heights(chain, lambda y, w: y * (lcm // w))
+    denom = 8 * n * n
+    for m in range(2, 64):
+        for s in (1, 2, 3):
+            scale = 2 ** m * denom * s
+            yield m, s, lcm * scale, [
+                hull[b] * scale + lcm * b * (n - b) * (denom * s + b)
+                for b in range(n + 1)
+            ]
 
 
 def synthesize_profile(
@@ -285,57 +282,54 @@ def synthesize_profile(
     positive perturbation eps_b = c * b(n-b) * (s*8n^2 + b) / (8n^2 * s) with
     c = 2^-m; the b-dependent factor breaks the symmetric fractional-part
     ties a centrally symmetric hull would otherwise force.  The first
-    candidate of the deterministic (m, s) schedule, m = 2..63 and s = 1, 2, 3,
-    that passes wins; existence is guaranteed for small enough
-    perturbations, so exhausting the schedule signals a bug.  A frame outside
-    1 <= k <= n-1 raises InvalidFrame.
+    candidate of the deterministic (m, s) schedule of `_candidates` that
+    passes wins; existence is guaranteed for small enough perturbations, so
+    exhausting the schedule signals a bug.  A frame outside 1 <= k <= n-1
+    raises InvalidFrame.
 
-    The search is exact in integers.  With L the lcm of the hull's edge
-    widths, each hull height is hull_b / L, and a candidate's heights share
-    the common denominator Q = L * 2^m * 8n^2 * s: H_b = N_b / Q with
-    N_b = hull_b * 2^m * 8n^2 * s + L * b(n-b) * (8n^2 * s + b).  A candidate
-    passes when N_0 = 0 and N_n = kQ, every increment lies strictly between
-    0 and Q and none rises, the N_b mod Q are distinct for b < n, and for
-    1 <= b <= n-1 the forbidden column
-    max(1, k - floor(N_{n-b} / Q)) <= a <= min(k-1, floor(N_b / Q)) is the
-    requested one.  Only the winner is turned into Fractions, and it is
-    checked again exactly: constructing its ConcaveProfile validates it, and
-    `profile_forbidden_set` must give back the requested set.  If that exact
-    check disagrees, SynthesisFailed names (m, s).  The returned profile is
-    not validated again downstream.
+    The search filters the candidates in integers, testing only what one
+    can fail: the first increment is below Q, the last is above 0, the N_b
+    mod Q are distinct for b < n, and each forbidden column
+    k - floor(N_{n-b} / Q) <= a <= floor(N_b / Q) is the requested one.
+    The full rule lives in `validate_profile`: only the winner becomes
+    Fractions, constructing its ConcaveProfile validates it, and
+    `profile_forbidden_set` must give back the requested set.  If either
+    disagrees, SynthesisFailed names (m, s).
     """
     _require_theta_frame(k, n)
     points = set(_points(forbidden_sheared, "the forbidden set"))
     _require_cs_convex(points, k, n)
-    chain = _upper_chain([(b, a) for a, b in points] + [(0, 0), (n, k)])
-    lcm = math.lcm(*(x2 - x1 for (x1, _), (x2, _) in zip(chain, chain[1:])))
-    hull = _chain_heights(chain, lambda y, w: y * (lcm // w))
     columns: list[list[int]] = [[] for _ in range(n)]
     for a, b in sorted(points):
         columns[b].append(a)
-    denom = 8 * n * n
-    for m in range(2, 64):
-        for s in (1, 2, 3):
-            scale = 2 ** m * denom * s
-            q = lcm * scale
-            nums = [
-                hull[b] * scale + lcm * b * (n - b) * (denom * s + b)
-                for b in range(n + 1)
-            ]
-            if not _integer_profile_ok(nums, q, k, n, columns):
-                continue
-            try:
-                profile = ConcaveProfile(tuple(Fraction(num, q) for num in nums))
-            except InvalidProfile as exc:
-                problem = str(exc)
-            else:
-                if profile_forbidden_set(profile) == points:
-                    return profile
-                problem = "the forbidden region differs from the requested set"
-            raise SynthesisFailed(
-                f"candidate (m={m}, s={s}) for {sorted(points)} in ({k}, {n}) "
-                f"passes the integer test but fails the exact check: {problem}"
-            )
+    for m, s, q, nums in _candidates(points, k, n):
+        # N_0 = 0 and N_n = kQ by construction, and the increments fall
+        # strictly: the hull is concave, and the perturbation's second
+        # difference, L(2n - 6b - 6 - 16n^2 s) at b+1, is negative.  So every
+        # increment lies in (0, Q) once the first is below Q and the last
+        # above 0, and then 0 <= N_b < kQ for b < n: no column needs a clamp
+        # to [1, k-1]
+        if nums[1] >= q or nums[n] <= nums[n - 1]:
+            continue
+        if len({num % q for num in nums[:n]}) != n:
+            continue
+        if any(
+            list(range(k - nums[n - b] // q, nums[b] // q + 1)) != columns[b]
+            for b in range(1, n)
+        ):
+            continue
+        try:
+            profile = ConcaveProfile(tuple(Fraction(num, q) for num in nums))
+        except InvalidProfile as exc:
+            problem = str(exc)
+        else:
+            if profile_forbidden_set(profile) == points:
+                return profile
+            problem = "the forbidden region differs from the requested set"
+        raise SynthesisFailed(
+            f"candidate (m={m}, s={s}) for {sorted(points)} in ({k}, {n}) "
+            f"passes the integer test but fails the exact check: {problem}"
+        )
     raise SynthesisFailed(f"schedule exhausted for {sorted(points)} in ({k}, {n})")
 
 

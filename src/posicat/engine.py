@@ -57,15 +57,20 @@ Values are cached per sigma-orbit: R~ is invariant under the cyclic shift,
 and the lex-min rotation of the displacement word identifies the orbit.  The
 key is the least rotation that starts at an occurrence of the word's
 minimum: one rotation when the minimum is unique.  Only a public
-`compute_*` request uses its own key: it is looked up first, so a repeated
-request is one lookup, and the value is stored under it and under the key
-of the normal form.  Every other window, a child of a step or a class
-member that is not normal, is normalised first and then looked up and
-stored under its normal form's key alone.  Normality depends only on the
-displacement word up to rotation, so one sigma-orbit always meets the same
-entry.  Windows passed through inside a chain get no entry, so their
-`simple_factor` and `remove_fixed_points` trace records repeat each time the
-window is met.  For a class-search hit, every normal member visited shares
+`compute_*` request uses its own key: it is looked up first, and the value
+is stored under it and under the key of the normal form.  That lookup
+mostly serves not a repeated request but a new rotation of an orbit
+already requested, and spares it the normalisation: in
+`verify_main_theorem(7)`, 507 of the 613 `compute_C` requests hit their
+own key, none of those 507 windows had been requested before, and 466 of
+them are not normal.  Sending public requests down the normal-form path
+instead roughly doubled the time of `verify_engine(6)`.  Every other
+window, a child of a step or a class member that is not normal, is
+normalised first and then looked up and stored under its normal form's
+key alone.  Normality depends only on the displacement word up to
+rotation, so one sigma-orbit always meets the same entry.  Windows passed
+through inside a chain get no entry, so their `simple_factor` and
+`remove_fixed_points` trace records repeat each time the window is met.  For a class-search hit, every normal member visited shares
 the value and is cached as well.
 
 A reduced node does O(n) Python-level work: one residue-position table and
@@ -260,7 +265,10 @@ class Engine:
 
     def _value(self, w: Window, ring: _Ring):
         """R~(w) in `ring` for a public request: the request's key, then its
-        normal form's, stored under both."""
+        normal form's, stored under both.  The request's own key mostly
+        answers another rotation of an orbit already requested, often a
+        window that is not normal, which it then does not normalise; see
+        the module docstring."""
         cache = ring.cache
         d = _displacements(w)
         key = _orbit_key(d)

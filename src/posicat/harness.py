@@ -422,8 +422,10 @@ def _structure_checks(w: Window, engine: Engine, failures: list[dict]) -> None:
 
 def verify_structure(n_max: int, jobs: int = 1) -> VerificationReport:
     """Minimal length over each family Theta(k, n) is gcd(k, n) - 1: no
-    window is shorter, and the explicit witness, a member, attains it.  The
-    report's `elapsed` includes the witness checks."""
+    window is shorter, and the explicit witness, a member, attains it.  A
+    witness that raises is recorded as an `exception` failure for its
+    (k, n), and the other frames are still checked.  The report's `elapsed`
+    includes the witness checks."""
     start = time.perf_counter()
     report = _run_suite(
         "structure", n_max, jobs, lambda: [(_structure_checks, _theta_range(n_max))]
@@ -431,7 +433,11 @@ def verify_structure(n_max: int, jobs: int = 1) -> VerificationReport:
     for n in range(2, n_max + 1):
         for k in range(1, n):
             expected = math.gcd(k, n) - 1
-            witness = min_length_witness(k, n)
+            try:
+                witness = min_length_witness(k, n)
+            except Exception as exc:  # report, do not abort the sweep
+                report.failures.append(_fail((k, n), "exception", None, repr(exc)))
+                continue
             if witness.length() != expected or not witness.is_theta or witness.k != k:
                 report.failures.append(
                     _fail(witness.window, "witness_length", expected, witness.length())

@@ -107,6 +107,13 @@ def test_dyck_list(capsys):
     assert all(p[0] == [0, 0] and p[-1] == [3, 7] for p in paths)
 
 
+def test_dyck_list_past_the_recursion_limit(capsys):
+    code, out, err = run(capsys, "dyck", "--k", "1", "--n", "1200", "--list")
+    paths = [json.loads(line) for line in out.strip().splitlines()]
+    assert code == 0 and err.strip() == "1" and len(paths) == 1
+    assert paths[0][0] == [0, 0] and paths[0][-1] == [1, 1200] and len(paths[0]) == 1201
+
+
 def test_synthesize(capsys):
     code, out, _ = run(capsys, "synthesize", "--k", "3", "--n", "7", "--forbid", "1,1;2,3")
     assert code == 0

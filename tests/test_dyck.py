@@ -98,6 +98,49 @@ def test_enumerate_cap():
         enumerate_avoiding_paths(5, 11, set(), cap=10)
 
 
+def _recursive_listing(k, n, fset):
+    """Reference listing by recursion, one call per column: the right step
+    (0, 1) is tried before the up-right step (1, 1)."""
+    import posicat.dyck as dyck
+
+    out, path = [], [(0, 0)]
+
+    def walk(a, b):
+        if b == n:
+            if a == k:
+                out.append(list(path))
+            return
+        for step in (0, 1):
+            na, nb = a + step, b + 1
+            if na > k or not dyck._admissible(na, nb, k, n, fset):
+                continue
+            path.append((na, nb))
+            walk(na, nb)
+            path.pop()
+
+    walk(0, 0)
+    return out
+
+
+def test_enumerate_matches_the_recursive_listing_up_to_8():
+    rng = random.Random(8)
+    for n in range(1, 9):
+        for k in range(0, n + 1):
+            interior = [(a, b) for a in range(1, k) for b in range(1, n)]
+            sets = [set()] + [set(rng.sample(interior, len(interior) // 3)) for _ in range(4)]
+            if 1 <= k <= n - 1:
+                sets += [{rect_to_sheared(p) for p in r} for r in cs_convex_subsets(k, n)]
+            for fset in sets:
+                expected = _recursive_listing(k, n, frozenset(fset))
+                assert enumerate_avoiding_paths(k, n, fset) == expected, (k, n, sorted(fset))
+
+
+def test_enumerate_lists_past_the_recursion_limit():
+    # one path: up-right first, then right along a = 1
+    path = [(0, 0)] + [(1, b) for b in range(1, 1201)]
+    assert enumerate_avoiding_paths(1, 1200, set()) == [path]
+
+
 # -- profiles ----------------------------------------------------------------------
 
 SAMPLE_PROFILE_25 = (F(0), F(9, 20), F(9, 10), F(13, 10), F(83, 50), F(2))
@@ -329,6 +372,37 @@ def test_synthesize_profile_matches_fraction_search_at_11():
     for _ in range(20):
         k = rng.randrange(1, 11)
         _assert_matches_fraction_synthesis(rng.choice(frames[k]), k, 11)
+
+
+def test_search_filter_agrees_with_the_full_rule_up_to_9():
+    # every candidate of the schedule, not only those up to the winner: the
+    # increments fall strictly, so the four conditions the search tests
+    # decide what validate_profile and profile_forbidden_set decide
+    import posicat.dyck as dyck
+
+    for n in range(2, 10):
+        for k in range(1, n):
+            for rect in cs_convex_subsets(k, n):
+                points = {rect_to_sheared(p) for p in rect}
+                for m, s, q, nums in dyck._candidates(points, k, n):
+                    steps = [y - x for x, y in zip(nums, nums[1:])]
+                    assert all(x > y for x, y in zip(steps, steps[1:])), (k, n, m, s)
+                    assert nums[0] == 0 and nums[n] == k * q
+                    valid = (
+                        nums[1] < q and nums[n] > nums[n - 1]
+                        and len({num % q for num in nums[:n]}) == n
+                    )
+                    try:  # construction runs validate_profile
+                        profile = ConcaveProfile(tuple(Fraction(num, q) for num in nums))
+                    except InvalidProfile:
+                        assert not valid, (k, n, m, s)
+                        continue
+                    assert valid, (k, n, m, s)
+                    # the unclamped columns are the profile's forbidden region
+                    assert profile_forbidden_set(profile) == {
+                        (a, b) for b in range(1, n)
+                        for a in range(k - nums[n - b] // q, nums[b] // q + 1)
+                    }
 
 
 def test_synthesize_profile_raises_when_exact_check_disagrees(monkeypatch):

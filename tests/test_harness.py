@@ -396,6 +396,26 @@ def test_verify_structure_small():
     assert report.passed
 
 
+def test_a_raising_witness_is_recorded_and_the_sweep_goes_on(monkeypatch):
+    original = harness.min_length_witness
+    frames = []
+
+    def witness(k, n):
+        frames.append((k, n))
+        if (k, n) == (2, 4):
+            raise PosicatError("boom")
+        return original(k, n)
+
+    monkeypatch.setattr(harness, "min_length_witness", witness)
+    report = verify_structure(5)
+    assert report.failures == [
+        {"window": [2, 4], "check": "exception", "expected": None,
+         "actual": "PosicatError('boom')"}
+    ]
+    assert frames == [(k, n) for n in range(2, 6) for k in range(1, n)]
+    assert report.checked == 1 + 2 + 6 + 24  # the Theta windows, as before
+
+
 def test_cs_convex_subsets_2_4():
     assert cs_convex_subsets(2, 4) == [frozenset({(1, 1)})]
 

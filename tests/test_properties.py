@@ -69,6 +69,19 @@ def test_synthesis_round_trip(f):
     assert inversion_multiset(synthesize_perm(ms.points(), f.k, f.n)) == ms
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(single_cycles(9, 14))
+def test_rtilde_symmetry(f):
+    # Kazhdan-Lusztig inversion, divided by (q-1)^(n-1): R~ has degree
+    # exactly k(n-k) - length - (n-1), constant term 1 and palindromic
+    # coefficients, which a ring step that keeps R~(1) can still break
+    coeffs = Engine().compute_Rtilde(f).coeffs
+    degree = f.k * (f.n - f.k) - f.length() - (f.n - 1)
+    assert len(coeffs) == degree + 1
+    assert coeffs[0] == 1
+    assert coeffs == coeffs[::-1]
+
+
 @st.composite
 def bounded_windows(draw, n_min=9, n_max=16):
     """A bounded window with some residues fixed (f(i) = i or i + n) and the
