@@ -47,8 +47,6 @@ from .invsets import (
 )
 from .paths import (
     fset_from_paths,
-    intersection_count,
-    multiplicity_from_paths,
     nu,
     nu_bar,
 )
@@ -73,13 +71,11 @@ __all__ = [
     "enumerate_theta",
     "f_min",
     "fset_from_paths",
-    "intersection_count",
     "inversion_multiset",
     "is_centrally_symmetric",
     "is_convex",
     "lambda_partition",
     "min_length_witness",
-    "multiplicity_from_paths",
     "nu",
     "nu_bar",
     "parse_forbidden",

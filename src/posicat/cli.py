@@ -173,12 +173,13 @@ _ENUMERATE_FIELDS = ("n", "k", "window", "ell", "repetition_free", "catalan", "f
 def _cmd_enumerate(args) -> int:
     """One record per permutation, computed once; only the window and the
     inversion multiset are written differently in CSV."""
+    perms = enumerate_theta(args.k, args.n)  # a bad frame raises before any output
     engine = Engine()
     writer = None
     if args.format == "csv":
         writer = csv.DictWriter(sys.stdout, _ENUMERATE_FIELDS)
         writer.writeheader()
-    for perm in enumerate_theta(args.k, args.n):
+    for perm in perms:
         ms = inversion_multiset(perm)
         repfree = ms.is_set()
         if args.repetition_free and not repfree:

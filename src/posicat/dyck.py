@@ -18,7 +18,6 @@ permutation whose inversion set is exactly the profile's forbidden region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Sequence
@@ -112,7 +111,6 @@ def enumerate_avoiding_paths(
 # concave profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ConcaveProfile:
     """Exact-rational heights H_0 = 0, ..., H_n = k satisfying the three
     profile conditions.
@@ -122,18 +120,34 @@ class ConcaveProfile:
     MalformedText), and `validate_profile` runs once on them with
     k = floor(H_n), where it finds them Fractions already and converts
     nothing.  Any violation raises InvalidProfile.  So a ConcaveProfile
-    never holds an invalid profile, and no caller checks one again.
+    never holds an invalid profile, and no caller checks one again.  It is
+    immutable, equal field by field and hashed by its heights.
     """
 
-    heights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        heights = _fractions(self.heights)
+    def __init__(self, heights: Iterable[Rational]):
+        heights = _fractions(heights)
         object.__setattr__(self, "heights", heights)
         k = math.floor(heights[-1]) if heights else 0
         _, problems = validate_profile(heights, k, len(heights) - 1)
         if problems:
             raise InvalidProfile("; ".join(problems))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.heights == other.heights
+
+    def __hash__(self) -> int:
+        return hash((self.heights,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(heights={self.heights!r})"
 
     @property
     def n(self) -> int:

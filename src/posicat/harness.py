@@ -21,7 +21,6 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .affine import (
@@ -68,9 +67,15 @@ def _theta_windows(n: int, k: Optional[int] = None) -> Iterator[Window]:
 
 def enumerate_theta(k: Optional[int], n: int) -> Iterator[BoundedAffinePerm]:
     """All single-cycle strictly bounded permutations of period n, filtered
-    to displacement class k when k is given."""
-    for w in _theta_windows(n, k):
-        yield BoundedAffinePerm(w, _validated=True)
+    to displacement class k when k is given.
+
+    From period two on, a k outside 1..n-1 raises InvalidFrame at the call,
+    before any of the (n-1)! cycles is scanned for it; below period two
+    Theta is empty for every k.
+    """
+    if k is not None and n >= 2:
+        _require_theta_frame(k, n)
+    return (BoundedAffinePerm(w, _validated=True) for w in _theta_windows(n, k))
 
 
 def _bounded_windows(n: int) -> Iterator[Window]:
@@ -90,13 +95,36 @@ def _bounded_windows(n: int) -> Iterator[Window]:
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass
 class VerificationReport:
-    suite: str
-    params: dict
-    checked: int = 0
-    failures: list[dict] = field(default_factory=list)
-    elapsed: float = 0.0
+    """What a suite checked and what failed.  Equal field by field, and
+    unhashable since it is mutable."""
+
+    def __init__(
+        self,
+        suite: str,
+        params: dict,
+        checked: int = 0,
+        failures: Optional[list[dict]] = None,
+        elapsed: float = 0.0,
+    ):
+        self.suite = suite
+        self.params = params
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+        self.elapsed = elapsed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.suite, self.params, self.checked, self.failures, self.elapsed) == (
+            other.suite, other.params, other.checked, other.failures, other.elapsed
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(suite={self.suite!r}, params={self.params!r}, "
+            f"checked={self.checked!r}, failures={self.failures!r}, elapsed={self.elapsed!r})"
+        )
 
     @property
     def passed(self) -> bool:

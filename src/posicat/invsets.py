@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from operator import floordiv, index
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .affine import BoundedAffinePerm, _inversion_pairs, _swap_split
 from .errors import MalformedText, NotRepetitionFree, PosicatError
@@ -43,25 +42,25 @@ def sheared_to_rect(p: Point) -> Point:
     return (p[0], p[1] - p[0])
 
 
-@dataclass
 class LatticeMultiset:
     """Multiset of lattice points in a frame with its central-symmetry vector.
 
     `delta` is (k, n-k) in the RECT frame and (k, n) in the SHEARED frame;
-    entries map points to positive multiplicities.
+    entries map points to positive multiplicities.  Equal field by field,
+    and unhashable since it is mutable.
     """
 
-    frame: str
-    delta: Point
-    entries: dict[Point, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.frame not in (RECT, SHEARED):
-            raise PosicatError(f"unknown frame {self.frame!r}")
+    def __init__(self, frame: str, delta: Point, entries: Optional[dict[Point, int]] = None):
+        if frame not in (RECT, SHEARED):
+            raise PosicatError(f"unknown frame {frame!r}")
+        self.frame = frame
+        self.delta = delta
+        if entries is None:
+            entries = {}
         # the rule of `_points`, in the one pass that also reads the
         # multiplicities: every window of the main sweep builds two multisets
         try:
-            entries = {(index(a), index(b)): index(m) for (a, b), m in self.entries.items()}
+            entries = {(index(a), index(b)): index(m) for (a, b), m in entries.items()}
         except (TypeError, ValueError):
             raise MalformedText(
                 "a point or multiplicity of a lattice multiset is not an integer"
@@ -71,6 +70,17 @@ class LatticeMultiset:
         self.entries = entries
         if min(entries.values(), default=0) < 0:
             raise PosicatError("negative multiplicity")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.frame, self.delta, self.entries) == (other.frame, other.delta, other.entries)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(frame={self.frame!r}, delta={self.delta!r}, "
+            f"entries={self.entries!r})"
+        )
 
     # -- views ----------------------------------------------------------------
 

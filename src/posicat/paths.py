@@ -10,10 +10,11 @@ The translate by (a, b) sits above the big path at abscissa r exactly when
 a*n exceeds E_b(r) = f^r(0) - f^(r-b)(0).  `fset_from_paths` therefore builds
 the orbit once and makes a single pass over (b, r): each a in [1, k-1] with
 E_b(r) < a*n < E_b(r+1) is one below-to-above crossing of the (a, b)
-translate.  That is O(n^2) work for the whole multiset, where asking
-`multiplicity_from_paths` for each shift in turn costs O(k n^2).  Only the
-orbit f^r(0) is read, never a crossing resolution, so the result stays an
-independent check on `inversion_multiset`.
+translate.  That is O(n^2) work for the whole multiset.  Only the orbit
+f^r(0) is read, never a crossing resolution, so the result stays an
+independent check on `inversion_multiset`.  The tests hold a per-shift
+reference, which counts the sign changes of the gap for one shift at a time,
+and check `fset_from_paths` against it.
 
 Points in the plane are written (a, b) with a the vertical (k-) coordinate
 and b the horizontal (n-) coordinate; this convention is applied once here.
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
 
 from .affine import BoundedAffinePerm
 from .errors import AlphaOnDeltaLine, NonIntegralNu
@@ -44,58 +44,6 @@ def _orbit(perm: BoundedAffinePerm) -> list[int]:
     return o
 
 
-def _orbit_at(orbit: Sequence[int], k: int, n: int, r: int) -> int:
-    """f^r(0) for any integer r, via f^{r+n}(0) = f^r(0) + kn."""
-    q, s = divmod(r, n)
-    return orbit[s] + k * n * q
-
-
-def _crossing_signs(perm: BoundedAffinePerm, alpha: tuple[int, int]) -> list[int]:
-    """D(r) = f^r(0) - (a*n + f^{r-b}(0)) for r = 0..n, scaled by n.
-
-    D(r) is the signed vertical gap at abscissa r between the big path and
-    its translate by alpha = (a, b); it never vanishes when alpha is off the
-    delta line, so crossings are exactly the sign changes.
-    """
-    a, b = alpha
-    n = perm.n
-    k = perm.k
-    if b % n == 0 and a == k * (b // n):
-        raise AlphaOnDeltaLine(f"alpha={alpha} is an integer multiple of {(k, n)}")
-    orbit = _orbit(perm)
-    out = []
-    for r in range(n + 1):
-        d = _orbit_at(orbit, k, n, r) - (a * n + _orbit_at(orbit, k, n, r - b))
-        if d == 0:
-            raise AlphaOnDeltaLine(f"alpha={alpha} meets an integer point of the path")
-        out.append(d)
-    return out
-
-
-def intersection_count(perm: BoundedAffinePerm, alpha: tuple[int, int]) -> int:
-    """Crossings of the big path with its alpha-translate, counted per period.
-
-    The count is always even: the two paths exchange sides an equal number of
-    times in each direction over one period.  Public with
-    `multiplicity_from_paths` as the per-shift reference that the tests
-    check `fset_from_paths` against.
-    """
-    perm.require_theta()
-    signs = _crossing_signs(perm, alpha)
-    return sum(
-        1 for r in range(perm.n) if (signs[r] > 0) != (signs[r + 1] > 0)
-    )
-
-
-def multiplicity_from_paths(perm: BoundedAffinePerm, alpha: tuple[int, int]) -> int:
-    """Below-to-above crossings only: the multiplicity of alpha in the
-    sheared inversion multiset, independent of crossing resolution; public
-    as the per-shift reference for `fset_from_paths`."""
-    perm.require_theta()
-    signs = _crossing_signs(perm, alpha)
-    return sum(1 for r in range(perm.n) if signs[r] < 0 < signs[r + 1])
-
-
 def fset_from_paths(perm: BoundedAffinePerm) -> dict[tuple[int, int], int]:
     """Sheared-frame inversion multiset {(a, b): multiplicity} via crossings.
 
@@ -105,9 +53,9 @@ def fset_from_paths(perm: BoundedAffinePerm) -> dict[tuple[int, int], int]:
     above the path where E_b(r) < a*n, so an a in [1, k-1] with
     E_b(r) < a*n < E_b(r+1) is one below-to-above crossing of the (a, b)
     translate, and equality is an integer point on the path, which raises
-    AlphaOnDeltaLine as `multiplicity_from_paths` does.  The orbit f^r(0) is
-    the only input, so the multiset stays independent of crossing
-    resolution.  Entries come in the order of (a, b), with a outermost.
+    AlphaOnDeltaLine.  The orbit f^r(0) is the only input, so the multiset
+    stays independent of crossing resolution.  Entries come in the order of
+    (a, b), with a outermost.
     """
     perm.require_theta()
     n = perm.n

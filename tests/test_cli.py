@@ -163,6 +163,15 @@ def test_enumerate_period_below_one_is_a_usage_error(capsys, n):
     assert code == 2 and out == "" and "argument --n" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("k", ["7", "3", "0", "-1"])
+def test_enumerate_k_outside_the_frame_is_refused_before_any_output(capsys, fmt, k):
+    # refused at once: no (n-1)! scan for nothing, and no CSV header either
+    code, out, err = run(capsys, "enumerate", "--n", "3", "--k", k, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == f"error: need 1 <= k <= n-1, got k={k}, n=3\n"
+
+
 def test_enumerate_csv(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "4", "--format", "csv")
     reader = csv.reader(io.StringIO(out))

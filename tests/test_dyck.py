@@ -276,6 +276,27 @@ def test_profile_to_perm_named():
         profile_to_perm(ConcaveProfile((F(0), F(3, 2), F(2))))
 
 
+
+def test_profile_compares_and_prints_field_by_field():
+    profile = ConcaveProfile((0, F(1, 2), 1))
+    assert profile == ConcaveProfile((F(0), F(1, 2), F(1)))
+    assert profile != ConcaveProfile((F(0), F(2, 3), F(1)))
+    assert profile != 1 and profile.__eq__(1) is NotImplemented
+    assert repr(profile) == (
+        "ConcaveProfile(heights=(Fraction(0, 1), Fraction(1, 2), Fraction(1, 1)))"
+    )
+
+
+def test_profile_is_hashable_and_frozen():
+    profile = ConcaveProfile((0, F(1, 2), 1))
+    assert hash(profile) == hash(ConcaveProfile((F(0), F(1, 2), F(1))))
+    assert hash(profile) == hash((profile.heights,))
+    with pytest.raises(AttributeError):
+        profile.heights = ()
+    with pytest.raises(AttributeError):
+        del profile.heights
+    assert profile.heights == (0, F(1, 2), 1)
+
 @pytest.mark.parametrize("heights, message", [
     ((), "a profile needs at least two heights, got 0"),
     ((F(0),), "a profile needs at least two heights, got 1"),

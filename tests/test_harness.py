@@ -52,6 +52,13 @@ def test_classes_census_is_empty_below_period_two(n):
     assert report["groups"] == [] and report["repetition_free_total"] == 0
 
 
+@pytest.mark.parametrize("k", [7, 3, 0, -1])
+def test_enumerate_theta_refuses_a_k_outside_the_frame_at_the_call(k):
+    # raised before the generator is read, so no caller scans (n-1)! cycles
+    with pytest.raises(InvalidFrame, match=f"got k={k}, n=3"):
+        enumerate_theta(k, 3)
+
+
 def test_bounded_enumeration_counts():
     # permutations with fixed points doubled: sum_j C(n,j) 2^j D(n-j)
     derange = [1, 0, 1, 2, 9, 44, 265]
@@ -556,3 +563,28 @@ def test_census_report_structure():
     assert report["suite"] == "census"
     assert len(report["frames"]) == sum(n - 1 for n in range(2, 5))
     json.dumps(report)  # JSON-serialisable end to end
+
+
+# -- the report record --------------------------------------------------------
+
+def test_verification_report_compares_and_prints_field_by_field():
+    report = harness.VerificationReport("main", {"n_max": 2})
+    assert report == harness.VerificationReport("main", {"n_max": 2}, 0, [], 0.0)
+    assert report != harness.VerificationReport("main", {"n_max": 2}, checked=1)
+    assert report != 0 and report.__eq__(0) is NotImplemented
+    assert repr(report) == (
+        "VerificationReport(suite='main', params={'n_max': 2}, checked=0, "
+        "failures=[], elapsed=0.0)"
+    )
+
+
+def test_verification_report_failures_are_not_shared():
+    first = harness.VerificationReport("main", {})
+    second = harness.VerificationReport("main", {})
+    first.failures.append({"check": "x"})
+    assert second.failures == [] and first != second
+
+
+def test_verification_report_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(harness.VerificationReport("main", {}))

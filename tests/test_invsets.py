@@ -9,7 +9,6 @@ from posicat import (
     a_sequence,
     enumerate_theta,
     f_min,
-    intersection_count,
     inversion_multiset,
     is_centrally_symmetric,
     is_convex,
@@ -22,6 +21,8 @@ from posicat.errors import MalformedText, NotRepetitionFree, PosicatError, Preco
 from posicat.invsets import (
     RECT, SHEARED, _lattice_closure, _upper_chain, is_convex_points, sheared_to_rect,
 )
+
+from path_reference import intersection_count
 
 FIG2 = BoundedAffinePerm([3, 6, 4, 5, 7, 8, 9])
 
@@ -380,3 +381,26 @@ def test_lambda_requires_repetition_free():
     witness = first_non_repetition_free(6)
     with pytest.raises(NotRepetitionFree):
         lambda_partition(witness)
+
+
+# -- the multiset record --------------------------------------------------------
+
+def test_multiset_compares_and_prints_field_by_field():
+    ms = LatticeMultiset(RECT, (2, 3), {(1, 1): 1})
+    assert ms == LatticeMultiset(RECT, (2, 3), {(1, 1): 1, (1, 2): 0})
+    assert ms != LatticeMultiset(SHEARED, (2, 3), {(1, 1): 1})
+    assert ms != LatticeMultiset(RECT, (2, 3), {(1, 1): 2})
+    assert ms != 1 and ms.__eq__(1) is NotImplemented
+    assert repr(ms) == "LatticeMultiset(frame='rect', delta=(2, 3), entries={(1, 1): 1})"
+
+
+def test_multiset_entries_are_not_shared():
+    first = LatticeMultiset(RECT, (2, 3))
+    second = LatticeMultiset(RECT, (2, 3))
+    first.entries[(1, 1)] = 1
+    assert second.entries == {} and first != second
+
+
+def test_multiset_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(LatticeMultiset(RECT, (2, 3)))

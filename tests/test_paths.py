@@ -6,15 +6,15 @@ from posicat import (
     BoundedAffinePerm,
     enumerate_theta,
     fset_from_paths,
-    intersection_count,
     inversion_multiset,
-    multiplicity_from_paths,
     nu,
     nu_bar,
 )
 from posicat.affine import _c_class_members
 from posicat.errors import AlphaOnDeltaLine, NotTheta
 from posicat.paths import _orbit
+
+from path_reference import intersection_count, multiplicity_from_paths
 
 FIG2 = BoundedAffinePerm([3, 6, 4, 5, 7, 8, 9])
 FIG3 = BoundedAffinePerm.from_cycle([0, 3, 2, 5, 1, 4])

@@ -19,10 +19,11 @@ from posicat import (  # noqa: E402
     count_avoiding_paths,
     fset_from_paths,
     inversion_multiset,
-    multiplicity_from_paths,
     parse_perm,
     synthesize_perm,
 )
+
+from path_reference import multiplicity_from_paths  # noqa: E402
 
 
 def window_text(f):

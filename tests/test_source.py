@@ -6,6 +6,7 @@ import importlib.util
 import io
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,6 +35,31 @@ def test_exports_resolve_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(posicat, name)]
     assert missing == []
+
+
+# added to sys.modules by the import alone, so a site that preloads a module
+# does not count against the package
+IMPORT_PROBE = (
+    "import sys\n"
+    "sys.path[0] = sys.argv[1]\n"
+    "before = set(sys.modules)\n"
+    "import posicat\n"
+    "print(posicat.__file__)\n"
+    "print(' '.join(sorted(set(sys.modules) - before)))\n"
+)
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize, which the package
+    # never uses; every fresh `posicat` process would pay for them
+    src = ROOT / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(src)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    imported, added = done.stdout.splitlines()
+    assert Path(imported).resolve() == (src / "posicat" / "__init__.py").resolve()
+    assert {"dataclasses", "inspect"} & set(added.split()) == set()
 
 
 def _named(tree):
@@ -132,23 +158,27 @@ def _tour(workloads):
 
 
 DUNDER = "data-model dunder"
-PATH_REFERENCE = "the per-shift path reference that the tests check fset_from_paths against"
 TRACED = "perfbench/tracing.py names it"
 
 # what the tour never runs, each with the reason it stays
 NEVER_RUN = {
     "affine.BoundedAffinePerm.__eq__": DUNDER,
     "affine.BoundedAffinePerm.__hash__": DUNDER,
+    "dyck.ConcaveProfile.__setattr__": DUNDER,
+    "dyck.ConcaveProfile.__delattr__": DUNDER,
+    "dyck.ConcaveProfile.__eq__": DUNDER,
+    "dyck.ConcaveProfile.__hash__": DUNDER,
+    "dyck.ConcaveProfile.__repr__": DUNDER,
+    "harness.VerificationReport.__eq__": DUNDER,
+    "harness.VerificationReport.__repr__": DUNDER,
+    "invsets.LatticeMultiset.__eq__": DUNDER,
+    "invsets.LatticeMultiset.__repr__": DUNDER,
     "polynomial.IntPoly.__setattr__": DUNDER,
     "polynomial.IntPoly.__bool__": DUNDER,
     "polynomial.IntPoly.__hash__": DUNDER,
     "polynomial.IntPoly.__repr__": DUNDER,
     "polynomial.IntPoly.__str__": DUNDER,
     "harness._fail": "runs only when a check fails",
-    "paths._orbit_at": PATH_REFERENCE,
-    "paths._crossing_signs": PATH_REFERENCE,
-    "paths.intersection_count": PATH_REFERENCE,
-    "paths.multiplicity_from_paths": PATH_REFERENCE,
     "polynomial.IntPoly.__add__": "the tests' reference for engine._same_step and _apart_step",
     "polynomial.IntPoly.exact_div": TRACED + " as its polynomial-layer span",
 }
@@ -178,3 +208,19 @@ def test_the_tour_runs_everything_but_the_allowlist(monkeypatch):
     ran = {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in seen}
     never_run = {name for key, name in definitions.items() if key not in ran}
     assert never_run == set(NEVER_RUN)
+
+
+def test_report_header_names_a_shadowed_tree(monkeypatch, tmp_path):
+    import conftest
+
+    (tmp_path / "posicat").mkdir()
+    (tmp_path / "posicat" / "__init__.py").write_text("")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join([str(ROOT / "src"), str(tmp_path)]))
+    line = conftest.pytest_report_header(None)
+    assert str(tmp_path / "posicat") in line
+    assert str(Path(posicat.__file__).resolve().parent) in line
+    assert 'pythonpath = ["src"]' in line
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    assert conftest.pytest_report_header(None) is None
+    monkeypatch.delenv("PYTHONPATH")
+    assert conftest.pytest_report_header(None) is None
