@@ -336,13 +336,15 @@ def _swap_split(w: Window, i: int, j: int) -> tuple[list[int], list[int]]:
     return g, cyc
 
 
-def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+def _integers(
+    values: Iterable[int], what: str, error: type[PosicatError] = MalformedText
+) -> tuple[int, ...]:
     """The entries of `values` through `operator.index`, so a float, string
-    or None entry raises MalformedText instead of being truncated."""
+    or None entry raises `error` instead of being truncated or compared."""
     try:
         return tuple(map(index, values))
     except TypeError:
-        raise MalformedText(f"non-integer entry in {what}: {values!r}") from None
+        raise error(f"non-integer entry in {what}: {values!r}") from None
 
 
 def _window_from_cycle(cycle: Sequence[int]) -> Window:
@@ -576,7 +578,8 @@ def _c_class_members(w: Window) -> Iterator[Window]:
 
 
 def _require_theta_frame(k: int, n: int) -> None:
-    """Theta(k, n) is nonempty only for 1 <= k <= n-1."""
+    """Theta(k, n) is nonempty only for integers 1 <= k <= n-1."""
+    k, n = _integers((k, n), "the frame (k, n)", InvalidFrame)
     if not 1 <= k <= n - 1:
         raise InvalidFrame(f"need 1 <= k <= n-1, got k={k}, n={n}")
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Sequence
 
-from .affine import BoundedAffinePerm, _require_theta_frame
+from .affine import BoundedAffinePerm, _integers, _require_theta_frame
 from .errors import (
     InvalidFrame,
     InvalidProfile,
@@ -59,7 +59,8 @@ def _admissible(a: int, b: int, k: int, n: int, forbidden: frozenset[Point]) -> 
 def count_avoiding_paths(k: int, n: int, forbidden: Iterable[Point]) -> int:
     """Number of slanted Dyck paths from (0,0) to (k,n) avoiding `forbidden`
     (sheared-frame points).  Column-major dynamic program, O(k) state.  The
-    frame needs n >= 1 and 0 <= k <= n, else InvalidFrame."""
+    frame needs integers n >= 1 and 0 <= k <= n, else InvalidFrame."""
+    k, n = _integers((k, n), "the frame (k, n)", InvalidFrame)
     if n < 1 or not 0 <= k <= n:
         raise InvalidFrame(f"need n >= 1 and 0 <= k <= n, got k={k}, n={n}")
     fset = frozenset(_points(forbidden, "the forbidden set"))

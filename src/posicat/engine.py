@@ -45,13 +45,12 @@ costs four native membership tests.  A simple factor at i < n-1 that fixes
 one residue is fused with its removal into one contraction,
 `affine._drop(w, p)`: delete position p and the residue r = f(p) mod n
 (p = i and r = i+1 when f(i) = i+1, p = i+1 and r = i when f(i+1) = i+n),
-and map every other value y to y - y//n - [y mod n > r].  The scan then
-resumes at i-1: no simple factor applies below it afterwards.  The simple
-factor at i = n-1, and one that fixes both i and i+1, go through s_i f and
-the removal.  The removal, `affine._remove_fixed`, restricts f to the
-residues that are not fixed in one `_relabel_restriction` pass.  Each
-contraction is one O(n) pass and lowers the period, so a chain costs O(n)
-per step it takes.
+and map every other value y to y - y//n - [y mod n > r].  Each pass scans
+the new word from 0.  The simple factor at i = n-1, and one that fixes
+both i and i+1, go through s_i f and the removal.  The removal,
+`affine._remove_fixed`, restricts f to the residues that are not fixed in
+one `_relabel_restriction` pass.  Each contraction is one O(n) pass and
+lowers the period, so a chain costs O(n) per step it takes.
 
 Values are cached per sigma-orbit: R~ is invariant under the cyclic shift,
 and the lex-min rotation of the displacement word identifies the orbit.  The
@@ -59,19 +58,17 @@ key is the least rotation that starts at an occurrence of the word's
 minimum: one rotation when the minimum is unique.  Only a public
 `compute_*` request uses its own key: it is looked up first, and the value
 is stored under it and under the key of the normal form.  That lookup
-mostly serves not a repeated request but a new rotation of an orbit
-already requested, and spares it the normalisation: in
-`verify_main_theorem(7)`, 507 of the 613 `compute_C` requests hit their
-own key, none of those 507 windows had been requested before, and 466 of
-them are not normal.  Sending public requests down the normal-form path
-instead roughly doubled the time of `verify_engine(6)`.  Every other
-window, a child of a step or a class member that is not normal, is
+serves a new rotation of an orbit already requested, often a window that
+is not normal, without normalising it; sending requests down the
+normal-form path instead doubled the time of `verify_engine(6)`.  Every
+other window, a child of a step or a class member that is not normal, is
 normalised first and then looked up and stored under its normal form's
 key alone.  Normality depends only on the displacement word up to
 rotation, so one sigma-orbit always meets the same entry.  Windows passed
 through inside a chain get no entry, so their `simple_factor` and
-`remove_fixed_points` trace records repeat each time the window is met.  For a class-search hit, every normal member visited shares
-the value and is cached as well.
+`remove_fixed_points` trace records repeat each time the window is met.
+For a class-search hit, every normal member visited shares the value and
+is cached as well.
 
 A reduced node does O(n) Python-level work: one residue-position table and
 one pass of `affine._first_double_move`, which reads each index's test off f
@@ -81,14 +78,17 @@ later double move until one is; each apartness test is a walk along one
 cycle of f, made only for a double move, and no cycle table is built.  g is
 built once, for the chosen index, by editing four entries of a copy of the
 window (`affine._conj_s`).  The keys cost a few native passes over the
-word, plus one rotation per repeated occurrence of its minimum.  A class search builds
-one residue table per member it dequeues and reads each index's length
-change off it in O(1); a kept length keeps the conjugate bounded.
+word, plus one rotation per repeated occurrence of its minimum.  A class
+search builds one residue table per member it dequeues and reads each
+index's length change off it in O(1); a kept length keeps the conjugate
+bounded.
 
 The reduction recurses once per double move, and its depth can pass the
-interpreter's default recursion limit.  The outermost reduction of a
-`compute_*` call raises the limit while it runs and restores it afterwards,
-so a request answered from the table never touches it, and building an
+interpreter's default recursion limit.  A `compute_*` request that misses
+its own key raises the limit once, around all of its normalisation and
+reduction, and restores it afterwards; a request nested inside a trace
+hook finds it raised and leaves it alone.  So a request answered from the
+table never touches the limit, no reduced node reads it, and building an
 engine changes no process-wide state.
 """
 
@@ -264,11 +264,10 @@ class Engine:
         return value
 
     def _value(self, w: Window, ring: _Ring):
-        """R~(w) in `ring` for a public request: the request's key, then its
-        normal form's, stored under both.  The request's own key mostly
-        answers another rotation of an orbit already requested, often a
-        window that is not normal, which it then does not normalise; see
-        the module docstring."""
+        """R~(w) in `ring` for a public request: the request's own key, else
+        its normal form's, stored under both; see the module docstring.  A
+        miss runs under the raised recursion limit, which a request nested
+        inside a trace hook finds raised and leaves alone."""
         cache = ring.cache
         d = _displacements(w)
         key = _orbit_key(d)
@@ -276,12 +275,14 @@ class Engine:
         if value is not None:
             ring.hits += 1
             return value
-        v, d = self._normalise(w, d)
-        if v is w:  # its key is the normal form's, and it just missed
-            ring.misses += 1
-            value = cache[key] = self._reduce(v, ring)
-        else:
-            value = cache[key] = self._normal_value(v, d, ring)
+        limit = sys.getrecursionlimit()
+        if limit < _RECURSION_LIMIT:
+            sys.setrecursionlimit(_RECURSION_LIMIT)
+        try:
+            value = cache[key] = self._normal_value(*self._normalise(w, d), ring)
+        finally:
+            if limit < _RECURSION_LIMIT:
+                sys.setrecursionlimit(limit)
         return value
 
     def _child_value(self, w: Window, ring: _Ring):
@@ -307,21 +308,19 @@ class Engine:
         and emits the records of the steps it takes."""
         trace = self._trace
         n = len(w)
-        start = 0  # no simple factor applies at an index below start
         while n > 1:
             top = n - 1
             if 0 in d or n in d:
                 if trace is not None:
                     self._emit("remove_fixed_points", w)
                 w = _remove_fixed(w)
-                start = 0
             elif 1 in d or top in d:
-                # first i >= start with d[i] == 1 or d[i+1 mod n] == n-1
-                i = d.index(1, start) if 1 in d else n
+                # first i with d[i] == 1 or d[i+1 mod n] == n-1
+                i = d.index(1) if 1 in d else n
                 if top in d:
-                    # with no n-1 past start + 1, it is d[0]: the wrap i = n-1
+                    # with no n-1 past d[0], it is d[0]: the wrap i = n-1
                     try:
-                        i = min(i, d.index(top, start + 1) - 1)
+                        i = min(i, d.index(top, 1) - 1)
                     except ValueError:
                         i = min(i, top)
                 if trace is not None:
@@ -332,7 +331,6 @@ class Engine:
                     if trace is not None:
                         self._emit("remove_fixed_points", _left_s(w, i))
                     w = _drop(w, i if d[i] == 1 else i + 1)
-                    start = i - 1 if i else 0
             else:
                 break
             n = len(w)
@@ -372,15 +370,8 @@ class Engine:
         return ring.apart(self._child_value(_right_s(w, i), ring), self._child_value(g, ring))
 
     def _reduce(self, w: Window, ring: _Ring):
-        limit = sys.getrecursionlimit()
-        if limit < _RECURSION_LIMIT:
-            # the outermost reduction raises the limit while it runs; nested
-            # ones find it raised and leave it alone
-            sys.setrecursionlimit(_RECURSION_LIMIT)
-            try:
-                return self._reduce(w, ring)
-            finally:
-                sys.setrecursionlimit(limit)
+        """R~ of the normal window w in `ring`: a step, else a class search.
+        It recurses through `_child_value`, under the limit `_value` raised."""
         value = self._step(w, ring)
         if value is not None:
             return value

@@ -19,7 +19,8 @@ class MalformedText(PosicatError):
 
 
 class InvalidFrame(PosicatError):
-    """The frame (k, n) lies outside the range an operation accepts."""
+    """The frame (k, n) lies outside the range an operation accepts, or k or
+    n is not an integer (a float, string or None)."""
 
 
 class NotBounded(PosicatError):

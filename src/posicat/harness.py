@@ -26,6 +26,7 @@ from typing import Iterator, Optional
 from .affine import (
     BoundedAffinePerm,
     _c_class_members,
+    _integers,
     _k_of,
     _length,
     _require_theta_frame,
@@ -40,7 +41,7 @@ from .dyck import (
     synthesize_profile,
 )
 from .engine import Engine
-from .errors import PosicatError
+from .errors import InvalidFrame, PosicatError
 from .invsets import (
     _lattice_closure,
     f_min,
@@ -71,10 +72,15 @@ def enumerate_theta(k: Optional[int], n: int) -> Iterator[BoundedAffinePerm]:
 
     From period two on, a k outside 1..n-1 raises InvalidFrame at the call,
     before any of the (n-1)! cycles is scanned for it; below period two
-    Theta is empty for every k.
+    Theta is empty for every k.  A k other than None, or an n, that is not
+    an integer raises InvalidFrame at every period.
     """
-    if k is not None and n >= 2:
-        _require_theta_frame(k, n)
+    if k is None:
+        (n,) = _integers((n,), "the period n", InvalidFrame)
+    else:
+        k, n = _integers((k, n), "the frame (k, n)", InvalidFrame)
+        if n >= 2:
+            _require_theta_frame(k, n)
     return (BoundedAffinePerm(w, _validated=True) for w in _theta_windows(n, k))
 
 
@@ -178,7 +184,9 @@ def _checked_chunk(checks, items: list) -> tuple[int, list[dict]]:
 
 def _require_n_max(n_max: int) -> None:
     """Period 2 is the first with a single-cycle window, so a bound below 2
-    would check nothing and read as a passing sweep."""
+    would check nothing and read as a passing sweep.  A bound that is not an
+    integer raises PosicatError too."""
+    (n_max,) = _integers((n_max,), "n_max", PosicatError)
     if n_max < 2:
         raise PosicatError(f"n_max must be at least 2, got {n_max}")
 
@@ -189,6 +197,7 @@ def _run_suite(suite: str, n_max: int, jobs: int, build_phases) -> VerificationR
     with its items striped across `jobs` processes, and report the checked
     count and the sorted failures of all phases."""
     _require_n_max(n_max)
+    (jobs,) = _integers((jobs,), "jobs", PosicatError)
     if jobs < 1:
         raise PosicatError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
@@ -485,8 +494,14 @@ def classes_census(k: int, n: int) -> dict:
 
     Purely observational: the report records, per group, the class count,
     class sizes, the rotation statistic of each class, and whether the count
-    equals gcd(k, n); nothing is asserted.
+    equals gcd(k, n); nothing is asserted.  From period two on, a k outside
+    1..n-1 raises InvalidFrame, as in `enumerate_theta`; below period two
+    the report is empty for every k.  A k or n that is not an integer
+    raises InvalidFrame at every period.
     """
+    k, n = _integers((k, n), "the frame (k, n)", InvalidFrame)
+    if n >= 2:
+        _require_theta_frame(k, n)
     d = math.gcd(k, n)
     groups: dict[frozenset, list[Window]] = {}
     for w in _theta_windows(n, k):

@@ -15,8 +15,8 @@ import math
 from operator import floordiv, index
 from typing import Iterable, Optional
 
-from .affine import BoundedAffinePerm, _inversion_pairs, _swap_split
-from .errors import MalformedText, NotRepetitionFree, PosicatError
+from .affine import BoundedAffinePerm, _integers, _inversion_pairs, _swap_split
+from .errors import InvalidFrame, MalformedText, NotRepetitionFree, PosicatError
 
 Point = tuple[int, int]
 
@@ -255,7 +255,9 @@ def is_convex(ms: LatticeMultiset) -> bool:
 def f_min(k: int, n: int) -> set[Point]:
     """Sheared-frame points of [1, k-1] x [1, n-1] with the same slope as
     (k, n): the gcd(k, n) - 1 points (j k/g, j n/g) for 1 <= j < g = gcd(k, n),
-    so empty iff gcd = 1, and empty for k < 1 or n < 1."""
+    so empty iff gcd = 1, and empty for k < 1 or n < 1.  A k or n that is
+    not an integer raises InvalidFrame."""
+    k, n = _integers((k, n), "the frame (k, n)", InvalidFrame)
     g = math.gcd(k, n) if min(k, n) > 0 else 1
     return {(j * k // g, j * n // g) for j in range(1, g)}
 

@@ -179,6 +179,12 @@ def test_translation():
     assert f.length() == 0 and f.is_theta
 
 
+def test_translation_past_the_period_is_refused():
+    # i -> i + 5 at period 4 has f(i) > i + n
+    with pytest.raises(NotBounded, match="translation by 5"):
+        BoundedAffinePerm.translation(5, 4)
+
+
 # -- inversions and length ------------------------------------------------------
 
 def test_inversions_named():

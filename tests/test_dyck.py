@@ -34,6 +34,7 @@ from posicat.errors import (
     NotCentrallySymmetric,
     NotConvex,
     PathCountMismatch,
+    PosicatError,
     SynthesisFailed,
     TooManyPaths,
 )
@@ -509,6 +510,13 @@ def test_double_move_path_identity():
 def test_synthesize_profile_frame_outside_range_raises(k, n):
     with pytest.raises(InvalidFrame):
         synthesize_profile(set(), k, n)
+
+
+def test_synthesize_profile_refuses_a_point_outside_the_box():
+    # (0, 3) and (3, 4) mirror each other in (3, 7), but neither lies in
+    # [1, 2] x [1, 6]
+    with pytest.raises(PosicatError, match=r"point \(0, 3\) outside \[1,2\]x\[1,6\]"):
+        synthesize_profile({(0, 3), (3, 4)}, 3, 7)
 
 
 def test_enumerate_cap_boundary():

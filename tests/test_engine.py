@@ -527,6 +527,19 @@ def test_limit_is_restored_when_the_computation_raises(monkeypatch):
     assert sys.getrecursionlimit() == limit
 
 
+def test_the_recursion_guard_runs_once_per_request(monkeypatch):
+    # a cold C(7, 16) reduces 1,666 normal windows under one raised limit
+    reads, writes = [], []
+    get, set_ = sys.getrecursionlimit, sys.setrecursionlimit
+    monkeypatch.setattr(sys, "getrecursionlimit", lambda: reads.append(1) or get())
+    monkeypatch.setattr(sys, "setrecursionlimit", lambda n: writes.append(n) or set_(n))
+    engine = Engine()
+    value = engine.compute_C(BoundedAffinePerm.translation(7, 16))
+    monkeypatch.undo()
+    assert value == 715 and engine.stats["c_misses"] == 1666
+    assert len(reads) <= 1 and len(writes) <= 2
+
+
 def test_no_hypothesis_recursion_limit_warning():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

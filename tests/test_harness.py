@@ -11,8 +11,11 @@ from posicat import (
     Engine,
     classes_census,
     census_report,
+    count_avoiding_paths,
     cs_convex_subsets,
     enumerate_theta,
+    f_min,
+    synthesize_profile,
     verify_engine,
     verify_main_theorem,
     verify_structure,
@@ -50,6 +53,44 @@ def test_enumerate_theta_is_empty_below_period_two(n):
 def test_classes_census_is_empty_below_period_two(n):
     report = classes_census(1, n)
     assert report["groups"] == [] and report["repetition_free_total"] == 0
+
+
+@pytest.mark.parametrize("k", [7, 0])
+def test_classes_census_refuses_a_k_outside_the_frame(k):
+    # Theta(7, 4) and Theta(0, 4) are empty: no report, not a vacuous match
+    with pytest.raises(InvalidFrame, match=f"got k={k}, n=4"):
+        classes_census(k, 4)
+
+
+# each call puts the bad value where the entry point reads k, n, n_max or
+# jobs
+NON_INTEGER_ENTRY_POINTS = {
+    "count_avoiding_paths": (InvalidFrame, lambda x: count_avoiding_paths(x, 7, [])),
+    "synthesize_profile": (InvalidFrame, lambda x: synthesize_profile([], x, 4)),
+    "cs_convex_subsets": (InvalidFrame, lambda x: cs_convex_subsets(x, 4)),
+    "classes_census": (InvalidFrame, lambda x: classes_census(x, 4)),
+    "f_min": (InvalidFrame, lambda x: f_min(x, 4)),
+    "enumerate_theta(k)": (InvalidFrame, lambda x: enumerate_theta(x, 4)),
+    "enumerate_theta(n)": (InvalidFrame, lambda x: enumerate_theta(2, x)),
+    "enumerate_theta(None, n)": (InvalidFrame, lambda x: enumerate_theta(None, x)),
+    "verify_main_theorem": (PosicatError, lambda x: verify_main_theorem(x)),
+    "verify_structure(jobs)": (PosicatError, lambda x: verify_structure(4, jobs=x)),
+    "census_report": (PosicatError, lambda x: census_report(x)),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    pytest.param(entry, bad, id=f"{entry}-{kind}")
+    for entry in sorted(NON_INTEGER_ENTRY_POINTS)
+    for kind, bad in (("float", 2.0), ("string", "2"), ("None", None))
+    # enumerate_theta reads a k of None as every k
+    if not (entry == "enumerate_theta(k)" and bad is None)
+])
+def test_a_non_integer_frame_or_bound_is_refused(entry, bad):
+    # a float k used to reach enumerate_theta's filter and yield Theta(2, 4)
+    error, call = NON_INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(error, match="integer"):
+        call(bad)
 
 
 @pytest.mark.parametrize("k", [7, 3, 0, -1])

@@ -247,6 +247,19 @@ def test_convexity_frame_independent():
     assert is_convex(ms.to_sheared())
 
 
+def test_a_repeated_point_is_not_convex():
+    # {(1, 1)} is the lattice closure of itself and the corners of (2, 2),
+    # so only the multiplicity makes the multiset fail
+    assert is_convex_points({(1, 1)}, 2, 2)
+    assert is_convex(LatticeMultiset(RECT, (2, 2), {(1, 1): 1}))
+    assert not is_convex(LatticeMultiset(RECT, (2, 2), {(1, 1): 2}))
+
+
+def test_unknown_frame_is_refused():
+    with pytest.raises(PosicatError, match="unknown frame 'polar'"):
+        LatticeMultiset("polar", (2, 2))
+
+
 def test_extremal_sets():
     assert f_min(2, 4) == {(1, 2)}
     assert f_min(2, 5) == set()

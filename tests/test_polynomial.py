@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from posicat.errors import InexactDivision, MalformedText
+from posicat.errors import InexactDivision, MalformedText, PosicatError
 from posicat.polynomial import IntPoly, ONE, Q, Q_MINUS_1, ZERO
 
 
@@ -61,6 +61,11 @@ def test_exact_div_failures():
 def test_pow():
     assert Q_MINUS_1 ** 0 == ONE
     assert Q_MINUS_1 ** 3 == Q_MINUS_1 * Q_MINUS_1 * Q_MINUS_1
+
+
+def test_negative_power_is_refused():
+    with pytest.raises(PosicatError, match="negative polynomial power"):
+        IntPoly([1, 1]) ** -1
 
 
 def test_canonical_form_and_degree():
