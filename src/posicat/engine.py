@@ -205,13 +205,16 @@ class Engine:
 
     def compute_C_decoupled(self, perm: BoundedAffinePerm) -> int:
         """Product of C over the restrictions of f to each cycle of its
-        reduction.  `_relabel_restriction` needs its residues to be a union
-        of cycles, which one cycle is; each relabeled window goes to the C
-        table without a `BoundedAffinePerm` of its own."""
+        reduction.  A fixed residue restricts to a period-1 window, whose
+        positroid variety is a point, so its factor is 1 by rule 2 and it is
+        skipped.  `_relabel_restriction` needs its residues to be a union of
+        cycles, which one cycle is; each relabeled window goes to the C table
+        without a `BoundedAffinePerm` of its own."""
         w = perm.window
         product = 1
         for cyc in perm._cycle_tuples():
-            product *= self._catalan_of(_relabel_restriction(w, cyc))
+            if len(cyc) > 1:
+                product *= self._catalan_of(_relabel_restriction(w, cyc))
         return product
 
     def double_crossing_recurrence_check(self, perm: BoundedAffinePerm, i: int) -> bool:
@@ -381,7 +384,8 @@ class Engine:
         # share the value and are cached with it.
         self._emit("class_search", w)
         members = _c_class_members(w)
-        seen = [next(members)]  # w itself
+        next(members)  # w itself, which `_normal_value` stores on return
+        seen = []
         for g in members:
             v, d = self._normalise(g, _displacements(g))
             if v is not g:

@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 import time
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .affine import (
     BoundedAffinePerm,
@@ -502,9 +502,14 @@ def classes_census(k: int, n: int) -> dict:
     k, n = _integers((k, n), "the frame (k, n)", InvalidFrame)
     if n >= 2:
         _require_theta_frame(k, n)
+    return _census_frame(k, n, _theta_windows(n, k))
+
+
+def _census_frame(k: int, n: int, windows: Iterable[Window]) -> dict:
+    """The census of the frame (k, n) over its windows, in enumeration order."""
     d = math.gcd(k, n)
     groups: dict[frozenset, list[Window]] = {}
-    for w in _theta_windows(n, k):
+    for w in windows:
         perm = BoundedAffinePerm(w, _validated=True)
         ms = inversion_multiset(perm)
         if not ms.is_set():
@@ -545,9 +550,13 @@ def census_report(n_max: int) -> dict:
     """Census over every frame with n <= n_max; observational only."""
     _require_n_max(n_max)
     start = time.perf_counter()
-    frames = [
-        classes_census(k, n) for n in range(2, n_max + 1) for k in range(1, n)
-    ]
+    frames = []
+    for n in range(2, n_max + 1):
+        # one pass over Theta(n), bucketed by k in enumeration order
+        by_k: dict[int, list[Window]] = {k: [] for k in range(1, n)}
+        for w in _theta_windows(n):
+            by_k[_k_of(w)].append(w)
+        frames += [_census_frame(k, n, ws) for k, ws in by_k.items()]
     return {
         "suite": "census",
         "params": {"n_max": n_max},

@@ -280,14 +280,32 @@ def test_verify_jobs_defaults_to_one(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["params"]["jobs"] == 1
 
 
-def _run_optimised(*argv):
-    """`python -O -m posicat.cli argv` on this package's source: -O strips
-    assert statements, and every check must hold without them."""
+def _run_python(*args):
+    """`python args` on this package's source."""
     src = str(Path(posicat.__file__).resolve().parent.parent)
     return subprocess.run(
-        [sys.executable, "-O", "-m", "posicat.cli", *argv],
+        [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
     )
+
+
+def _run_optimised(*argv):
+    """`python -O -m posicat.cli argv`: -O strips assert statements, and
+    every check must hold without them."""
+    return _run_python("-O", "-m", "posicat.cli", *argv)
+
+
+def test_python_m_posicat_runs_the_readme_example():
+    done = _run_python("-m", "posicat", "compute", "--perm", "cycle:(0,3,2,5,1,4)",
+                       "--what", "catalan")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "2\n"
+
+
+def test_python_m_posicat_bad_input_exits_2_without_a_traceback():
+    done = _run_python("-m", "posicat", "compute", "--perm", "window:1,1", "--what", "catalan")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "error:" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_verify_under_python_O_prints_one_report():

@@ -20,6 +20,7 @@ from posicat.affine import (
     _has_double_crossing,
     _is_bounded,
     _left_s,
+    _relabel_restriction,
     _remove_fixed,
     _residue_positions,
     _value_at,
@@ -123,6 +124,41 @@ def test_decoupling_exhaustive(engine):
         for f in map(BoundedAffinePerm, _bounded_windows(n)):
             if f.cycle_count() > 1:
                 assert engine.compute_C_decoupled(f) == engine.compute_C(f)
+
+
+def test_decoupled_product_equals_the_product_over_every_cycle(engine):
+    # a fixed residue restricts to a period-1 window, with C = 1 by rule 2,
+    # so skipping those factors leaves the product over all cycles
+    for n in range(1, 7):
+        for w in _bounded_windows(n):
+            f = BoundedAffinePerm(w, _validated=True)
+            factors = {
+                cyc: engine.compute_C(BoundedAffinePerm(_relabel_restriction(w, cyc)))
+                for cyc in f._cycle_tuples()
+            }
+            assert all(c == 1 for cyc, c in factors.items() if len(cyc) == 1)
+            assert engine.compute_C_decoupled(f) == math.prod(factors.values())
+
+
+def test_decoupling_builds_one_restriction_per_cycle_of_length_two_or_more(monkeypatch):
+    built = []
+    original = posicat.engine._relabel_restriction
+
+    def counted(w, residues):
+        built.append(residues)
+        return original(w, residues)
+
+    monkeypatch.setattr(posicat.engine, "_relabel_restriction", counted)
+    engine = Engine()
+    for n in range(1, 6):
+        for f in map(BoundedAffinePerm, _bounded_windows(n)):
+            built.clear()
+            engine.compute_C_decoupled(f)
+            assert built == [cyc for cyc in f._cycle_tuples() if len(cyc) >= 2]
+    # [1, 3, 2] has the 2-cycle {0, 1} and the fixed residue 2
+    f = BoundedAffinePerm([1, 3, 2])
+    built.clear()
+    assert engine.compute_C_decoupled(f) == 1 and built == [(0, 1)]
 
 
 def test_double_crossing_recurrence_example(engine):

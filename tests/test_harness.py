@@ -323,6 +323,21 @@ def test_every_check_is_seen_to_fail(monkeypatch, check, suite, owner, name, rep
     assert check in failed, failed
 
 
+def test_decoupling_sees_one_wrong_cycle_factor(monkeypatch):
+    # the method is left as it is; only the factor of a 2-cycle, whose
+    # restriction is always (1, 2) with C = 1, is read off the translation
+    # (2, 3, 4, 5, 6) with C = 2
+    original = posicat.engine._relabel_restriction
+
+    def corrupt(w, residues):
+        v = original(w, residues)
+        return (2, 3, 4, 5, 6) if v == (1, 2) else v
+
+    monkeypatch.setattr(posicat.engine, "_relabel_restriction", corrupt)
+    failed = {f["check"] for f in verify_engine(5).failures}
+    assert failed == {"decoupling"}
+
+
 RING_STEP_MUTATIONS = {
     # (q-1) x + q y in place of (q-1)^2 x + q y
     "apart_step_one_factor": ("_apart_step", lambda x, y: Q_MINUS_1 * x + Q * y),

@@ -60,6 +60,8 @@ def test_import_loads_no_dataclasses_or_inspect():
     imported, added = done.stdout.splitlines()
     assert Path(imported).resolve() == (src / "posicat" / "__init__.py").resolve()
     assert {"dataclasses", "inspect"} & set(added.split()) == set()
+    # `python -m posicat` runs posicat.__main__; the import alone does not
+    assert "posicat.__main__" not in added.split()
 
 
 def _named(tree):
@@ -179,6 +181,7 @@ NEVER_RUN = {
     "polynomial.IntPoly.__repr__": DUNDER,
     "polynomial.IntPoly.__str__": DUNDER,
     "harness._fail": "runs only when a check fails",
+    "harness.classes_census": "the public census of one frame; census_report buckets its own",
     "polynomial.IntPoly.__add__": "the tests' reference for engine._same_step and _apart_step",
     "polynomial.IntPoly.exact_div": TRACED + " as its polynomial-layer span",
 }
