@@ -110,7 +110,15 @@ def _inversion_pairs(w: Window) -> Iterator[tuple[int, int]]:
 
 
 def _length(w: Window) -> int:
-    return sum(1 for _ in _inversion_pairs(w))
+    """The number of inversions, by Shi's formula: the sum over
+    0 <= i < j < n of |floor((f(j) - f(i)) / n)| (Shi 1986; Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, 8.3).  The residues are distinct mod n,
+    so each term counts the inversions between i and the translates of j,
+    or between j and those of i.  It shares no code with `_inversion_pairs`,
+    so the inversion multiset's total is checked against an independent
+    count."""
+    n = len(w)
+    return sum(abs((wj - wi) // n) for i, wi in enumerate(w) for wj in w[i + 1:])
 
 
 def _left_s(w: Window, i: int) -> Window:

@@ -11,7 +11,8 @@ chunk with its own engine, and the failures are sorted once, so serial and
 parallel reports differ only in `elapsed` and `params.jobs`.
 
 The census is observational: it reports conjugation class counts per
-inversion set and flags, without asserting, whether they match gcd(k, n).
+inversion set and flags, without asserting, whether they match gcd(k, n)
+and whether `nu_bar` takes each value below gcd(k, n) on exactly one class.
 """
 
 from __future__ import annotations
@@ -233,8 +234,20 @@ def _theta_range(n_max: int) -> list[Window]:
 # main-theorem suite
 # ---------------------------------------------------------------------------
 
-def _main_theorem_checks(w: Window, engine: Engine, failures: list[dict]) -> None:
-    """Run every main-theorem check on one window, appending failure records."""
+def _main_theorem_checks(
+    w: Window, engine: Engine, failures: list[dict], sets: dict
+) -> None:
+    """Run every main-theorem check on one window, appending failure records.
+
+    Convexity and the Dyck count of a repetition-free window depend on
+    (k, n, F) alone, so they are computed once per forbidden set: `sets`
+    maps (k, n, frozenset of the sheared points) to (convex, Dyck count)
+    and gains an entry the first time a set is met.  Everything else, `C`
+    included, is computed per window, and every failure record is still
+    per window.  The caller passes a fresh dict for each suite call (each
+    chunk under `--jobs` unpickles its own), so no result outlives the call
+    that computed it and a later call computes every set again.
+    """
     perm = BoundedAffinePerm(w, _validated=True)
     n, k = perm.n, perm.k
     ms = inversion_multiset(perm)
@@ -258,10 +271,13 @@ def _main_theorem_checks(w: Window, engine: Engine, failures: list[dict]) -> Non
             _fail(w, "f_min_subset", sorted(f_min(k, n)), sheared.points())
         )
     if ms.is_set():
-        if not is_convex(ms):
+        key = (k, n, frozenset(sheared.entries))
+        if key not in sets:
+            sets[key] = (is_convex(ms), count_avoiding_paths(k, n, sheared.points()))
+        convex, dyck = sets[key]
+        if not convex:
             failures.append(_fail(w, "convexity", "convex", ms.points()))
         catalan = engine.compute_C(perm)
-        dyck = count_avoiding_paths(k, n, sheared.points())
         if catalan != dyck:
             failures.append(_fail(w, "counting_formula", catalan, dyck))
 
@@ -269,10 +285,14 @@ def _main_theorem_checks(w: Window, engine: Engine, failures: list[dict]) -> Non
 def verify_main_theorem(n_max: int, jobs: int = 1) -> VerificationReport:
     """Exhaustively check, for every single-cycle permutation with period up
     to n_max: central symmetry, the path oracle, and for repetition-free
-    permutations convexity and the counting formula."""
-    return _run_suite(
-        "main", n_max, jobs, lambda: [(_main_theorem_checks, _theta_range(n_max))]
-    )
+    permutations convexity and the counting formula.
+
+    Convexity and the Dyck count are shared by the windows of one forbidden
+    set, through a dict that lives for this call only (one per chunk under
+    `jobs` > 1); `C` is computed for every window."""
+    return _run_suite("main", n_max, jobs, lambda: [
+        (functools.partial(_main_theorem_checks, sets={}), _theta_range(n_max))
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +513,12 @@ def classes_census(k: int, n: int) -> dict:
     group into conjugation classes.
 
     Purely observational: the report records, per group, the class count,
-    class sizes, the rotation statistic of each class, and whether the count
-    equals gcd(k, n); nothing is asserted.  From period two on, a k outside
-    1..n-1 raises InvalidFrame, as in `enumerate_theta`; below period two
-    the report is empty for every k.  A k or n that is not an integer
-    raises InvalidFrame at every period.
+    class sizes, the rotation statistic of each class, whether the count
+    equals gcd(k, n), and whether `nu_bar` is a bijection from the classes
+    onto 0..gcd(k, n)-1 (one value per class, each value once); nothing is
+    asserted.  From period two on, a k outside 1..n-1 raises InvalidFrame,
+    as in `enumerate_theta`; below period two the report is empty for every
+    k.  A k or n that is not an integer raises InvalidFrame at every period.
     """
     k, n = _integers((k, n), "the frame (k, n)", InvalidFrame)
     if n >= 2:
@@ -534,6 +555,7 @@ def _census_frame(k: int, n: int, windows: Iterable[Window]) -> dict:
                 "class_sizes": [len(c) for c in classes],
                 "nu_bar_per_class": nu_bars,
                 "matches_gcd": len(classes) == d,
+                "nu_bar_bijective": sorted(nu_bars) == [[v] for v in range(d)],
             }
         )
     return {
@@ -543,6 +565,7 @@ def _census_frame(k: int, n: int, windows: Iterable[Window]) -> dict:
         "groups": group_reports,
         "repetition_free_total": sum(g["members"] for g in group_reports),
         "all_match_gcd": all(g["matches_gcd"] for g in group_reports),
+        "all_nu_bar_bijective": all(g["nu_bar_bijective"] for g in group_reports),
     }
 
 
@@ -562,5 +585,6 @@ def census_report(n_max: int) -> dict:
         "params": {"n_max": n_max},
         "frames": frames,
         "all_match_gcd": all(f["all_match_gcd"] for f in frames),
+        "all_nu_bar_bijective": all(f["all_nu_bar_bijective"] for f in frames),
         "elapsed": time.perf_counter() - start,
     }

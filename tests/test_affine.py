@@ -19,6 +19,7 @@ from posicat.affine import (
     _inverse_at,
     _is_bounded,
     _left_s,
+    _length,
     _orbit_key,
     _relabel_restriction,
     _remove_fixed,
@@ -210,6 +211,14 @@ def test_left_mul_walkthrough():
     assert w == (0, 3) and _is_bounded(w)
     g = BoundedAffinePerm(w)
     assert g(0) == 0 and g(1) == 3
+
+
+def test_length_by_shi_formula_matches_brute_force():
+    # Shi's closed form shares no code with the pair scan that builds the
+    # inversion multiset, so it is checked against the definition here
+    for n in range(1, 7):
+        for w in _bounded_windows(n):
+            assert _length(w) == brute_length(BoundedAffinePerm(w)), w
 
 
 def test_length_delta_rules_match_brute_force():

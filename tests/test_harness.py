@@ -15,6 +15,7 @@ from posicat import (
     cs_convex_subsets,
     enumerate_theta,
     f_min,
+    inversion_multiset,
     synthesize_profile,
     verify_engine,
     verify_main_theorem,
@@ -145,6 +146,80 @@ def test_verify_main_theorem_records_exception_and_continues(monkeypatch):
     ]
 
 
+def _counted(monkeypatch, owner, name):
+    """Wrap `owner.name` so that its calls are counted; returns the counter."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _repetition_free_sets(n_max):
+    """The repetition-free windows with period <= n_max, keyed by (k, n,
+    sheared inversion set)."""
+    sets = {}
+    for w in harness._theta_range(n_max):
+        perm = BoundedAffinePerm(w)
+        sheared = inversion_multiset(perm).to_sheared()
+        if sheared.is_set():
+            sets.setdefault((perm.k, perm.n, frozenset(sheared.entries)), []).append(w)
+    return sets
+
+
+def test_main_theorem_computes_convexity_and_dyck_once_per_set(monkeypatch):
+    # 613 repetition-free windows with n <= 7 share 36 forbidden sets
+    sets = _repetition_free_sets(7)
+    assert (sum(map(len, sets.values())), len(sets)) == (613, 36)
+    dyck_calls = _counted(monkeypatch, harness, "count_avoiding_paths")
+    convex_calls = _counted(monkeypatch, harness, "is_convex")
+    assert verify_main_theorem(7, jobs=1).passed
+    assert (len(dyck_calls), len(convex_calls)) == (36, 36)
+    assert {(k, n, frozenset(points)) for k, n, points in dyck_calls} == set(sets)
+    # the sets are shared within one call only: a second call computes again
+    assert verify_main_theorem(7, jobs=1).passed
+    assert (len(dyck_calls), len(convex_calls)) == (72, 72)
+
+
+def test_counting_formula_sees_a_dyck_count_wrong_on_one_set(monkeypatch):
+    # a Dyck count off by one on a single (k, n, F) fails the counting
+    # formula on every window of that set, and on no other window
+    target = (3, 7, [(1, 2), (1, 3), (2, 4), (2, 5)])
+    windows = _repetition_free_sets(7)[(3, 7, frozenset(target[2]))]
+    assert len(windows) == 112
+    original = harness.count_avoiding_paths
+
+    def wrong_on_one_set(k, n, points):
+        return original(k, n, points) + ((k, n, sorted(points)) == target)
+
+    monkeypatch.setattr(harness, "count_avoiding_paths", wrong_on_one_set)
+    failures = verify_main_theorem(7).failures
+    assert {f["check"] for f in failures} == {"counting_formula"}
+    assert sorted(f["window"] for f in failures) == sorted(map(list, windows))
+    assert all(f["actual"] == f["expected"] + 1 for f in failures)
+
+
+def test_total_multiplicity_sees_a_wrong_inversion_pair_list(monkeypatch):
+    # the length comes from Shi's formula, not from `_inversion_pairs`, so
+    # pairs dropped past the window shorten the multiset and not the length
+    import posicat.affine
+    import posicat.invsets
+
+    original = posicat.affine._inversion_pairs
+
+    def in_window_only(w):
+        return ((i, j) for i, j in original(w) if j < len(w))
+
+    monkeypatch.setattr(posicat.affine, "_inversion_pairs", in_window_only)
+    monkeypatch.setattr(posicat.invsets, "_inversion_pairs", in_window_only)
+    failed = {f["check"] for f in verify_main_theorem(5).failures}
+    assert "total_multiplicity" in failed, failed
+
+
 @pytest.mark.parametrize("chunk, windows, checked", [
     ("_engine_theta_chunk", "theta", 6),
     ("_engine_class_chunk", "reps", 6),
@@ -200,14 +275,7 @@ def test_verify_synthesis_validates_each_profile_once(monkeypatch):
     # check the ConcaveProfile that synthesize_profile returns again
     import posicat.dyck as dyck
 
-    calls = []
-    validate = dyck.validate_profile
-
-    def counted(*args):
-        calls.append(args)
-        return validate(*args)
-
-    monkeypatch.setattr(dyck, "validate_profile", counted)
+    calls = _counted(monkeypatch, dyck, "validate_profile")
     report = verify_synthesis(6)
     assert report.passed and report.checked > 0
     assert len(calls) == report.checked
@@ -533,14 +601,7 @@ def test_cs_convex_subsets_totals_per_period():
 def test_cs_convex_subsets_cost_follows_the_output(monkeypatch):
     # one closure per found set and orbit, plus the first: a scan over orbit
     # subsets, 2^18 of them in this frame, would make far more
-    calls = []
-    closure = harness._lattice_closure
-
-    def counted(points, k, m):
-        calls.append(1)
-        return closure(points, k, m)
-
-    monkeypatch.setattr(harness, "_lattice_closure", counted)
+    calls = _counted(monkeypatch, harness, "_lattice_closure")
     k, n = 7, 14
     result = cs_convex_subsets(k, n)
     assert len(result) == 51  # as the mask scan finds, in about 10 s
@@ -605,6 +666,7 @@ def test_census_2_4():
     assert group["class_count"] == 2
     assert group["nu_bar_per_class"] == [[1], [0]]  # classes sorted by window
     assert group["matches_gcd"] and report["all_match_gcd"]
+    assert group["nu_bar_bijective"] and report["all_nu_bar_bijective"]
 
 
 def test_census_2_5():
@@ -619,6 +681,28 @@ def test_census_report_structure():
     assert report["suite"] == "census"
     assert len(report["frames"]) == sum(n - 1 for n in range(2, 5))
     json.dumps(report)  # JSON-serialisable end to end
+
+
+def test_census_nu_bar_is_a_bijection_up_to_period_seven():
+    # observed, not asserted by the census: in every group nu_bar takes each
+    # value below gcd(k, n) on exactly one conjugation class
+    report = census_report(7)
+    groups = [g for frame in report["frames"] for g in frame["groups"]]
+    assert len(groups) == 36
+    assert all(g["nu_bar_bijective"] for g in groups)
+    assert all(frame["all_nu_bar_bijective"] for frame in report["frames"])
+    assert report["all_nu_bar_bijective"]
+
+
+def test_census_flags_a_nu_bar_that_is_not_a_bijection(monkeypatch):
+    # with nu_bar constant, only the groups with one class (gcd 1) still
+    # read as a bijection; the census reports it and raises nothing
+    monkeypatch.setattr(harness, "nu_bar", lambda perm: 0)
+    report = census_report(6)
+    for frame in report["frames"]:
+        for group in frame["groups"]:
+            assert group["nu_bar_bijective"] == (frame["gcd"] == 1)
+    assert not report["all_nu_bar_bijective"] and report["all_match_gcd"]
 
 
 # -- the report record --------------------------------------------------------

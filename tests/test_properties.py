@@ -1,17 +1,19 @@
 """Random single cycles, and random bounded windows, past the exhaustive
-range (n = 9..16).
+range (n = 9..16), and synthesized repetition-free windows up to n = 24.
 
 Derandomized with a bounded example count, so every run draws the same
 cycles and stays fast.  The counting formula and the synthesis round trip
 need repetition-free cycles, which are 32%, 21% and 13% of the cycles at
 n = 9, 10, 11 and rare beyond; those tests draw n = 9..11 and return early
-on the other draws, so Hypothesis' filter health check cannot trip.
+on the other draws, so Hypothesis' filter health check cannot trip.  Past
+that range the main theorem is checked on windows that are repetition-free
+by construction: a random convex set, synthesized into its window.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from posicat import (  # noqa: E402
     BoundedAffinePerm,
@@ -22,6 +24,8 @@ from posicat import (  # noqa: E402
     parse_perm,
     synthesize_perm,
 )
+from posicat.dyck import profile_to_perm, synthesize_profile  # noqa: E402
+from posicat.invsets import _lattice_closure, rect_to_sheared  # noqa: E402
 
 from path_reference import multiplicity_from_paths  # noqa: E402
 
@@ -81,6 +85,46 @@ def test_rtilde_symmetry(f):
     assert len(coeffs) == degree + 1
     assert coeffs[0] == 1
     assert coeffs == coeffs[::-1]
+
+
+@st.composite
+def convex_sets(draw, n_min=12, n_max=24, max_codimension=70):
+    """(k, n, S): S the rectangle-frame lattice closure of one to four
+    random centrally symmetric orbits, so S is convex, centrally symmetric
+    and the inversion set of a repetition-free window of length |S|.  Sets
+    whose codimension k(n-k) - |S| exceeds the cap are rejected: the
+    codimension predicts the engine's cost."""
+    n = draw(st.integers(n_min, n_max))
+    k = draw(st.integers(2, n - 2))
+    m = n - k
+    points = set()
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(st.integers(1, k - 1)), draw(st.integers(1, m - 1))
+        points |= {(a, b), (k - a, m - b)}
+    rect = _lattice_closure(points, k, m)
+    assume(k * m - len(rect) <= max_codimension)
+    return k, n, rect
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(convex_sets())
+def test_main_theorem_on_synthesized_windows(case):
+    # R~ only where its degree is at most 20, which keeps its cost small
+    k, n, rect = case
+    sheared = {rect_to_sheared(p) for p in rect}
+    f = profile_to_perm(synthesize_profile(sheared, k, n))
+    assert inversion_multiset(f).entries == dict.fromkeys(rect, 1)
+    engine = Engine()
+    c = engine.compute_C(f)
+    assert c == count_avoiding_paths(k, n, sheared)
+    degree = k * (n - k) - f.length() - (n - 1)
+    if degree <= 20:
+        rt = engine.compute_Rtilde(f)
+        assert rt.eval_at(1) == c
+        coeffs = rt.coeffs
+        assert len(coeffs) == degree + 1
+        assert coeffs[0] == 1
+        assert coeffs == coeffs[::-1]
 
 
 @st.composite
