@@ -21,22 +21,31 @@ it evaluates in.
 The polynomial ring gives R~: its base value is 1 and its steps are
 x + q y and (q-1)^2 x + q y, for x = R~(f s_i) and y = R~(g).  Each step is
 one pass over the coefficients of x and y that builds one IntPoly, so a
-reduced node makes no product of polynomials.  The integer ring gives C
-directly: at q = 1 the steps are x + y and y alone, and the second never
-evaluates x = R~(f s_i), which keeps C far cheaper than R~.  R itself is
-R~ (q-1)^(n-c).
+reduced node makes no product of polynomials.  R itself is R~ (q-1)^(n-c).
 
-Rule 3 holds at every double move, so each ring picks its own, by a fixed
-scan that keeps traces reproducible.  The polynomial ring takes the first
-double move.  The integer ring takes the first one whose i, i+1 lie on
-different cycles (an apart move, with one child), and the first double move
-when none is apart.  Apartness is read off f itself: conjugating by s_i
-maps the cycle of i onto the cycle of i+1, so i and i+1 share a cycle of g
-exactly when they share one of f.  Each recursion reduces the period or
-increases the length at fixed period, and length is bounded by k(n-k), so
-the recursion terminates; a class with no applicable member would
-contradict the constructive reduction, hence IrreducibleElement signals a
-bug.
+The integer ring gives C directly, and decouples before rule 3:
+
+  D. a normal window with two or more cycles has C = the product of C over
+     the restrictions of f to its cycles, each relabeled onto [0, m) by
+     `affine._relabel_restriction` and reduced as a child.
+
+So the integer ring steps only on single cycles, where i and i+1 always
+share the cycle and its step is x + y.  R~ has no such rule: it is the
+product over the non-crossing blocks of cycles (Ardila, Rincon and
+Williams, "Positroids and non-crossing partitions"), and on every bounded
+window with n <= 7 whose cycles cross it differs from the product over
+cycles.  Rule D is checked, not proven here: `verify --suite engine`
+compares C with R~(1) from the polynomial ring, which never decouples, on
+every bounded window up to its n_max (`rtilde_at_1`).
+
+Rule 3 holds at every double move; both rings take the first, by a fixed
+scan that keeps traces reproducible.  Whether i and i+1 share a cycle of g
+is read off f itself: conjugating by s_i maps the cycle of i onto the
+cycle of i+1, so they share one of g exactly when they share one of f.
+Each recursion reduces the period or increases the length at fixed
+period, and length is bounded by k(n-k), so the recursion terminates; a
+class with no applicable member would contradict the constructive
+reduction, hence IrreducibleElement signals a bug.
 
 Normalisation reads the displacement word d = (f(0) - 0, ..., f(n-1) -
 (n-1)): residue j is fixed iff d[j] is 0 or n, and a simple factor applies
@@ -72,16 +81,15 @@ is cached as well.
 
 A reduced node does O(n) Python-level work: one residue-position table and
 one pass of `affine._first_double_move`, which reads each index's test off f
-and that table in O(1) and stops at the first index that passes.  In the
-integer ring, when that index is not apart, the scan resumes past each
-later double move until one is; each apartness test is a walk along one
-cycle of f, made only for a double move, and no cycle table is built.  g is
-built once, for the chosen index, by editing four entries of a copy of the
-window (`affine._conj_s`).  The keys cost a few native passes over the
-word, plus one rotation per repeated occurrence of its minimum.  A class
-search builds one residue table per member it dequeues and reads each
-index's length change off it in O(1); a kept length keeps the conjugate
-bounded.
+and that table in O(1) and stops at the first index that passes.  The
+polynomial ring tests that index for a shared cycle by a walk along one
+cycle of f; the integer ring lists the cycles of f in one pass first
+(`affine._cycles`), to decouple.  g is built once, for the chosen index, by
+editing four entries of a copy of the window (`affine._conj_s`).  The keys
+cost a few native passes over the word, plus one rotation per repeated
+occurrence of its minimum.  A class search builds one residue table per
+member it dequeues and reads each index's length change off it in O(1); a
+kept length keeps the conjugate bounded.
 
 The reduction recurses once per double move, and its depth can pass the
 interpreter's default recursion limit.  A `compute_*` request that misses
@@ -95,6 +103,7 @@ engine changes no process-wide state.
 from __future__ import annotations
 
 import sys
+from math import prod
 from operator import add
 from typing import Callable, Optional
 
@@ -103,6 +112,7 @@ from .affine import (
     _c_class_members,
     _canonical_key,
     _conj_s,
+    _cycles,
     _displacements,
     _drop,
     _first_double_move,
@@ -152,9 +162,11 @@ class _Ring:
 
     `same(x, y)` is R~(f) from x = R~(f s_i) and y = R~(g) when i, i+1 share
     a cycle of the reduction of g, and `apart(x, y)` when they do not.  An
-    `apart` of None means R~(f) = y: x is never evaluated, and the ring's
-    steps prefer an apart double move, which has one child.  `cache` maps
-    sigma-orbit keys to values; `hits` and `misses` count lookups.
+    `apart` of None marks a ring that is multiplicative over cycles (rule D
+    of the module docstring): a normal window with two or more cycles is the
+    product over its cycles, so the ring steps only on single cycles and
+    never takes an apart move.  `cache` maps sigma-orbit keys to values;
+    `hits` and `misses` count lookups.
     """
 
     __slots__ = ("one", "same", "apart", "cache", "hits", "misses")
@@ -183,7 +195,8 @@ class Engine:
 
     def __init__(self, trace_hook: Optional[TraceHook] = None):
         self._rtilde = _Ring(ONE, _same_step, _apart_step)
-        # at q = 1: x + q y is x + y, and (q-1)^2 x + q y is y
+        # at q = 1, x + q y is x + y; the ring decouples over cycles, so it
+        # never needs the apart step
         self._catalan = _Ring(1, add, None)
         self._trace = trace_hook
 
@@ -209,7 +222,12 @@ class Engine:
         positroid variety is a point, so its factor is 1 by rule 2 and it is
         skipped.  `_relabel_restriction` needs its residues to be a union of
         cycles, which one cycle is; each relabeled window goes to the C table
-        without a `BoundedAffinePerm` of its own."""
+        without a `BoundedAffinePerm` of its own.
+
+        The integer ring decouples too (rule D), at the normal form, so
+        comparing this with `compute_C` compares two groupings of one ring
+        and its tables.  The guard that does not decouple is `R~(1)` from the
+        polynomial ring: the engine suite's `rtilde_at_1`."""
         w = perm.window
         product = 1
         for cyc in perm._cycle_tuples():
@@ -341,9 +359,9 @@ class Engine:
         return w, d
 
     def _step(self, w: Window, ring: _Ring):
-        """R~ of the normal window w in `ring` by rule 2 or a double move, or
-        None: the first double move, or in a ring whose `apart` step drops x
-        the first apart one if the first is not apart."""
+        """R~ of the normal window w in `ring` by rule 2 or its first double
+        move, or None.  In a ring multiplicative over cycles w has one cycle,
+        so every double move shares it."""
         n = len(w)
         if n == 1:
             self._emit("base", w)
@@ -354,27 +372,25 @@ class Engine:
             return None
         # i, i+1 share a cycle of g = s_i f s_i iff they share one of f,
         # since conjugating by s_i swaps the labels i and i+1
-        same_cycle = _same_cycle(w, i)
-        if same_cycle and ring.apart is None:
-            j = _first_double_move(w, pos, i + 1)
-            while j >= 0:
-                if not _same_cycle(w, j):
-                    i, same_cycle = j, False
-                    break
-                j = _first_double_move(w, pos, j + 1)
+        same_cycle = ring.apart is None or _same_cycle(w, i)
         g = _conj_s(w, i, pos)
         if self._trace is not None:
             self._emit("double_move", w, i=i, same_cycle=same_cycle)
         # x = R~(f s_i) is evaluated before y = R~(g), as the trace records
-        if same_cycle:
-            return ring.same(self._child_value(_right_s(w, i), ring), self._child_value(g, ring))
-        if ring.apart is None:
-            return self._child_value(g, ring)
-        return ring.apart(self._child_value(_right_s(w, i), ring), self._child_value(g, ring))
+        step = ring.same if same_cycle else ring.apart
+        return step(self._child_value(_right_s(w, i), ring), self._child_value(g, ring))
 
     def _reduce(self, w: Window, ring: _Ring):
         """R~ of the normal window w in `ring`: a step, else a class search.
-        It recurses through `_child_value`, under the limit `_value` raised."""
+        It recurses through `_child_value`, under the limit `_value` raised.
+        A ring multiplicative over cycles answers two or more cycles as the
+        product over their restrictions."""
+        if ring.apart is None:
+            cycles = _cycles(w)
+            if len(cycles) > 1:
+                if self._trace is not None:
+                    self._emit("decouple", w, cycles=cycles)
+                return prod(self._child_value(_relabel_restriction(w, c), ring) for c in cycles)
         value = self._step(w, ring)
         if value is not None:
             return value

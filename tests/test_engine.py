@@ -15,6 +15,7 @@ from posicat import (
 from posicat.affine import (
     _c_class_members,
     _conj_s,
+    _cycles,
     _displacements,
     _first_double_move,
     _has_double_crossing,
@@ -141,11 +142,15 @@ def test_decoupled_product_equals_the_product_over_every_cycle(engine):
 
 
 def test_decoupling_builds_one_restriction_per_cycle_of_length_two_or_more(monkeypatch):
+    # the C ring decouples its own nodes through the same function, but a
+    # node of a restriction's reduction has a smaller period than f; so the
+    # calls on the window of f, the perm being decoupled, are the method's own
     built = []
     original = posicat.engine._relabel_restriction
 
     def counted(w, residues):
-        built.append(residues)
+        if w == f.window:
+            built.append(residues)
         return original(w, residues)
 
     monkeypatch.setattr(posicat.engine, "_relabel_restriction", counted)
@@ -285,6 +290,14 @@ def test_larger_coprime_value(engine):
     assert engine.compute_C(BoundedAffinePerm.translation(5, 12)) == 66
 
 
+@pytest.mark.parametrize("k, n", [(8, 21), (7, 22), (8, 23), (9, 22), (10, 23)])
+def test_top_cell_catalan_is_the_rational_catalan_number(k, n):
+    # for coprime k, n the translation is the top cell, with C = binom(n, k)/n;
+    # each takes a cold engine well under a second since the C ring decouples
+    assert math.gcd(k, n) == 1
+    assert Engine().compute_C(BoundedAffinePerm.translation(k, n)) == math.comb(n, k) // n
+
+
 def test_trace_contains_double_move():
     records = []
     eng = Engine(trace_hook=records.append)
@@ -295,30 +308,30 @@ def test_trace_contains_double_move():
 
 # C, R~ and the counters of a cold engine for seeded random cycles.  The
 # values were taken from the engine before its nodes read the double-move
-# test off f.  The counters are from the engine whose C ring takes an apart
-# double move when one exists and whose nested windows are keyed by their
-# normal form alone; r_hits and r_misses are unchanged since the engine that
-# also keyed them by their own window.  Equal counters mean the same
-# reduction path.
+# test off f.  The R~ counters are from the engine whose nested windows are
+# keyed by their normal form alone; r_hits and r_misses are unchanged since
+# the engine that also keyed them by their own window.  The C counters are
+# from the engine whose C ring answers a window with two or more cycles as
+# the product over its cycles.  Equal counters mean the same reduction path.
 GOLDEN = [
     ([0, 8, 4, 3, 9, 1, 7, 5, 6, 2], 2, [1, 0, 1],
-     {"r_hits": 2, "r_misses": 4, "c_hits": 1, "c_misses": 4,
-      "r_entries": 5, "c_entries": 5}),
+     {"r_hits": 2, "r_misses": 4, "c_hits": 2, "c_misses": 3,
+      "r_entries": 5, "c_entries": 4}),
     ([0, 6, 3, 1, 2, 4, 5, 7, 8, 9], 1, [1],
      {"r_hits": 0, "r_misses": 1, "c_hits": 0, "c_misses": 1,
       "r_entries": 2, "c_entries": 2}),
     ([0, 9, 8, 6, 3, 7, 1, 4, 10, 5, 2], 5, [1, 0, 1, 1, 1, 0, 1],
-     {"r_hits": 11, "r_misses": 20, "c_hits": 4, "c_misses": 16,
-      "r_entries": 21, "c_entries": 17}),
+     {"r_hits": 11, "r_misses": 20, "c_hits": 8, "c_misses": 9,
+      "r_entries": 21, "c_entries": 10}),
     ([0, 8, 2, 3, 1, 10, 4, 7, 9, 6, 5], 3, [1, 0, 1, 0, 1],
-     {"r_hits": 4, "r_misses": 6, "c_hits": 2, "c_misses": 6,
-      "r_entries": 7, "c_entries": 7}),
+     {"r_hits": 4, "r_misses": 6, "c_hits": 4, "c_misses": 5,
+      "r_entries": 7, "c_entries": 6}),
     ([0, 6, 8, 1, 7, 11, 4, 3, 5, 10, 9, 2], 7, [1, 0, 1, 1, 1, 1, 1, 0, 1],
-     {"r_hits": 15, "r_misses": 17, "c_hits": 4, "c_misses": 11,
-      "r_entries": 18, "c_entries": 12}),
+     {"r_hits": 15, "r_misses": 17, "c_hits": 8, "c_misses": 9,
+      "r_entries": 18, "c_entries": 10}),
     ([0, 3, 10, 1, 9, 11, 5, 4, 2, 7, 8, 6], 5, [1, 0, 1, 1, 1, 0, 1],
-     {"r_hits": 13, "r_misses": 15, "c_hits": 4, "c_misses": 10,
-      "r_entries": 16, "c_entries": 11}),
+     {"r_hits": 13, "r_misses": 15, "c_hits": 6, "c_misses": 7,
+      "r_entries": 16, "c_entries": 8}),
 ]
 
 
@@ -328,28 +341,28 @@ GOLDEN = [
 # conjugate in the class search; the other counters as for GOLDEN.
 GOLDEN_12 = [
     ([0, 8, 6, 2, 1, 3, 7, 4, 10, 5, 11, 9], 7, [1, 0, 1, 1, 1, 1, 1, 0, 1],
-     {"r_hits": 19, "r_misses": 22, "c_hits": 4, "c_misses": 12,
-      "r_entries": 23, "c_entries": 13}),
+     {"r_hits": 19, "r_misses": 22, "c_hits": 8, "c_misses": 9,
+      "r_entries": 23, "c_entries": 10}),
     ([0, 11, 6, 3, 7, 9, 8, 5, 10, 2, 4, 1], 3, [1, 0, 1, 0, 1],
-     {"r_hits": 5, "r_misses": 7, "c_hits": 2, "c_misses": 6,
-      "r_entries": 8, "c_entries": 7}),
+     {"r_hits": 5, "r_misses": 7, "c_hits": 4, "c_misses": 5,
+      "r_entries": 8, "c_entries": 6}),
     ([0, 6, 2, 11, 3, 4, 9, 10, 8, 5, 7, 1], 3, [1, 0, 1, 0, 1],
-     {"r_hits": 4, "r_misses": 5, "c_hits": 2, "c_misses": 5,
+     {"r_hits": 4, "r_misses": 5, "c_hits": 4, "c_misses": 5,
       "r_entries": 6, "c_entries": 6}),
     ([0, 11, 2, 3, 10, 9, 1, 8, 4, 7, 5, 6], 2, [1, 0, 1],
-     {"r_hits": 2, "r_misses": 3, "c_hits": 1, "c_misses": 3,
+     {"r_hits": 2, "r_misses": 3, "c_hits": 2, "c_misses": 3,
       "r_entries": 4, "c_entries": 4}),
     ([0, 2, 9, 7, 4, 11, 10, 5, 6, 3, 1, 8], 5, [1, 0, 1, 1, 1, 0, 1],
-     {"r_hits": 11, "r_misses": 16, "c_hits": 4, "c_misses": 13,
-      "r_entries": 17, "c_entries": 14}),
+     {"r_hits": 11, "r_misses": 16, "c_hits": 8, "c_misses": 9,
+      "r_entries": 17, "c_entries": 10}),
     ([0, 1, 11, 3, 8, 4, 5, 10, 6, 2, 7, 9], 5, [1, 0, 1, 1, 1, 0, 1],
-     {"r_hits": 11, "r_misses": 15, "c_hits": 4, "c_misses": 13,
-      "r_entries": 16, "c_entries": 14}),
+     {"r_hits": 11, "r_misses": 15, "c_hits": 7, "c_misses": 8,
+      "r_entries": 16, "c_entries": 9}),
     ([0, 6, 5, 3, 7, 11, 1, 4, 10, 2, 9, 8], 7, [1, 0, 1, 1, 1, 1, 1, 0, 1],
-     {"r_hits": 27, "r_misses": 33, "c_hits": 6, "c_misses": 17,
-      "r_entries": 34, "c_entries": 18}),
+     {"r_hits": 27, "r_misses": 33, "c_hits": 8, "c_misses": 9,
+      "r_entries": 34, "c_entries": 10}),
     ([0, 1, 10, 5, 6, 9, 2, 8, 4, 7, 3, 11], 3, [1, 0, 1, 0, 1],
-     {"r_hits": 4, "r_misses": 5, "c_hits": 2, "c_misses": 5,
+     {"r_hits": 4, "r_misses": 5, "c_hits": 4, "c_misses": 5,
       "r_entries": 6, "c_entries": 6}),
 ]
 
@@ -374,8 +387,7 @@ def test_step_builds_the_conjugate_only_for_the_chosen_index(monkeypatch):
         return original(w, i, pos)
 
     monkeypatch.setattr(engine_module, "_conj_s", counted)
-    # the C ring tests later indices for apartness on f, and builds g only
-    # for the one it takes
+    # each ring builds g only for the double move it takes, its first
     total = switched = 0
     for method in ("compute_Rtilde", "compute_C"):
         for cycle, *_ in GOLDEN + GOLDEN_12:
@@ -387,7 +399,7 @@ def test_step_builds_the_conjugate_only_for_the_chosen_index(monkeypatch):
             assert built == moves
             total += len(moves)
             switched += sum(i != _first_double_move(w, _residue_positions(w)) for w, i in moves)
-    assert total > 0 and switched > 0
+    assert total > 0 and switched == 0
 
 
 def test_same_cycle_is_conjugation_invariant():
@@ -415,41 +427,63 @@ def _double_moves(w):
     return moves
 
 
-def test_c_ring_takes_an_apart_move_when_one_exists():
-    # the C ring takes the first apart double move, or the first double move
-    # when none is apart; the R~ ring always takes the first
+def test_c_ring_decouples_every_node_with_two_or_more_cycles(monkeypatch):
+    # the C ring answers each normal window with two or more cycles by one
+    # `decouple` record and one restriction per cycle, so it steps only on
+    # single cycles and every double move it takes shares its cycle; the R~
+    # ring never decouples and takes its first double move, apart or not
+    built = []
+    original = posicat.engine._relabel_restriction
+
+    def counted(w, residues):
+        built.append((tuple(w), tuple(residues)))
+        return original(w, residues)
+
+    monkeypatch.setattr(posicat.engine, "_relabel_restriction", counted)
     rings = {"compute_C": [], "compute_Rtilde": []}
+    reduced = []
     for method, records in rings.items():
-        engine = Engine(trace_hook=records.append)
-        for n in range(2, 7):
-            for w in _bounded_windows(n):
-                getattr(engine, method)(BoundedAffinePerm(w))
-        for cycle, *_ in GOLDEN + GOLDEN_12:
-            getattr(Engine(trace_hook=records.append), method)(BoundedAffinePerm.from_cycle(cycle))
-    switched = 0
+        # one engine for every bounded window with n <= 6, a cold one per cycle
+        runs = [(Engine(trace_hook=records.append),
+                 [BoundedAffinePerm(w) for n in range(2, 7) for w in _bounded_windows(n)])]
+        runs += [(Engine(trace_hook=records.append), [BoundedAffinePerm.from_cycle(cycle)])
+                 for cycle, *_ in GOLDEN + GOLDEN_12]
+        for engine, perms in runs:
+            if method == "compute_C":
+                reduce = engine._reduce
+
+                def recorded(w, ring, reduce=reduce):
+                    reduced.append(w)
+                    return reduce(w, ring)
+
+                monkeypatch.setattr(engine, "_reduce", recorded)
+            for perm in perms:
+                getattr(engine, method)(perm)
+    decouples = [r for r in rings["compute_C"] if r["rule"] == "decouple"]
+    assert [tuple(r["window"]) for r in decouples] == [w for w in reduced if len(_cycles(w)) > 1]
+    assert all(r["cycles"] == _cycles(r["window"]) for r in decouples)
+    restrictions = [(tuple(r["window"]), tuple(c)) for r in decouples for c in r["cycles"]]
+    assert sorted(built) == sorted(restrictions)
+    apart = 0
     for method, records in rings.items():
         for record in records:
+            assert method == "compute_C" or record["rule"] != "decouple"
             if record["rule"] != "double_move":
                 continue
             w = tuple(record["window"])
-            moves = _double_moves(w)
-            apart = [i for i, same in moves if not same]
+            assert (record["i"], record["same_cycle"]) == _double_moves(w)[0], (method, w)
             if method == "compute_C":
-                expected = (apart[0], False) if apart else moves[0]
-                switched += expected[0] != moves[0][0]
-            else:
-                expected = moves[0]
-                assert record["i"] == _first_double_move(w, _residue_positions(w))
-            assert (record["i"], record["same_cycle"]) == expected, (method, w)
-    assert switched > 0
+                assert record["same_cycle"] and len(_cycles(w)) == 1
+            apart += not record["same_cycle"]
+    assert decouples and apart > 0
 
 
 def test_translation_cold_engine_stats():
     # C(7, 16) on a cold engine; the README's `compute --stats` example
     engine = Engine()
     assert engine.compute_C(BoundedAffinePerm.translation(7, 16)) == 715
-    assert engine.stats == {"r_hits": 0, "r_misses": 0, "c_hits": 366, "c_misses": 1666,
-                            "r_entries": 0, "c_entries": 1676}
+    assert engine.stats == {"r_hits": 0, "r_misses": 0, "c_hits": 312, "c_misses": 316,
+                            "r_entries": 0, "c_entries": 316}
 
 
 def _stepwise_normal_form(w):
@@ -564,7 +598,7 @@ def test_limit_is_restored_when_the_computation_raises(monkeypatch):
 
 
 def test_the_recursion_guard_runs_once_per_request(monkeypatch):
-    # a cold C(7, 16) reduces 1,666 normal windows under one raised limit
+    # a cold C(7, 16) reduces 316 normal windows under one raised limit
     reads, writes = [], []
     get, set_ = sys.getrecursionlimit, sys.setrecursionlimit
     monkeypatch.setattr(sys, "getrecursionlimit", lambda: reads.append(1) or get())
@@ -572,7 +606,7 @@ def test_the_recursion_guard_runs_once_per_request(monkeypatch):
     engine = Engine()
     value = engine.compute_C(BoundedAffinePerm.translation(7, 16))
     monkeypatch.undo()
-    assert value == 715 and engine.stats["c_misses"] == 1666
+    assert value == 715 and engine.stats["c_misses"] == 316
     assert len(reads) <= 1 and len(writes) <= 2
 
 

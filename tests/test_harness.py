@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -394,16 +395,40 @@ def test_every_check_is_seen_to_fail(monkeypatch, check, suite, owner, name, rep
 def test_decoupling_sees_one_wrong_cycle_factor(monkeypatch):
     # the method is left as it is; only the factor of a 2-cycle, whose
     # restriction is always (1, 2) with C = 1, is read off the translation
-    # (2, 3, 4, 5, 6) with C = 2
+    # (2, 3, 4, 5, 6) with C = 2.  The C ring restricts its nodes through the
+    # same function, so only the calls made by compute_C_decoupled go wrong
     original = posicat.engine._relabel_restriction
+    decoupled = Engine.compute_C_decoupled.__code__
 
     def corrupt(w, residues):
         v = original(w, residues)
-        return (2, 3, 4, 5, 6) if v == (1, 2) else v
+        if v == (1, 2) and sys._getframe(1).f_code is decoupled:
+            return (2, 3, 4, 5, 6)
+        return v
 
     monkeypatch.setattr(posicat.engine, "_relabel_restriction", corrupt)
     failed = {f["check"] for f in verify_engine(5).failures}
     assert failed == {"decoupling"}
+
+
+# the C ring's product over the cycles of a node, wrong in two ways
+RING_PRODUCT_MUTATIONS = {
+    "drops_one_factor": lambda factors: math.prod(list(factors)[1:]),
+    "adds_one": lambda factors: math.prod(factors) + 1,
+}
+
+
+@pytest.mark.parametrize("mutation, engine_n, main_n",
+                         [("adds_one", 5, 6), ("drops_one_factor", 7, 7)])
+def test_wrong_ring_product_is_seen_without_decoupling(monkeypatch, mutation, engine_n, main_n):
+    # the R~ ring never decouples, so rtilde_at_1 sees a wrong C; the main
+    # suite's Dyck count does not use the engine.  A dropped factor shows
+    # only from period 7: every cycle of period 4 or less has C = 1, and a
+    # node with two or more cycles and no fixed residue is a product of such
+    # cycles up to period 6
+    monkeypatch.setattr(posicat.engine, "prod", RING_PRODUCT_MUTATIONS[mutation])
+    assert "rtilde_at_1" in {f["check"] for f in verify_engine(engine_n).failures}
+    assert "counting_formula" in {f["check"] for f in verify_main_theorem(main_n).failures}
 
 
 RING_STEP_MUTATIONS = {

@@ -1,5 +1,6 @@
 """Random single cycles, and random bounded windows, past the exhaustive
-range (n = 9..16), and synthesized repetition-free windows up to n = 24.
+range (n = 9..16), random windows with two or more cycles (n = 8..12), and
+synthesized repetition-free windows up to n = 24.
 
 Derandomized with a bounded example count, so every run draws the same
 cycles and stays fast.  The counting formula and the synthesis round trip
@@ -9,6 +10,8 @@ on the other draws, so Hypothesis' filter health check cannot trip.  Past
 that range the main theorem is checked on windows that are repetition-free
 by construction: a random convex set, synthesized into its window.
 """
+
+import itertools
 
 import pytest
 
@@ -24,6 +27,7 @@ from posicat import (  # noqa: E402
     parse_perm,
     synthesize_perm,
 )
+from posicat.affine import _cycles  # noqa: E402
 from posicat.dyck import profile_to_perm, synthesize_profile  # noqa: E402
 from posicat.invsets import _lattice_closure, rect_to_sheared  # noqa: E402
 
@@ -158,3 +162,65 @@ def test_text_round_trip(f, w):
     assert parse_perm("cycle:(" + ",".join(map(str, cycle)) + ")") == f
     one_based = ",".join(str(x or f.n) for x in cycle)
     assert parse_perm(f"cycle:({one_based})", one_based=True) == f
+
+
+@st.composite
+def multi_cycle_windows(draw, n_min=8, n_max=12):
+    """A bounded window with at least two cycles of length two or more.  Each
+    residue draws which of two or three cycles it joins, so the cycles'
+    residue sets mostly interleave on the circle: they cross, and there R~
+    is not the product over cycles.  A cycle runs through its residues in a
+    random order, or steps through them in increasing order by a fixed
+    stride, which restricts to a translation; up to two residues are fixed."""
+    n = draw(st.integers(n_min, n_max))
+    m = draw(st.integers(2, 3))
+    labels = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    fixed = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    cycles = [[i for i in range(n) if labels[i] == c and i not in fixed] for c in range(m)]
+    assume(sum(len(c) >= 2 for c in cycles) >= 2)
+    image = {}
+    for c in cycles:
+        if len(c) >= 2 and draw(st.booleans()):
+            stride = draw(st.integers(1, len(c) - 1))
+            image.update(zip(c, c[stride:] + c[:stride]))
+        else:
+            order = draw(st.permutations(c))
+            image.update(zip(order, order[1:] + order[:1]))
+    w = []
+    for i in range(n):
+        j = image.get(i, i)
+        if j != i:
+            w.append(j if j > i else j + n)
+        else:
+            w.append(i + n if draw(st.booleans()) else i)
+    return w
+
+
+def _cycles_cross(w):
+    """Whether two cycles of length two or more interleave on the circle:
+    around it, the residues of the two alternate more than twice."""
+    n = len(w)
+    label = {r: c for c, cycle in enumerate(_cycles(w)) if len(cycle) >= 2 for r in cycle}
+    for a, b in itertools.combinations(sorted(set(label.values())), 2):
+        around = [label[r] for r in range(n) if label.get(r) in (a, b)]
+        if sum(x != y for x, y in zip(around, around[1:] + around[:1])) > 2:
+            return True
+    return False
+
+
+def test_decoupled_c_is_rtilde_at_one_on_multi_cycle_windows():
+    # the C ring answers a window with two or more cycles as the product of
+    # C over its cycles; the R~ ring never decouples, so R~(1) checks that
+    # product where the exhaustive suites stop, and most draws have crossing
+    # cycles, where R~ itself does not factor
+    crossing = []
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(multi_cycle_windows())
+    def check(w):
+        f = BoundedAffinePerm(w)
+        assert Engine().compute_C(f) == Engine().compute_Rtilde(f).eval_at(1)
+        crossing.append(_cycles_cross(w))
+
+    check()
+    assert sum(crossing) > len(crossing) / 2

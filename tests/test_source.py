@@ -126,6 +126,8 @@ CLI_TOUR = (
     + [
         (["compute", "--perm", FIG3, "--what", "rtilde", "--trace", "--stats"], 0),
         (["compute", "--perm", "cycle:(1,4,6,2,5,7,3)", "--what", "catalan", "--one-based"], 0),
+        # an R~ class search that visits a normal member before it succeeds
+        (["compute", "--perm", "cycle:(0,3,7,5,2,6,1,4)", "--what", "rtilde"], 0),
         (["compute", "--perm", '{"window": [3, 6, 4, 5, 7, 8, 9]}', "--what", "fset"], 0),
         (["dyck", "--k", "3", "--n", "7", "--forbid", "1,1;2,3", "--coords", "rect"], 0),
         (["dyck", "--k", "3", "--n", "7", "--forbid", "1,2;2,5", "--coords", "sheared"], 0),
