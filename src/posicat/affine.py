@@ -276,8 +276,8 @@ def _has_double_crossing(w: Window, i: int, pos: Sequence[int]) -> bool:
     return i + 1 < c < d
 
 
-def _first_double_move(w: Window, pos: Sequence[int], start: int = 0) -> int:
-    """The first i in [start, n) where g = s_i f s_i is bounded with a double
+def _first_double_move(w: Window, pos: Sequence[int]) -> int:
+    """The first i in [0, n) where g = s_i f s_i is bounded with a double
     crossing at i, or -1; n >= 2.  Each index is read off f's window w and
     its residue positions pos in O(1), without building g.
 
@@ -292,7 +292,7 @@ def _first_double_move(w: Window, pos: Sequence[int], start: int = 0) -> int:
     """
     n = len(w)
     top = n - 1
-    for i in range(start, n):
+    for i in range(n):
         i1 = i + 1 if i < top else 0
         # c = s(f(i)) and d = s(f(i+1)); s moves a value by one at most, and
         # by its residue alone

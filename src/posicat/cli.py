@@ -15,7 +15,12 @@ import sys
 from typing import Optional
 
 from .affine import parse_perm
-from .dyck import count_avoiding_paths, enumerate_avoiding_paths, synthesize_perm
+from .dyck import (
+    _require_cs_convex,
+    count_avoiding_paths,
+    enumerate_avoiding_paths,
+    synthesize_perm,
+)
 from .engine import Engine
 from .errors import PosicatError
 from .harness import (
@@ -160,9 +165,11 @@ def _cmd_dyck(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    sheared = _forbidden_sheared(args)
-    rect = {sheared_to_rect(p) for p in sheared}
-    perm = synthesize_perm(rect, args.k, args.n)
+    points = set(parse_forbidden(args.forbid))
+    if args.coords == SHEARED:
+        _require_cs_convex(points, args.k, args.n)  # errors name the points as given
+        points = {sheared_to_rect(p) for p in points}
+    perm = synthesize_perm(points, args.k, args.n)
     print(perm.to_json())
     return 0
 

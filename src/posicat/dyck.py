@@ -256,14 +256,20 @@ def profile_to_perm(profile: ConcaveProfile) -> BoundedAffinePerm:
 # synthesis
 # ---------------------------------------------------------------------------
 
-def _require_cs_convex(points: set[Point], k: int, n: int) -> None:
-    """Validate a sheared forbidden set: centrally symmetric and convex."""
+def _require_cs_convex(points: set[Point], k: int, n: int, rect: bool = False) -> None:
+    """Validate a forbidden set of the frame (k, n): inside the rectangle,
+    centrally symmetric and convex.  The points are sheared, or rectangular
+    when `rect`, and every error names them as they were given.  A frame
+    outside 1 <= k <= n-1 raises InvalidFrame first."""
+    _require_theta_frame(k, n)
+    m = n - k if rect else n
     for a, b in points:
-        if not (1 <= a <= k - 1 and 1 <= b <= n - 1):
-            raise PosicatError(f"point {(a, b)} outside [1,{k - 1}]x[1,{n - 1}]")
-        if (k - a, n - b) not in points:
+        if not (1 <= a <= k - 1 and 1 <= b - (0 if rect else a) <= n - k - 1):
+            raise PosicatError(f"point {(a, b)} outside [1,{k - 1}]x[1,{m - 1}]"
+                               + ("" if rect else f" with 1 <= b - a <= {n - k - 1}"))
+        if (k - a, m - b) not in points:
             raise NotCentrallySymmetric(f"missing mirror of {(a, b)}")
-    if not is_convex_points(points, k, n):
+    if not is_convex_points(points, k, m):
         raise NotConvex(f"{sorted(points)} misses lattice points of its hull")
 
 
@@ -298,9 +304,9 @@ def synthesize_profile(
     c = 2^-m; the b-dependent factor breaks the symmetric fractional-part
     ties a centrally symmetric hull would otherwise force.  The first
     candidate of the deterministic (m, s) schedule of `_candidates` that
-    passes wins; existence is guaranteed for small enough perturbations, so
-    exhausting the schedule signals a bug.  A frame outside 1 <= k <= n-1
-    raises InvalidFrame.
+    passes wins; existence is guaranteed for small enough perturbations of
+    a set that `_require_cs_convex` accepts, so exhausting the schedule
+    signals a bug.  A frame outside 1 <= k <= n-1 raises InvalidFrame.
 
     The search filters the candidates in integers, testing only what one
     can fail: the first increment is below Q, the last is above 0, the N_b
@@ -311,7 +317,6 @@ def synthesize_profile(
     `profile_forbidden_set` must give back the requested set.  If either
     disagrees, SynthesisFailed names (m, s).
     """
-    _require_theta_frame(k, n)
     points = set(_points(forbidden_sheared, "the forbidden set"))
     _require_cs_convex(points, k, n)
     columns: list[list[int]] = [[] for _ in range(n)]
@@ -373,15 +378,16 @@ def synthesize_perm(
     forbidden_rect: Iterable[Point], k: int, n: int
 ) -> BoundedAffinePerm:
     """A repetition-free permutation with the given rectangular-frame
-    inversion set; the set must be centrally symmetric and convex.
+    inversion set; the set must lie in the rectangle and be centrally
+    symmetric and convex, and an error names its points in this frame.
 
     The postconditions of `_synthesis_failures` are checked, and a miss
     raises SynthesisFailed: the result is repetition-free, its inversion set
     equals the input, and its orbit floors match the profile floors.
     """
     rect = set(_points(forbidden_rect, "the forbidden set"))
-    sheared = {rect_to_sheared(p) for p in rect}
-    profile = synthesize_profile(sheared, k, n)
+    _require_cs_convex(rect, k, n, rect=True)  # errors name the points as given
+    profile = synthesize_profile({rect_to_sheared(p) for p in rect}, k, n)
     perm = profile_to_perm(profile)
     failures = _synthesis_failures(perm, inversion_multiset(perm), profile, rect)
     if failures:

@@ -6,12 +6,12 @@ reads a polynomial from text or JSON: one is built from its coefficients,
 and a coefficient that is not an integer raises MalformedText.
 
 The operations are the ones the package uses: `*` and `**` (R is
-R~ (q-1)^(n-c)), evaluation at an integer and text.  The engine builds
-the R~ of a reduced node from the coefficients of its two children in one
-pass (`engine._same_step` and `engine._apart_step`); `+` stays as the
-tests' reference for those steps, x + q y and (q-1)^2 x + q y.  The one non-ring operation, exact_div, has no
-caller in the package: it stays only because `perfbench/tracing.py` patches
-it by name, and goes once that tracer spans the ring operations instead.
+R~ (q-1)^(n-c)), evaluation at an integer and text.  There is no `+`: the
+engine builds the R~ of a reduced node from the coefficients of its two
+children in one pass (`engine._same_step` and `engine._apart_step`).  The
+one non-ring operation, exact_div, has no caller in the package: it stays
+only because `perfbench/tracing.py` patches it by name, and goes once that
+tracer spans the ring operations instead.
 InexactDivision is raised by exact_div alone, on a nonzero remainder or a
 zero divisor.
 """
@@ -63,15 +63,6 @@ class IntPoly:
         return not self.is_zero
 
     # -- ring operations --------------------------------------------------------
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return IntPoly(out)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs

@@ -25,6 +25,7 @@ from posicat.affine import (
     _remove_fixed,
     _residue_positions,
     _right_s,
+    _sigma,
     _value_at,
     _window_from_cycle,
 )
@@ -333,24 +334,25 @@ def test_conj_double_crossing_matches_built_conjugate():
     assert found > 0 and missing > 0
 
 
-def test_first_double_move_from_start_lists_every_move():
-    """Restarting the scan past each index found lists exactly the indices
-    where the built g = s_i f s_i is bounded with a double crossing at i."""
+def test_first_double_move_reads_every_index_by_rotation():
+    """sigma^j moves index i to (i + j) mod n, so the scan of sigma^j(w)
+    stops at the first move of w so shifted: index i of w is a move exactly
+    when the scan of sigma^((n - i) mod n)(w) stops at 0.  The moves of w are
+    the i where the built g = s_i f s_i is bounded with a double crossing at
+    i, and every rotation of every window is scanned."""
     several = 0
     for w in _sample_windows():
-        expected = []
-        for i in range(len(w)):
+        n = len(w)
+        moves = []
+        for i in range(n):
             g = _conj_ref(w, i)
             if _is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g)):
-                expected.append(i)
-        pos = _residue_positions(w)
-        moves = []
-        i = _first_double_move(w, pos, 0)
-        while i >= 0:
-            moves.append(i)
-            i = _first_double_move(w, pos, i + 1)
-        assert moves == expected, w
-        assert _first_double_move(w, pos, len(w)) == -1
+                moves.append(i)
+        rotated = w
+        for j in range(n):
+            expected = min(((i + j) % n for i in moves), default=-1)
+            assert _first_double_move(rotated, _residue_positions(rotated)) == expected, (w, j)
+            rotated = _sigma(rotated)
         several += len(moves) > 1
     assert several > 0
 

@@ -130,6 +130,20 @@ def test_synthesize_error_exit_code(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("k, n, forbid, coords, message", [
+    ("3", "7", "1,1", "rect", "missing mirror of (1, 1)"),
+    ("3", "7", "1,2", "sheared", "missing mirror of (1, 2)"),
+    ("4", "8", "1,1;3,3", "rect", "[(1, 1), (3, 3)] misses lattice points"),
+    ("4", "8", "1,2;3,6", "sheared", "[(1, 2), (3, 6)] misses lattice points"),
+    ("2", "4", "1,0;1,1;1,2", "rect", "outside [1,1]x[1,1]"),
+])
+def test_synthesize_errors_name_the_points_as_given(capsys, k, n, forbid, coords, message):
+    code, out, err = run(
+        capsys, "synthesize", "--k", k, "--n", n, "--forbid", forbid, "--coords", coords
+    )
+    assert code == 2 and out == "" and message in err
+
+
 def test_enumerate_json(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "4", "--format", "json")
     rows = [json.loads(line) for line in out.strip().splitlines()]
@@ -193,7 +207,8 @@ def test_verify_structure(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["suite"] == "structure" and payload["passed"] is True
-    assert payload["checked"] == 1 + 2 + 6 + 24 + 120
+    # the Theta windows, then the 15 frames (k, n) with n <= 6
+    assert payload["checked"] == 1 + 2 + 6 + 24 + 120 + 15
     assert "PASS" in err
 
 

@@ -519,6 +519,28 @@ def test_synthesize_profile_refuses_a_point_outside_the_box():
         synthesize_profile({(0, 3), (3, 4)}, 3, 7)
 
 
+@pytest.mark.parametrize("synthesize, points, point", [
+    (synthesize_profile, {(1, 1), (1, 2), (1, 3)}, r"\(1, [13]\)"),
+    (synthesize_perm, {(1, 0), (1, 1), (1, 2)}, r"\(1, [02]\)"),
+], ids=["sheared", "rect"])
+def test_synthesis_refuses_a_point_off_the_rectangle_up_front(synthesize, points, point):
+    # in (2, 4) the rectangle is the single point (1, 1), sheared (1, 2);
+    # each set is centrally symmetric and convex in its bounding box, so
+    # without the range check the whole schedule ran and SynthesisFailed
+    with pytest.raises(PosicatError, match=f"^point {point} outside ") as info:
+        synthesize(points, 2, 4)
+    assert not isinstance(info.value, SynthesisFailed)
+
+
+@pytest.mark.parametrize("points, k, n, error, message", [
+    ({(1, 1)}, 3, 7, NotCentrallySymmetric, r"missing mirror of \(1, 1\)"),
+    ({(1, 1), (3, 3)}, 4, 8, NotConvex, r"\[\(1, 1\), \(3, 3\)\] misses lattice points"),
+], ids=["asymmetric", "nonconvex"])
+def test_synthesize_perm_errors_name_rectangular_points(points, k, n, error, message):
+    with pytest.raises(error, match=message):
+        synthesize_perm(points, k, n)
+
+
 def test_enumerate_cap_boundary():
     assert len(enumerate_avoiding_paths(3, 7, set(), cap=5)) == 5
     with pytest.raises(TooManyPaths):

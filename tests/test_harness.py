@@ -29,6 +29,8 @@ from posicat.errors import InvalidFrame, PosicatError
 from posicat.invsets import LatticeMultiset, is_convex_points
 from posicat.polynomial import IntPoly, ONE, Q, Q_MINUS_1
 
+from poly_reference import poly_add
+
 
 def test_cycle_counts():
     assert sum(1 for _ in enumerate_theta(None, 4)) == 6
@@ -366,7 +368,7 @@ FAILING_CHECKS = [
     ("counting_formula", "main", harness, "count_avoiding_paths", _plus_one),
     ("synthesis_error", "synthesis", harness, "synthesize_profile", _raising),
     ("rtilde_at_1", "engine_theta", Engine, "compute_Rtilde",
-     lambda original: lambda *args: original(*args) + ONE),
+     lambda original: lambda *args: poly_add(original(*args), ONE)),
     ("rtilde_symmetry", "engine_theta", BoundedAffinePerm, "length", _plus_one),
     ("sigma_C", "engine_theta", BoundedAffinePerm, "cyclic_shift", _translation_shift),
     ("sigma_Rtilde", "engine_theta", BoundedAffinePerm, "cyclic_shift", _translation_shift),
@@ -376,7 +378,7 @@ FAILING_CHECKS = [
     ("class_Rtilde", "engine", harness, "_class_reps", _one_class),
     ("positivity", "engine_bounded", Engine, "compute_C", lambda original: lambda *args: 0),
     ("rtilde_at_1", "engine_bounded", Engine, "compute_Rtilde",
-     lambda original: lambda *args: original(*args) + ONE),
+     lambda original: lambda *args: poly_add(original(*args), ONE)),
     ("decoupling", "engine_bounded", Engine, "compute_C_decoupled", _plus_one),
     ("witness_length", "structure", harness, "min_length_witness", _longest_member),
 ]
@@ -433,9 +435,9 @@ def test_wrong_ring_product_is_seen_without_decoupling(monkeypatch, mutation, en
 
 RING_STEP_MUTATIONS = {
     # (q-1) x + q y in place of (q-1)^2 x + q y
-    "apart_step_one_factor": ("_apart_step", lambda x, y: Q_MINUS_1 * x + Q * y),
+    "apart_step_one_factor": ("_apart_step", lambda x, y: poly_add(Q_MINUS_1 * x, Q * y)),
     # x + y in place of x + q y
-    "same_step_without_shift": ("_same_step", lambda x, y: x + y),
+    "same_step_without_shift": ("_same_step", poly_add),
 }
 
 
@@ -552,6 +554,19 @@ def test_verify_structure_small():
     assert report.passed
 
 
+def test_checked_counts_every_phase_item():
+    # one item is one checked instance, in every phase of every suite
+    theta = harness._theta_range(5)
+    items = {
+        "main": len(theta),
+        "synthesis": sum(len(cs_convex_subsets(k, n)) for n in range(2, 6) for k in range(1, n)),
+        "engine": len(theta) + len(harness._class_reps(theta))
+        + sum(1 for n in range(1, 6) for _ in harness._bounded_windows(n)),
+        "structure": len(theta) + sum(n - 1 for n in range(2, 6)),
+    }
+    assert {suite: _suite_report(suite).checked for suite in items} == items
+
+
 def test_a_raising_witness_is_recorded_and_the_sweep_goes_on(monkeypatch):
     original = harness.min_length_witness
     frames = []
@@ -569,7 +584,7 @@ def test_a_raising_witness_is_recorded_and_the_sweep_goes_on(monkeypatch):
          "actual": "PosicatError('boom')"}
     ]
     assert frames == [(k, n) for n in range(2, 6) for k in range(1, n)]
-    assert report.checked == 1 + 2 + 6 + 24  # the Theta windows, as before
+    assert report.checked == 1 + 2 + 6 + 24 + 10  # the Theta windows and the frames
 
 
 def test_cs_convex_subsets_2_4():

@@ -133,6 +133,7 @@ CLI_TOUR = (
         (["dyck", "--k", "3", "--n", "7", "--forbid", "1,2;2,5", "--coords", "sheared"], 0),
         (["dyck", "--k", "3", "--n", "7", "--forbid", "", "--list"], 0),
         (["synthesize", "--k", "4", "--n", "8", "--forbid", "1,1;2,2;3,3"], 0),
+        (["synthesize", "--k", "3", "--n", "7", "--forbid", "1,2;2,5", "--coords", "sheared"], 0),
         (["enumerate", "--n", "5", "--format", "json"], 0),
         (["enumerate", "--n", "6", "--k", "3", "--repetition-free", "--format", "csv"], 0),
         # refused: a permutation off Theta, and a range with no instance
@@ -184,7 +185,6 @@ NEVER_RUN = {
     "polynomial.IntPoly.__str__": DUNDER,
     "harness._fail": "runs only when a check fails",
     "harness.classes_census": "the public census of one frame; census_report buckets its own",
-    "polynomial.IntPoly.__add__": "the tests' reference for engine._same_step and _apart_step",
     "polynomial.IntPoly.exact_div": TRACED + " as its polynomial-layer span",
 }
 
