@@ -66,11 +66,6 @@ def _k_of(w: Window) -> int:
     return (sum(w) - n * (n - 1) // 2) // n
 
 
-def _is_bounded(w: Window) -> bool:
-    n = len(w)
-    return all(i <= w[i] <= i + n for i in range(n))
-
-
 def _is_strictly_bounded(w: Window) -> bool:
     n = len(w)
     return all(i < w[i] < i + n for i in range(n))
@@ -374,20 +369,24 @@ class BoundedAffinePerm:
 
     __slots__ = ("n", "window", "k", "_pos", "_length", "_theta", "_cycle_cache")
 
-    def __init__(self, window: Sequence[int], _validated: bool = False):
+    def __init__(self, window: Sequence[int]):
         w = _integers(window, "window")
         if not w:
             raise PosicatError("empty window")
         n = len(w)
-        if not _validated:
-            if not _is_bounded(w):
+        # every construction is checked, so the bounds test rides the loop
+        # that files residues; n values miss a residue only if two collide
+        pos = [-1] * n
+        for i, v in enumerate(w):
+            if not i <= v <= i + n:
                 raise NotBounded(f"window violates i <= f(i) <= i+n: {list(w)}")
-            if len({v % n for v in w}) != n:
-                raise NotBijective(f"window residues collide: {list(w)}")
+            pos[v % n] = i
+        if -1 in pos:
+            raise NotBijective(f"window residues collide: {list(w)}")
         self.window = w
         self.n = n
         self.k = _k_of(w)
-        self._pos = _residue_positions(w)
+        self._pos = pos
         self._length: Optional[int] = None
         self._theta: Optional[bool] = None
         self._cycle_cache: Optional[tuple[tuple[int, ...], ...]] = None
@@ -410,14 +409,16 @@ class BoundedAffinePerm:
             raise NotNCycle(f"not a cycle through 0..n-1 (n = {n}): {cycle}")
         z = cycle.index(0)
         cycle = cycle[z:] + cycle[:z]
-        return cls(_window_from_cycle(cycle), _validated=True)
+        return cls(_window_from_cycle(cycle))
 
     @classmethod
     def translation(cls, k: int, n: int) -> "BoundedAffinePerm":
-        """The length-0 element i -> i + k, with 0 <= k <= n."""
+        """The length-0 element i -> i + k, with 0 <= k <= n.  A k or n that
+        is not an integer raises InvalidFrame."""
+        k, n = _integers((k, n), "the frame (k, n)", InvalidFrame)
         if not 0 <= k <= n:
             raise NotBounded(f"translation by {k} is unbounded for period {n}")
-        return cls(tuple(i + k for i in range(n)), _validated=True)
+        return cls(tuple(i + k for i in range(n)))
 
     @classmethod
     def from_json(cls, text: str) -> "BoundedAffinePerm":
@@ -497,7 +498,7 @@ class BoundedAffinePerm:
 
     def cyclic_shift(self) -> "BoundedAffinePerm":
         """sigma(f), with (sigma f)(i) = f(i - 1) + 1; preserves k, n, length."""
-        return BoundedAffinePerm(_sigma(self.window), _validated=True)
+        return BoundedAffinePerm(_sigma(self.window))
 
     def rotate_180(self) -> "BoundedAffinePerm":
         """The half-turn g(j) = -f^{-1}(-j); an involution on Theta(k, n).
@@ -507,12 +508,12 @@ class BoundedAffinePerm:
         """
         self.require_theta()
         w = tuple(-self.inverse_at(-j) for j in range(self.n))
-        return BoundedAffinePerm(w, _validated=True)
+        return BoundedAffinePerm(w)
 
     # -- crossings -----------------------------------------------------------
 
     def has_double_crossing_at(self, i: int) -> bool:
-        i = i % self.n
+        i = _integers((i,), "the crossing index")[0] % self.n
         return _has_double_crossing(self.window, i, self._pos)
 
     def is_inversion(self, i: int, j: int) -> bool:
@@ -529,14 +530,14 @@ class BoundedAffinePerm:
         types (k_1, n_1 - k_1) and (k_2, n_2 - k_2) add up to (k, n - k).
         """
         self.require_theta()
-        i, j = inv
+        i, j = _integers(inv, "the crossing (i, j)")
         if not self.is_inversion(i, j):
             raise NotAnInversion(f"({i}, {j}) is not an inversion of {self!r}")
         gw, cyc1 = _swap_split(self.window, i, j)
         in_cyc1 = set(cyc1)
         cyc2 = [s for s in range(self.n) if s not in in_cyc1]
-        f1 = BoundedAffinePerm(_relabel_restriction(gw, cyc1), _validated=True)
-        f2 = BoundedAffinePerm(_relabel_restriction(gw, cyc2), _validated=True)
+        f1 = BoundedAffinePerm(_relabel_restriction(gw, cyc1))
+        f2 = BoundedAffinePerm(_relabel_restriction(gw, cyc2))
         return f1, f2
 
 
@@ -599,7 +600,7 @@ def min_length_witness(k: int, n: int) -> BoundedAffinePerm:
     w = BoundedAffinePerm.translation(k, n).window
     for i in range(1, math.gcd(k, n)):
         w = _right_s(w, i)
-    return BoundedAffinePerm(w, _validated=True)
+    return BoundedAffinePerm(w)
 
 
 # ---------------------------------------------------------------------------

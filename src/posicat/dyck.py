@@ -80,7 +80,9 @@ def enumerate_avoiding_paths(
 ) -> list[list[Point]]:
     """Explicit point sequences of all avoiding paths; raises TooManyPaths
     when the count exceeds `cap`, InvalidFrame as `count_avoiding_paths`
-    does, and PathCountMismatch if the listing disagrees with the count."""
+    does, and PathCountMismatch if the listing disagrees with the count.
+    A `cap` that is not an integer raises MalformedText."""
+    (cap,) = _integers((cap,), "the path cap")
     fset = frozenset(_points(forbidden, "the forbidden set"))
     total = count_avoiding_paths(k, n, fset)
     if total > cap:

@@ -116,7 +116,6 @@ from .affine import (
     _displacements,
     _drop,
     _first_double_move,
-    _is_bounded,
     _left_s,
     _orbit_key,
     _relabel_restriction,
@@ -125,7 +124,7 @@ from .affine import (
     _right_s,
     Window,
 )
-from .errors import IrreducibleElement, NotBounded, PreconditionViolated
+from .errors import IrreducibleElement, PreconditionViolated
 from .polynomial import IntPoly, ONE, Q_MINUS_1
 
 TraceHook = Callable[[dict], None]
@@ -237,16 +236,15 @@ class Engine:
 
     def double_crossing_recurrence_check(self, perm: BoundedAffinePerm, i: int) -> bool:
         """At a double crossing of f at i, the conjugate's value splits as
-        C(s_i f s_i) = C(f1) C(f2) + C(f) over the resolution of (i, i+1)."""
+        C(s_i f s_i) = C(f1) C(f2) + C(f) over the resolution of (i, i+1).
+        The conjugate is built as a `BoundedAffinePerm`, so an unbounded one
+        raises the constructor's NotBounded, which names its window."""
         perm.require_theta()
-        i = i % perm.n
         if not perm.has_double_crossing_at(i):
             raise PreconditionViolated(f"no double crossing at {i}")
+        i = i % perm.n
         f1, f2 = perm.resolve_crossing((i, i + 1))
-        conj = _conj_s(perm.window, i, perm._pos)
-        if not _is_bounded(conj):
-            raise NotBounded(f"conjugate of {perm!r} at {i} is unbounded: {list(conj)}")
-        lhs = self.compute_C(BoundedAffinePerm(conj, _validated=True))
+        lhs = self.compute_C(BoundedAffinePerm(_conj_s(perm.window, i, perm._pos)))
         return lhs == self.compute_C(f1) * self.compute_C(f2) + self.compute_C(perm)
 
     @property

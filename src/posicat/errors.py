@@ -14,7 +14,8 @@ class PosicatError(Exception):
 class MalformedText(PosicatError):
     """Text input (a permutation or a point list) does not follow its
     documented format, a window, cycle, point or polynomial coefficient has
-    a non-integer entry, or a profile height is not an integer or a
+    a non-integer entry, an integer argument (a crossing, a power, a path
+    cap) is not an integer, or a profile height is not an integer or a
     rational."""
 
 

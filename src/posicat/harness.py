@@ -82,7 +82,7 @@ def enumerate_theta(k: Optional[int], n: int) -> Iterator[BoundedAffinePerm]:
         k, n = _integers((k, n), "the frame (k, n)", InvalidFrame)
         if n >= 2:
             _require_theta_frame(k, n)
-    return (BoundedAffinePerm(w, _validated=True) for w in _theta_windows(n, k))
+    return (BoundedAffinePerm(w) for w in _theta_windows(n, k))
 
 
 def _bounded_windows(n: int) -> Iterator[Window]:
@@ -248,7 +248,7 @@ def _main_theorem_checks(
     chunk under `--jobs` unpickles its own), so no result outlives the call
     that computed it and a later call computes every set again.
     """
-    perm = BoundedAffinePerm(w, _validated=True)
+    perm = BoundedAffinePerm(w)
     n, k = perm.n, perm.k
     ms = inversion_multiset(perm)
     sheared = ms.to_sheared()
@@ -382,7 +382,7 @@ def _engine_theta_checks(w: Window, engine: Engine, failures: list[dict]) -> Non
     """R~ at q = 1 against C, shift invariance, the double-crossing identity,
     and the shape of the whole polynomial: on Theta, R~ has degree exactly
     k(n-k) - length - (n-1), constant term 1, and palindromic coefficients."""
-    perm = BoundedAffinePerm(w, _validated=True)
+    perm = BoundedAffinePerm(w)
     c = engine.compute_C(perm)
     rt = engine.compute_Rtilde(perm)
     if rt.eval_at(1) != c:
@@ -422,8 +422,8 @@ def _engine_class_checks(
 ) -> None:
     """Class invariance: a member shares C and the normalised polynomial
     with its class representative `rep_of[w]`."""
-    rep = BoundedAffinePerm(rep_of[w], _validated=True)
-    member = BoundedAffinePerm(w, _validated=True)
+    rep = BoundedAffinePerm(rep_of[w])
+    member = BoundedAffinePerm(w)
     c = engine.compute_C(rep)
     if engine.compute_C(member) != c:
         failures.append(_fail(w, "class_C", c, engine.compute_C(member)))
@@ -436,7 +436,7 @@ def _engine_class_checks(
 
 
 def _engine_bounded_checks(w: Window, engine: Engine, failures: list[dict]) -> None:
-    perm = BoundedAffinePerm(w, _validated=True)
+    perm = BoundedAffinePerm(w)
     c = engine.compute_C(perm)
     if c < 1:
         failures.append(_fail(w, "positivity", ">= 1", c))
@@ -525,7 +525,7 @@ def _census_frame(k: int, n: int, windows: Iterable[Window]) -> dict:
     d = math.gcd(k, n)
     groups: dict[frozenset, list[Window]] = {}
     for w in windows:
-        perm = BoundedAffinePerm(w, _validated=True)
+        perm = BoundedAffinePerm(w)
         ms = inversion_multiset(perm)
         if not ms.is_set():
             continue
@@ -538,7 +538,7 @@ def _census_frame(k: int, n: int, windows: Iterable[Window]) -> dict:
             by_rep.setdefault(rep_of[w], []).append(w)
         classes = sorted(sorted(cls) for cls in by_rep.values())
         nu_bars = [
-            sorted({nu_bar(BoundedAffinePerm(w, _validated=True)) for w in cls})
+            sorted({nu_bar(BoundedAffinePerm(w)) for w in cls})
             for cls in classes
         ]
         group_reports.append(

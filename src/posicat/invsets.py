@@ -46,15 +46,16 @@ class LatticeMultiset:
     """Multiset of lattice points in a frame with its central-symmetry vector.
 
     `delta` is (k, n-k) in the RECT frame and (k, n) in the SHEARED frame;
-    entries map points to positive multiplicities.  Equal field by field,
-    and unhashable since it is mutable.
+    entries map points to positive multiplicities.  A delta that is not a
+    pair of integers raises MalformedText, as an entry does.  Equal field by
+    field, and unhashable since it is mutable.
     """
 
     def __init__(self, frame: str, delta: Point, entries: Optional[dict[Point, int]] = None):
         if frame not in (RECT, SHEARED):
             raise PosicatError(f"unknown frame {frame!r}")
         self.frame = frame
-        self.delta = delta
+        (self.delta,) = _points([delta], "a lattice multiset's delta")
         if entries is None:
             entries = {}
         # the rule of `_points`, in the one pass that also reads the

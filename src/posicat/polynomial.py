@@ -3,7 +3,7 @@
 Coefficients are arbitrary-precision Python ints stored in ascending degree
 with no trailing zeros; the zero polynomial is the empty tuple.  Nothing
 reads a polynomial from text or JSON: one is built from its coefficients,
-and a coefficient that is not an integer raises MalformedText.
+and a coefficient or a power that is not an integer raises MalformedText.
 
 The operations are the ones the package uses: `*` and `**` (R is
 R~ (q-1)^(n-c)), evaluation at an integer and text.  There is no `+`: the
@@ -21,6 +21,7 @@ from __future__ import annotations
 from operator import index
 from typing import Iterable
 
+from .affine import _integers
 from .errors import InexactDivision, MalformedText, PosicatError
 
 
@@ -75,6 +76,7 @@ class IntPoly:
         return IntPoly(out)
 
     def __pow__(self, e: int) -> "IntPoly":
+        (e,) = _integers((e,), "the polynomial power")
         if e < 0:
             raise PosicatError("negative polynomial power")
         result = IntPoly((1,))

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -17,7 +18,6 @@ from posicat.affine import (
     _first_double_move,
     _has_double_crossing,
     _inverse_at,
-    _is_bounded,
     _left_s,
     _length,
     _orbit_key,
@@ -40,6 +40,8 @@ from posicat.errors import (
     NotTheta,
     PosicatError,
 )
+
+from window_reference import is_bounded
 
 FIG2 = (3, 6, 4, 5, 7, 8, 9)
 
@@ -77,7 +79,7 @@ def _class_members_ref(w):
             if _conj_delta(cur, i) != 0:
                 continue
             g = _conj_ref(cur, i)
-            if g in seen or not _is_bounded(g):
+            if g in seen or not is_bounded(g):
                 continue
             seen.add(g)
             queue.append(g)
@@ -133,6 +135,11 @@ def test_from_window_errors():
         BoundedAffinePerm([0, 2])
     with pytest.raises(PosicatError):
         BoundedAffinePerm([])
+
+
+def test_window_is_the_only_constructor_parameter():
+    # no switch skips the bounds and bijectivity checks
+    assert list(inspect.signature(BoundedAffinePerm).parameters) == ["window"]
 
 
 def test_from_cycle_fig3():
@@ -209,7 +216,7 @@ def test_inversions_example_window():
 
 def test_left_mul_walkthrough():
     w = _left_s((1, 2), 0)
-    assert w == (0, 3) and _is_bounded(w)
+    assert w == (0, 3) and is_bounded(w)
     g = BoundedAffinePerm(w)
     assert g(0) == 0 and g(1) == 3
 
@@ -233,11 +240,11 @@ def test_length_delta_rules_match_brute_force():
                     (_right_s(w, i), _right_delta(w, i)),
                 ):
                     assert delta in (-1, 1)
-                    if _is_bounded(g):
+                    if is_bounded(g):
                         assert brute_length(BoundedAffinePerm(g)) - ell == delta
                 g, delta = _conj_s(w, i, pos), _conj_delta(w, i)
                 assert delta in (-2, 0, 2)
-                if _is_bounded(g):
+                if is_bounded(g):
                     assert brute_length(BoundedAffinePerm(g)) - ell == delta
 
 
@@ -245,7 +252,7 @@ def test_conjugate_involution():
     for f in enumerate_theta(2, 5):
         for i in range(5):
             g = _conj_s(f.window, i, f._pos)
-            if _is_bounded(g):
+            if is_bounded(g):
                 assert _conj_s(g, i, _residue_positions(g)) == f.window
 
 
@@ -325,7 +332,7 @@ def test_conj_double_crossing_matches_built_conjugate():
         expected = -1
         for i in range(len(w)):
             g = _conj_ref(w, i)
-            if _is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g)):
+            if is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g)):
                 expected = i
                 break
         assert _first_double_move(w, _residue_positions(w)) == expected, w
@@ -346,7 +353,7 @@ def test_first_double_move_reads_every_index_by_rotation():
         moves = []
         for i in range(n):
             g = _conj_ref(w, i)
-            if _is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g)):
+            if is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g)):
                 moves.append(i)
         rotated = w
         for j in range(n):

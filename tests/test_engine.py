@@ -19,7 +19,6 @@ from posicat.affine import (
     _displacements,
     _first_double_move,
     _has_double_crossing,
-    _is_bounded,
     _left_s,
     _relabel_restriction,
     _remove_fixed,
@@ -32,6 +31,7 @@ from posicat.harness import _bounded_windows
 from posicat.polynomial import IntPoly, ONE, Q, Q_MINUS_1, ZERO
 
 from poly_reference import poly_add
+from window_reference import is_bounded
 
 FIG2 = BoundedAffinePerm([3, 6, 4, 5, 7, 8, 9])
 FIG3 = BoundedAffinePerm.from_cycle([0, 3, 2, 5, 1, 4])
@@ -134,7 +134,7 @@ def test_decoupled_product_equals_the_product_over_every_cycle(engine):
     # so skipping those factors leaves the product over all cycles
     for n in range(1, 7):
         for w in _bounded_windows(n):
-            f = BoundedAffinePerm(w, _validated=True)
+            f = BoundedAffinePerm(w)
             factors = {
                 cyc: engine.compute_C(BoundedAffinePerm(_relabel_restriction(w, cyc)))
                 for cyc in f._cycle_tuples()
@@ -234,7 +234,7 @@ def test_ring_steps_equal_generic_arithmetic():
 def test_double_crossing_recurrence_unbounded_conjugate_raises(monkeypatch, engine):
     g = BoundedAffinePerm([1, 4, 3, 5, 7])
     unbounded = (0, 4, 3, 5, 10)  # f(4) = 10 > 4 + 5
-    assert not _is_bounded(unbounded)
+    assert not is_bounded(unbounded)
     monkeypatch.setattr(posicat.engine, "_conj_s", lambda w, i, pos: unbounded)
     with pytest.raises(NotBounded):
         engine.double_crossing_recurrence_check(g, 1)
@@ -424,7 +424,7 @@ def _double_moves(w):
     moves = []
     for i in range(len(w)):
         g = _conj_s(w, i, pos)
-        if _is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g)):
+        if is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g)):
             moves.append((i, _same_cycle(g, i)))
     return moves
 

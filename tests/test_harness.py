@@ -14,6 +14,7 @@ from posicat import (
     census_report,
     count_avoiding_paths,
     cs_convex_subsets,
+    enumerate_avoiding_paths,
     enumerate_theta,
     f_min,
     inversion_multiset,
@@ -25,7 +26,7 @@ from posicat import (
 )
 import posicat.engine
 from posicat import harness
-from posicat.errors import InvalidFrame, PosicatError
+from posicat.errors import InvalidFrame, MalformedText, PosicatError
 from posicat.invsets import LatticeMultiset, is_convex_points
 from posicat.polynomial import IntPoly, ONE, Q, Q_MINUS_1
 
@@ -66,9 +67,24 @@ def test_classes_census_refuses_a_k_outside_the_frame(k):
         classes_census(k, 4)
 
 
-# each call puts the bad value where the entry point reads k, n, n_max or
-# jobs
+# each call puts the bad value where the entry point reads k, n, n_max,
+# jobs or another integer argument; DOUBLE_CROSSING is a Theta(2, 5) window
+# with a double crossing at 1
+DOUBLE_CROSSING = BoundedAffinePerm([1, 4, 3, 5, 7])
 NON_INTEGER_ENTRY_POINTS = {
+    "translation(k)": (InvalidFrame, lambda x: BoundedAffinePerm.translation(x, 3)),
+    "translation(n)": (InvalidFrame, lambda x: BoundedAffinePerm.translation(1, x)),
+    "enumerate_avoiding_paths(cap)": (
+        MalformedText, lambda x: enumerate_avoiding_paths(3, 7, [], cap=x)
+    ),
+    "IntPoly.__pow__": (MalformedText, lambda x: IntPoly([1, 1]) ** x),
+    "has_double_crossing_at": (
+        MalformedText, lambda x: DOUBLE_CROSSING.has_double_crossing_at(x)
+    ),
+    "double_crossing_recurrence_check": (
+        MalformedText, lambda x: Engine().double_crossing_recurrence_check(DOUBLE_CROSSING, x)
+    ),
+    "resolve_crossing": (MalformedText, lambda x: DOUBLE_CROSSING.resolve_crossing((0, x))),
     "count_avoiding_paths": (InvalidFrame, lambda x: count_avoiding_paths(x, 7, [])),
     "synthesize_profile": (InvalidFrame, lambda x: synthesize_profile([], x, 4)),
     "cs_convex_subsets": (InvalidFrame, lambda x: cs_convex_subsets(x, 4)),
@@ -91,7 +107,9 @@ NON_INTEGER_ENTRY_POINTS = {
     if not (entry == "enumerate_theta(k)" and bad is None)
 ])
 def test_a_non_integer_frame_or_bound_is_refused(entry, bad):
-    # a float k used to reach enumerate_theta's filter and yield Theta(2, 4)
+    # a float k used to reach enumerate_theta's filter and yield Theta(2, 4);
+    # a float cap was accepted, and the other integer arguments raised
+    # TypeError
     error, call = NON_INTEGER_ENTRY_POINTS[entry]
     with pytest.raises(error, match="integer"):
         call(bad)

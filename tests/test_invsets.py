@@ -125,6 +125,17 @@ def test_multiset_constructor_rejects_non_integers(entries):
         LatticeMultiset(RECT, (3, 4), entries)
 
 
+@pytest.mark.parametrize("delta", [("a", 2), (1.5, 2), (1, 2, 3), (3,), None, 3])
+def test_multiset_constructor_rejects_a_delta_that_is_not_an_integer_pair(delta):
+    # ("a", 2) used to build, and is_centrally_symmetric then raised TypeError
+    with pytest.raises(MalformedText, match="delta"):
+        LatticeMultiset(RECT, delta, {(1, 1): 1})
+
+
+def test_multiset_delta_is_kept_as_an_integer_pair():
+    assert LatticeMultiset(RECT, [3, 4]) == LatticeMultiset(RECT, (3, 4))
+
+
 def test_multiset_constructor_drops_zero_and_rejects_negative():
     ms = LatticeMultiset(RECT, (3, 4), {(1, 2): 2, (2, 1): 0})
     assert ms.entries == {(1, 2): 2} and ms.total() == 2
