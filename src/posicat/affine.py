@@ -181,6 +181,23 @@ def _displacements(w: Window) -> Window:
     return tuple(map(sub, w, range(len(w))))
 
 
+def _dual(w: Window) -> Window:
+    """Window of the dual g(j) = f^-1(j) + n, the image of f under the
+    duality Gr(k, n) = Gr(n-k, n).
+
+    f(i) = v puts f^-1 at r = v mod n to i + r - v, so the displacement
+    word is d_g[f(i) mod n] = n - d[i].  g is bounded with k(g) = n - k,
+    its reduction is that of f^-1, with the same cycle count, and the map
+    is an involution that keeps normal windows normal.
+    """
+    n = len(w)
+    out = [0] * n
+    for i, v in enumerate(w):
+        r = v % n
+        out[r] = i + r - v + n
+    return tuple(out)
+
+
 def _orbit_key(d: Window) -> Window:
     """Lexicographically minimal cyclic rotation of the displacement word d.
 
@@ -350,6 +367,11 @@ def _integers(
         raise error(f"non-integer entry in {what}: {values!r}") from None
 
 
+def _integer(x: int, what: str) -> int:
+    """x through `_integers`, with a fast path for a plain int."""
+    return x if type(x) is int else _integers((x,), what)[0]
+
+
 def _window_from_cycle(cycle: Sequence[int]) -> Window:
     """Strictly bounded lift of the n-cycle given as (0, j_1, ..., j_{n-1})."""
     n = len(cycle)
@@ -445,10 +467,10 @@ class BoundedAffinePerm:
     # -- basics --------------------------------------------------------------
 
     def __call__(self, x: int) -> int:
-        return _value_at(self.window, x)
+        return _value_at(self.window, _integer(x, "the argument of f"))
 
     def inverse_at(self, y: int) -> int:
-        return _inverse_at(self.window, y, self._pos)
+        return _inverse_at(self.window, _integer(y, "the argument of f^-1"), self._pos)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BoundedAffinePerm) and self.window == other.window
@@ -513,10 +535,11 @@ class BoundedAffinePerm:
     # -- crossings -----------------------------------------------------------
 
     def has_double_crossing_at(self, i: int) -> bool:
-        i = _integers((i,), "the crossing index")[0] % self.n
+        i = _integer(i, "the crossing index") % self.n
         return _has_double_crossing(self.window, i, self._pos)
 
     def is_inversion(self, i: int, j: int) -> bool:
+        i, j = _integers((i, j), "the pair (i, j)")
         n = self.n
         return 0 <= i < n and i < j < i + n and self(i) > self(j)
 
@@ -528,9 +551,13 @@ class BoundedAffinePerm:
         The factor containing the residue of i comes first.  Both factors are
         strictly bounded single cycles of their respective periods, and their
         types (k_1, n_1 - k_1) and (k_2, n_2 - k_2) add up to (k, n - k).
+        An `inv` that is not a pair of integers raises MalformedText.
         """
         self.require_theta()
-        i, j = _integers(inv, "the crossing (i, j)")
+        pair = _integers(inv, "the crossing (i, j)")
+        if len(pair) != 2:
+            raise MalformedText(f"a crossing is a pair (i, j), not {inv!r}")
+        i, j = pair
         if not self.is_inversion(i, j):
             raise NotAnInversion(f"({i}, {j}) is not an inversion of {self!r}")
         gw, cyc1 = _swap_split(self.window, i, j)

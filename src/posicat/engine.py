@@ -5,6 +5,11 @@ of f; the Catalan number is C_f = R~_f(1).  One reduction computes R~ on a
 window w, reading the base value and the two steps of rule 3 off the ring
 it evaluates in.
 
+  0. orient (the polynomial ring, a public request that misses its own key):
+     when 2k < n, reduce the dual f*(j) = f^-1(j) + n instead
+     (`affine._dual`), the image of f under Gr(k, n) = Gr(n-k, n).  f* is
+     bounded with k(f*) = n - k and the same cycle count, and
+     R~(f*) = R~(f);
   1. normalise: while the period exceeds 1, drop every fixed residue
      (f(j) = j or f(j) = j + n), or else take the first i with f(i) = i + 1
      or f(i+1) = i + n and pass to s_i f, which acquires a fixed residue.
@@ -22,6 +27,15 @@ The polynomial ring gives R~: its base value is 1 and its steps are
 x + q y and (q-1)^2 x + q y, for x = R~(f s_i) and y = R~(g).  Each step is
 one pass over the coefficients of x and y that builds one IntPoly, so a
 reduced node makes no product of polynomials.  R itself is R~ (q-1)^(n-c).
+Its reduction is strongly asymmetric in k: the (5, 13) top cell takes
+19,910 entries and its dual (8, 13) 8,100, so rule 0 sends a request to
+the side with 2k >= n.  Only the request is oriented: orienting every
+normal node as well cut the misses of a random n = 14 sample further
+(5,245 to 4,970) but raised them by 15-27% on two windows with 2k = n
+(n = 20 and 22), whose children fall on both sides.  The integer ring does
+not orient: it decouples every window with two or more cycles (rule D
+below), and orienting its requests too saved 17 of 3,682 misses on a
+random n = 18 sample and read 9-14% slower there.
 
 The integer ring gives C directly, and decouples before rule 3:
 
@@ -66,7 +80,9 @@ and the lex-min rotation of the displacement word identifies the orbit.  The
 key is the least rotation that starts at an occurrence of the word's
 minimum: one rotation when the minimum is unique.  Only a public
 `compute_*` request uses its own key: it is looked up first, and the value
-is stored under it and under the key of the normal form.  That lookup
+is stored under it and under the key of the normal form of the window
+reduced, which for an oriented request is the dual's.  So a hit costs no
+dual, and a repeated request with 2k < n hits its own key.  That lookup
 serves a new rotation of an orbit already requested, often a window that
 is not normal, without normalising it; sending requests down the
 normal-form path instead doubled the time of `verify_engine(6)`.  Every
@@ -83,7 +99,8 @@ A reduced node does O(n) Python-level work: one residue-position table and
 one pass of `affine._first_double_move`, which reads each index's test off f
 and that table in O(1) and stops at the first index that passes.  The
 polynomial ring tests that index for a shared cycle by a walk along one
-cycle of f; the integer ring lists the cycles of f in one pass first
+cycle of f; the integer ring first walks the cycle through residue 0, and
+only when it closes in fewer than n steps lists the cycles of f in one pass
 (`affine._cycles`), to decouple.  g is built once, for the chosen index, by
 editing four entries of a copy of the window (`affine._conj_s`).  The keys
 cost a few native passes over the word, plus one rotation per repeated
@@ -115,6 +132,7 @@ from .affine import (
     _cycles,
     _displacements,
     _drop,
+    _dual,
     _first_double_move,
     _left_s,
     _orbit_key,
@@ -202,13 +220,17 @@ class Engine:
     # -- public API -------------------------------------------------------------
 
     def compute_R(self, perm: BoundedAffinePerm) -> IntPoly:
-        """Point-count polynomial R_f(q) = R~_f(q) (q - 1)^(n - c)."""
+        """Point-count polynomial R_f(q) = R~_f(q) (q - 1)^(n - c), with R~
+        computed as by `compute_Rtilde`."""
         exponent = perm.n - perm.cycle_count()
         return self._value(perm.window, self._rtilde) * Q_MINUS_1 ** exponent
 
     def compute_Rtilde(self, perm: BoundedAffinePerm) -> IntPoly:
         """R_f(q) / (q - 1)^(n - c) where c counts cycles of the reduction,
-        computed directly by the recurrence in the polynomial ring."""
+        computed directly by the recurrence in the polynomial ring.  A
+        request with 2k < n that misses its own key reduces the dual window,
+        of type (n - k, n), which has the same R~ (rule 0 of the module
+        docstring); the value is stored under the request's key as well."""
         return self._value(perm.window, self._rtilde)
 
     def compute_C(self, perm: BoundedAffinePerm) -> int:
@@ -254,8 +276,9 @@ class Engine:
         table: a public request by its own key or its normal form's, and a
         child of a step or a class member by its normal form's.  Entries
         count the keys stored: the request's and the normal form's for a
-        public request, the normal form's for every other window, and one
-        per normal member a successful class search visited."""
+        public request (the dual's normal form when rule 0 orients it), the
+        normal form's for every other window, and one per normal member a
+        successful class search visited."""
         return {
             "r_hits": self._rtilde.hits,
             "r_misses": self._rtilde.misses,
@@ -284,9 +307,10 @@ class Engine:
 
     def _value(self, w: Window, ring: _Ring):
         """R~(w) in `ring` for a public request: the request's own key, else
-        its normal form's, stored under both; see the module docstring.  A
-        miss runs under the raised recursion limit, which a request nested
-        inside a trace hook finds raised and leaves alone."""
+        its normal form's, stored under both; in the polynomial ring a miss
+        with 2k < n reduces the dual of w instead (rule 0).  See the module
+        docstring.  A miss runs under the raised recursion limit, which a
+        request nested inside a trace hook finds raised and leaves alone."""
         cache = ring.cache
         d = _displacements(w)
         key = _orbit_key(d)
@@ -294,6 +318,13 @@ class Engine:
         if value is not None:
             ring.hits += 1
             return value
+        n = len(w)
+        if ring is self._rtilde and 2 * sum(d) < n * n:
+            # 2k < n: the dual has the same R~ and the cheaper side
+            g = _dual(w)
+            if self._trace is not None:
+                self._emit("dual", w, dual=list(g))
+            w, d = g, _displacements(g)
         limit = sys.getrecursionlimit()
         if limit < _RECURSION_LIMIT:
             sys.setrecursionlimit(_RECURSION_LIMIT)
@@ -384,8 +415,15 @@ class Engine:
         A ring multiplicative over cycles answers two or more cycles as the
         product over their restrictions."""
         if ring.apart is None:
-            cycles = _cycles(w)
-            if len(cycles) > 1:
+            # the cycle through 0 has all n residues exactly when w is one
+            # cycle, about half the misses; only the others list their cycles
+            n = len(w)
+            x, m = w[0] % n, 1
+            while x:
+                x = w[x] % n
+                m += 1
+            if m < n:
+                cycles = _cycles(w)
                 if self._trace is not None:
                     self._emit("decouple", w, cycles=cycles)
                 return prod(self._child_value(_relabel_restriction(w, c), ring) for c in cycles)

@@ -15,8 +15,9 @@ class MalformedText(PosicatError):
     """Text input (a permutation or a point list) does not follow its
     documented format, a window, cycle, point or polynomial coefficient has
     a non-integer entry, an integer argument (a crossing, a power, a path
-    cap) is not an integer, or a profile height is not an integer or a
-    rational."""
+    cap, an evaluation point, the argument of f or f^-1) is not an
+    integer, a crossing is not a pair, or a profile height is not an
+    integer or a rational."""
 
 
 class InvalidFrame(PosicatError):

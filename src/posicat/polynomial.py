@@ -3,7 +3,9 @@
 Coefficients are arbitrary-precision Python ints stored in ascending degree
 with no trailing zeros; the zero polynomial is the empty tuple.  Nothing
 reads a polynomial from text or JSON: one is built from its coefficients,
-and a coefficient or a power that is not an integer raises MalformedText.
+and a coefficient, a power or an evaluation point that is not an integer
+raises MalformedText.  `*` takes two IntPolys; any other factor, on either
+side, raises PosicatError.
 
 The operations are the ones the package uses: `*` and `**` (R is
 R~ (q-1)^(n-c)), evaluation at an integer and text.  There is no `+`: the
@@ -21,7 +23,7 @@ from __future__ import annotations
 from operator import index
 from typing import Iterable
 
-from .affine import _integers
+from .affine import _integer
 from .errors import InexactDivision, MalformedText, PosicatError
 
 
@@ -66,6 +68,8 @@ class IntPoly:
     # -- ring operations --------------------------------------------------------
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
+        if type(other) is not IntPoly:
+            raise PosicatError(f"an IntPoly multiplies only an IntPoly, not {other!r}")
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
@@ -75,8 +79,10 @@ class IntPoly:
                 out[i + j] += x * y
         return IntPoly(out)
 
+    __rmul__ = __mul__
+
     def __pow__(self, e: int) -> "IntPoly":
-        (e,) = _integers((e,), "the polynomial power")
+        e = _integer(e, "the polynomial power")
         if e < 0:
             raise PosicatError("negative polynomial power")
         result = IntPoly((1,))
@@ -90,6 +96,7 @@ class IntPoly:
 
     def eval_at(self, x: int) -> int:
         """Horner evaluation at an integer point."""
+        x = _integer(x, "the evaluation point")
         value = 0
         for c in reversed(self.coeffs):
             value = value * x + c

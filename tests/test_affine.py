@@ -381,6 +381,13 @@ def test_resolve_crossing_named():
         f.resolve_crossing((0, 1))
 
 
+@pytest.mark.parametrize("inv", [(0,), (1, 2, 3), ()])
+def test_resolve_crossing_refuses_a_tuple_that_is_not_a_pair(inv):
+    # a one-entry tuple used to raise ValueError from the unpacking
+    with pytest.raises(MalformedText, match="pair"):
+        BoundedAffinePerm(FIG2).resolve_crossing(inv)
+
+
 def test_resolution_type_sums_exhaustive():
     for n in range(2, 7):
         for f in enumerate_theta(None, n):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import sys
@@ -17,6 +18,7 @@ from posicat.affine import (
     _conj_s,
     _cycles,
     _displacements,
+    _dual,
     _first_double_move,
     _has_double_crossing,
     _left_s,
@@ -338,9 +340,12 @@ GOLDEN = [
 
 
 # The same for eight random 12-cycles drawn with random.Random("golden-n12").
-# The values and r_hits/r_misses were taken from the engine whose nodes
-# scanned the double moves one index at a time and built a residue table per
-# conjugate in the class search; the other counters as for GOLDEN.
+# The values were taken from the engine whose nodes scanned the double moves
+# one index at a time and built a residue table per conjugate in the class
+# search; the C counters as for GOLDEN.  The R~ counters are from the engine
+# that reduces the dual of a request with 2k < n, which the two rows with
+# k = 5 here and GOLDEN[1] (k = 3, n = 10) are; the dual's path is the one
+# counted.
 GOLDEN_12 = [
     ([0, 8, 6, 2, 1, 3, 7, 4, 10, 5, 11, 9], 7, [1, 0, 1, 1, 1, 1, 1, 0, 1],
      {"r_hits": 19, "r_misses": 22, "c_hits": 8, "c_misses": 9,
@@ -358,14 +363,14 @@ GOLDEN_12 = [
      {"r_hits": 11, "r_misses": 16, "c_hits": 8, "c_misses": 9,
       "r_entries": 17, "c_entries": 10}),
     ([0, 1, 11, 3, 8, 4, 5, 10, 6, 2, 7, 9], 5, [1, 0, 1, 1, 1, 0, 1],
-     {"r_hits": 11, "r_misses": 15, "c_hits": 7, "c_misses": 8,
-      "r_entries": 16, "c_entries": 9}),
+     {"r_hits": 11, "r_misses": 13, "c_hits": 7, "c_misses": 8,
+      "r_entries": 14, "c_entries": 9}),
     ([0, 6, 5, 3, 7, 11, 1, 4, 10, 2, 9, 8], 7, [1, 0, 1, 1, 1, 1, 1, 0, 1],
      {"r_hits": 27, "r_misses": 33, "c_hits": 8, "c_misses": 9,
       "r_entries": 34, "c_entries": 10}),
     ([0, 1, 10, 5, 6, 9, 2, 8, 4, 7, 3, 11], 3, [1, 0, 1, 0, 1],
-     {"r_hits": 4, "r_misses": 5, "c_hits": 4, "c_misses": 5,
-      "r_entries": 6, "c_entries": 6}),
+     {"r_hits": 4, "r_misses": 6, "c_hits": 4, "c_misses": 5,
+      "r_entries": 7, "c_entries": 6}),
 ]
 
 
@@ -486,6 +491,72 @@ def test_translation_cold_engine_stats():
     assert engine.compute_C(BoundedAffinePerm.translation(7, 16)) == 715
     assert engine.stats == {"r_hits": 0, "r_misses": 0, "c_hits": 312, "c_misses": 316,
                             "r_entries": 0, "c_entries": 316}
+
+
+def test_rtilde_digest_of_every_bounded_window_up_to_period_7():
+    # pinned from the engine before it reduced the dual of a request with
+    # 2k < n, so it holds whichever side of the duality a request reduces
+    engine = Engine()
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 8):
+        for w in _bounded_windows(n):
+            rtilde = engine.compute_Rtilde(BoundedAffinePerm(w))
+            digest.update(repr((w, rtilde.coeffs)).encode())
+            count += 1
+    assert count == 16071
+    assert digest.hexdigest() == (
+        "0d73c934113f0e0a1998cb4cd1a03e5c01446a32b78f3008c0ef3114e2fd21f8"
+    )
+
+
+def test_dual_is_the_bounded_involution_of_gr_k_n_onto_gr_n_minus_k_n():
+    engine = Engine()
+    checked = 0
+    for n in range(1, 7):
+        for w in _bounded_windows(n):
+            f = BoundedAffinePerm(w)
+            g = _dual(w)
+            # g(j) = f^-1(j) + n, read off the public inverse
+            assert g == tuple(f.inverse_at(j) + n for j in range(n)), w
+            h = BoundedAffinePerm(g)  # the constructor checks the bounds
+            assert (h.k, h.cycle_count()) == (n - f.k, f.cycle_count()), w
+            assert _dual(g) == w
+            normal = engine._normalise(w, _displacements(w))[0] is w
+            assert (engine._normalise(g, _displacements(g))[0] is g) == normal, w
+            checked += 1
+    assert checked == 2371
+
+
+def test_a_top_cell_and_its_dual_take_one_reduction():
+    # (5, 13) reduces its dual (8, 13): the same R~ and the same path; the
+    # request's own key is its one extra entry
+    small, large = Engine(), Engine()
+    assert (small.compute_Rtilde(BoundedAffinePerm.translation(5, 13))
+            == large.compute_Rtilde(BoundedAffinePerm.translation(8, 13)))
+    expected = dict(large.stats, r_entries=large.stats["r_entries"] + 1)
+    assert small.stats == expected
+    assert small.stats["r_misses"] == 8093
+
+
+@pytest.mark.parametrize("method", ["compute_Rtilde", "compute_R", "compute_C",
+                                    "compute_C_decoupled"])
+def test_only_a_polynomial_ring_request_with_2k_below_n_is_dualized(method):
+    dualized = 0
+    for n in range(1, 6):
+        for w in _bounded_windows(n):
+            records = []
+            f = BoundedAffinePerm(w)
+            getattr(Engine(trace_hook=records.append), method)(f)
+            duals = [r for r in records if r["rule"] == "dual"]
+            if method.startswith("compute_R") and 2 * f.k < n:
+                assert duals == records[:1] == [
+                    {"rule": "dual", "n": n, "window": list(w), "dual": list(_dual(w))}
+                ], w
+                dualized += 1
+            else:
+                assert not duals, w
+    assert dualized == (189 if method.startswith("compute_R") else 0)
 
 
 def _stepwise_normal_form(w):

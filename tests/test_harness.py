@@ -85,6 +85,10 @@ NON_INTEGER_ENTRY_POINTS = {
         MalformedText, lambda x: Engine().double_crossing_recurrence_check(DOUBLE_CROSSING, x)
     ),
     "resolve_crossing": (MalformedText, lambda x: DOUBLE_CROSSING.resolve_crossing((0, x))),
+    "is_inversion": (MalformedText, lambda x: DOUBLE_CROSSING.is_inversion(0, x)),
+    "BoundedAffinePerm.__call__": (MalformedText, lambda x: DOUBLE_CROSSING(x)),
+    "inverse_at": (MalformedText, lambda x: DOUBLE_CROSSING.inverse_at(x)),
+    "IntPoly.eval_at": (MalformedText, lambda x: IntPoly([1, 1]).eval_at(x)),
     "count_avoiding_paths": (InvalidFrame, lambda x: count_avoiding_paths(x, 7, [])),
     "synthesize_profile": (InvalidFrame, lambda x: synthesize_profile([], x, 4)),
     "cs_convex_subsets": (InvalidFrame, lambda x: cs_convex_subsets(x, 4)),

@@ -19,6 +19,15 @@ def test_basic_products():
     assert ZERO * IntPoly([3, 2, 1]) == ZERO
 
 
+@pytest.mark.parametrize("other", [3, 1.5, "q", None, (1, 1)])
+def test_a_factor_that_is_not_a_polynomial_is_refused(other):
+    # IntPoly * 3 used to raise AttributeError; there is no scalar product
+    with pytest.raises(PosicatError, match="IntPoly"):
+        IntPoly([1, 1]) * other
+    with pytest.raises(PosicatError, match="IntPoly"):
+        other * IntPoly([1, 1])
+
+
 def test_ring_axioms_random():
     rng = random.Random(20240817)
     for _ in range(300):
