@@ -3,9 +3,9 @@
 A bounded affine permutation is a bijection f: Z -> Z with f(i + n) = f(i) + n
 and i <= f(i) <= i + n for all i.  It is stored by its window, the tuple
 (f(0), ..., f(n-1)), using 0-based positions throughout.  The integer
-k = (sum of displacements) / n classifies f into the family B(k, n); when the
-reduction modulo n is a single n-cycle and the bounds are strict, f lies in
-the distinguished subfamily Theta(k, n).
+k = (sum of displacements) / n classifies f into the family B(k, n); when
+n >= 2 and the reduction modulo n is a single n-cycle, the bounds are strict
+and f lies in the distinguished subfamily Theta(k, n).
 
 Module-level functions prefixed with an underscore operate on raw window
 tuples; they are the hot path shared with the recurrence engine.
@@ -64,11 +64,6 @@ def _k_of(w: Window) -> int:
     its residues are distinct mod n, so sum f(i) = sum i (mod n)."""
     n = len(w)
     return (sum(w) - n * (n - 1) // 2) // n
-
-
-def _is_strictly_bounded(w: Window) -> bool:
-    n = len(w)
-    return all(i < w[i] < i + n for i in range(n))
 
 
 def _cycles(w: Window) -> list[list[int]]:
@@ -389,7 +384,7 @@ def _window_from_cycle(cycle: Sequence[int]) -> Window:
 class BoundedAffinePerm:
     """Immutable bounded affine permutation, identified by its window."""
 
-    __slots__ = ("n", "window", "k", "_pos", "_length", "_theta", "_cycle_cache")
+    __slots__ = ("n", "window", "k", "_pos", "_cycle_cache")
 
     def __init__(self, window: Sequence[int]):
         w = _integers(window, "window")
@@ -409,8 +404,6 @@ class BoundedAffinePerm:
         self.n = n
         self.k = _k_of(w)
         self._pos = pos
-        self._length: Optional[int] = None
-        self._theta: Optional[bool] = None
         self._cycle_cache: Optional[tuple[tuple[int, ...], ...]] = None
 
     # -- construction -------------------------------------------------------
@@ -481,6 +474,10 @@ class BoundedAffinePerm:
     def __repr__(self) -> str:
         return f"BoundedAffinePerm({list(self.window)})"
 
+    def __reduce__(self):
+        # pickling and copying rebuild through the checked constructor
+        return (BoundedAffinePerm, (self.window,))
+
     def _cycle_tuples(self) -> tuple[tuple[int, ...], ...]:
         """The cycles of the reduction, computed once and kept as tuples, so
         no caller can change the cached value."""
@@ -493,10 +490,9 @@ class BoundedAffinePerm:
 
     @property
     def is_theta(self) -> bool:
-        """Strict bounds and a single n-cycle reduction, checked once."""
-        if self._theta is None:
-            self._theta = _is_strictly_bounded(self.window) and self.cycle_count() == 1
-        return self._theta
+        """A single n-cycle reduction with n >= 2, read off the cached cycles.
+        The bounds are then strict: f(i) is i or i + n only at a fixed residue."""
+        return self.n > 1 and len(self._cycle_tuples()) == 1
 
     def require_theta(self) -> None:
         if not self.is_theta:
@@ -512,9 +508,8 @@ class BoundedAffinePerm:
         return list(_inversion_pairs(self.window))
 
     def length(self) -> int:
-        if self._length is None:
-            self._length = _length(self.window)
-        return self._length
+        """The number of inversions, by `_length` on each call (not cached)."""
+        return _length(self.window)
 
     # -- symmetries -----------------------------------------------------------
 

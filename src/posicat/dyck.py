@@ -141,6 +141,10 @@ class ConcaveProfile:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        # pickling and copying rebuild through the checked constructor
+        return (ConcaveProfile, (self.heights,))
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -83,10 +83,15 @@ class LatticeMultiset:
             f"entries={self.entries!r})"
         )
 
+    def __reduce__(self):
+        # pickling and copying rebuild through the checked constructor
+        return (LatticeMultiset, (self.frame, self.delta, self.entries))
+
     # -- views ----------------------------------------------------------------
 
     def multiplicity(self, p: Point) -> int:
-        return self.entries.get(tuple(p), 0)
+        (p,) = _points([p], "a multiplicity query")
+        return self.entries.get(p, 0)
 
     def total(self) -> int:
         return sum(self.entries.values())
@@ -169,9 +174,9 @@ def inversion_multiset(perm: BoundedAffinePerm) -> LatticeMultiset:
 def is_centrally_symmetric(ms: LatticeMultiset) -> bool:
     """multiplicity(p) == multiplicity(delta - p) for every point."""
     dk, dn = ms.delta
-    return all(
-        ms.multiplicity((dk - p[0], dn - p[1])) == m for p, m in ms.entries.items()
-    )
+    # the entries' points are integer pairs already: no `multiplicity` check
+    get = ms.entries.get
+    return all(get((dk - a, dn - b), 0) == m for (a, b), m in ms.entries.items())
 
 
 # -- lattice convexity via one integer monotone chain ---------------------------

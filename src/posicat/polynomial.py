@@ -45,6 +45,10 @@ class IntPoly:
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
+    def __reduce__(self):
+        # pickling and copying rebuild through the checked constructor
+        return (IntPoly, (self.coeffs,))
+
     # -- structure ------------------------------------------------------------
 
     @property

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,20 @@ from posicat import Engine
 def engine():
     """Shared engine so exhaustive sweeps reuse the memo tables."""
     return Engine()
+
+
+def _pickled(protocol):
+    return lambda value: pickle.loads(pickle.dumps(value, protocol))
+
+
+@pytest.fixture(params=[
+    *(pytest.param(_pickled(p), id=f"pickle-{p}") for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    pytest.param(copy.copy, id="copy"),
+    pytest.param(copy.deepcopy, id="deepcopy"),
+])
+def duplicate(request):
+    """A pickle round trip at each protocol, `copy.copy` and `copy.deepcopy`."""
+    return request.param
 
 
 def pytest_report_header(config):

@@ -1,4 +1,5 @@
 import inspect
+import pickle
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from posicat.affine import (
     _c_class_members,
     _canonical_key,
     _conj_s,
+    _cycles,
     _drop,
     _first_double_move,
     _has_double_crossing,
@@ -41,7 +43,7 @@ from posicat.errors import (
     PosicatError,
 )
 
-from window_reference import is_bounded
+from window_reference import is_bounded, is_strictly_bounded
 
 FIG2 = (3, 6, 4, 5, 7, 8, 9)
 
@@ -284,7 +286,6 @@ def test_is_theta_is_cached(monkeypatch):
     def rescan(*args):
         raise AssertionError("is_theta rescanned the window")
 
-    monkeypatch.setattr(affine, "_is_strictly_bounded", rescan)
     monkeypatch.setattr(affine, "_cycles", rescan)
     for f, expected in perms.items():
         for _ in range(3):
@@ -294,6 +295,33 @@ def test_is_theta_is_cached(monkeypatch):
         else:
             with pytest.raises(NotTheta):
                 f.require_theta()
+
+
+def test_is_theta_is_strict_bounds_and_one_cycle_on_every_bounded_window():
+    # a single n-cycle with n >= 2 fixes no residue, so its bounds are strict
+    windows = [w for n in range(1, 7) for w in _bounded_windows(n)]
+    assert len(windows) == 2371
+    for w in windows:
+        expected = is_strictly_bounded(w) and len(_cycles(w)) == 1
+        assert BoundedAffinePerm(w).is_theta is expected, w
+
+
+def test_a_copy_is_an_equal_perm_with_its_own_positions(duplicate):
+    f = BoundedAffinePerm(FIG2)
+    assert f.is_theta
+    g = duplicate(f)
+    assert g == f and g is not f and (g.n, g.k) == (f.n, f.k)
+    assert g._pos == f._pos and g._pos is not f._pos
+    assert g.is_theta and g.cycle_count() == 1
+
+
+def test_a_tampered_perm_pickle_is_refused():
+    # the window (1, 2) edited to (5, 9) in the pickle's bytes used to load
+    # unchecked, with k = 1
+    data = pickle.dumps(BoundedAffinePerm([1, 2]), protocol=2)
+    assert data.count(b"K\x01K\x02") == 1
+    with pytest.raises(NotBounded):
+        pickle.loads(data.replace(b"K\x01K\x02", b"K\x05K\x09"))
 
 
 def test_theta_count_3_7():

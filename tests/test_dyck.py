@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -297,6 +299,24 @@ def test_profile_is_hashable_and_frozen():
     with pytest.raises(AttributeError):
         del profile.heights
     assert profile.heights == (0, F(1, 2), 1)
+
+
+def test_a_profile_pickles_and_copies(duplicate):
+    profile = ConcaveProfile((0, F(1, 2), 1))
+    assert duplicate(profile) == profile
+
+
+def test_a_tampered_profile_pickle_is_refused():
+    # heights set past the immutability guard: Fraction pickles differently
+    # across Python versions, so the state is edited rather than the bytes.
+    # Loading and copying used to keep the broken heights
+    profile = ConcaveProfile((0, F(1, 2), 1))
+    object.__setattr__(profile, "heights", (F(0), F(3, 2), F(1)))
+    data = pickle.dumps(profile)
+    for load in (lambda: pickle.loads(data), lambda: copy.copy(profile)):
+        with pytest.raises(InvalidProfile):
+            load()
+
 
 @pytest.mark.parametrize("heights, message", [
     ((), "a profile needs at least two heights, got 0"),

@@ -27,7 +27,7 @@ from posicat import (
 import posicat.engine
 from posicat import harness
 from posicat.errors import InvalidFrame, MalformedText, PosicatError
-from posicat.invsets import LatticeMultiset, is_convex_points
+from posicat.invsets import RECT, LatticeMultiset, is_convex_points
 from posicat.polynomial import IntPoly, ONE, Q, Q_MINUS_1
 
 from poly_reference import poly_add
@@ -86,6 +86,12 @@ NON_INTEGER_ENTRY_POINTS = {
     ),
     "resolve_crossing": (MalformedText, lambda x: DOUBLE_CROSSING.resolve_crossing((0, x))),
     "is_inversion": (MalformedText, lambda x: DOUBLE_CROSSING.is_inversion(0, x)),
+    "LatticeMultiset.multiplicity(p)": (
+        MalformedText, lambda x: LatticeMultiset(RECT, (2, 2)).multiplicity(x)
+    ),
+    "LatticeMultiset.multiplicity(a)": (
+        MalformedText, lambda x: LatticeMultiset(RECT, (2, 2)).multiplicity((x, 1))
+    ),
     "BoundedAffinePerm.__call__": (MalformedText, lambda x: DOUBLE_CROSSING(x)),
     "inverse_at": (MalformedText, lambda x: DOUBLE_CROSSING.inverse_at(x)),
     "IntPoly.eval_at": (MalformedText, lambda x: IntPoly([1, 1]).eval_at(x)),

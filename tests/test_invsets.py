@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -141,6 +142,21 @@ def test_multiset_constructor_drops_zero_and_rejects_negative():
     assert ms.entries == {(1, 2): 2} and ms.total() == 2
     with pytest.raises(PosicatError):
         LatticeMultiset(RECT, (3, 4), {(1, 2): -1})
+
+
+def test_a_multiset_pickles_and_copies_with_its_own_entries(duplicate):
+    ms = inversion_multiset(FIG2)
+    for other in (ms, ms.to_sheared(), LatticeMultiset(RECT, (3, 4))):
+        copied = duplicate(other)
+        assert copied == other and copied.entries is not other.entries
+
+
+def test_a_tampered_multiset_pickle_is_refused():
+    # the multiplicity 7 edited to -7 in the pickle's bytes used to load
+    data = pickle.dumps(LatticeMultiset(RECT, (3, 5), {(1, 2): 7}), protocol=2)
+    assert data.count(b"K\x07") == 1
+    with pytest.raises(PosicatError, match="negative multiplicity"):
+        pickle.loads(data.replace(b"K\x07", b"J\xf9\xff\xff\xff"))
 
 
 def test_central_symmetry_exhaustive():

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 
 import pytest
@@ -26,6 +27,21 @@ def test_a_factor_that_is_not_a_polynomial_is_refused(other):
         IntPoly([1, 1]) * other
     with pytest.raises(PosicatError, match="IntPoly"):
         other * IntPoly([1, 1])
+
+
+def test_a_polynomial_pickles_and_copies(duplicate):
+    # pickling and copying raised AttributeError('IntPoly is immutable')
+    for p in (IntPoly([1, 2]), ZERO, IntPoly([-3, 0, 2 ** 70])):
+        copied = duplicate(p)
+        assert type(copied) is IntPoly and copied.coeffs == p.coeffs
+
+
+def test_a_tampered_polynomial_pickle_is_refused():
+    # the coefficient 2 edited to the float 2.0 in the pickle's bytes
+    data = pickle.dumps(IntPoly([1, 2]), protocol=2)
+    assert data.count(b"K\x01K\x02") == 1
+    with pytest.raises(MalformedText):
+        pickle.loads(data.replace(b"K\x01K\x02", b"K\x01G@\x00\x00\x00\x00\x00\x00\x00"))
 
 
 def test_ring_axioms_random():

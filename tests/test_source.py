@@ -169,20 +169,24 @@ TRACED = "perfbench/tracing.py names it"
 NEVER_RUN = {
     "affine.BoundedAffinePerm.__eq__": DUNDER,
     "affine.BoundedAffinePerm.__hash__": DUNDER,
+    "affine.BoundedAffinePerm.__reduce__": DUNDER,
     "dyck.ConcaveProfile.__setattr__": DUNDER,
     "dyck.ConcaveProfile.__delattr__": DUNDER,
     "dyck.ConcaveProfile.__eq__": DUNDER,
     "dyck.ConcaveProfile.__hash__": DUNDER,
     "dyck.ConcaveProfile.__repr__": DUNDER,
+    "dyck.ConcaveProfile.__reduce__": DUNDER,
     "harness.VerificationReport.__eq__": DUNDER,
     "harness.VerificationReport.__repr__": DUNDER,
     "invsets.LatticeMultiset.__eq__": DUNDER,
     "invsets.LatticeMultiset.__repr__": DUNDER,
+    "invsets.LatticeMultiset.__reduce__": DUNDER,
     "polynomial.IntPoly.__setattr__": DUNDER,
     "polynomial.IntPoly.__bool__": DUNDER,
     "polynomial.IntPoly.__hash__": DUNDER,
     "polynomial.IntPoly.__repr__": DUNDER,
     "polynomial.IntPoly.__str__": DUNDER,
+    "polynomial.IntPoly.__reduce__": DUNDER,
     "harness._fail": "runs only when a check fails",
     "harness.classes_census": "the public census of one frame; census_report buckets its own",
     "polynomial.IntPoly.exact_div": TRACED + " as its polynomial-layer span",
