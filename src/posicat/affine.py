@@ -212,11 +212,6 @@ def _orbit_key(d: Window) -> Window:
     return best
 
 
-def _canonical_key(w: Window) -> Window:
-    """The sigma-orbit key of w: `_orbit_key` of its displacement word."""
-    return _orbit_key(_displacements(w))
-
-
 def _relabel_restriction(w: Window, residues: Iterable[int]) -> Window:
     """Restrict f to the residue classes in `residues`, a union of cycles of
     its reduction, relabeled onto [0, m).
@@ -285,46 +280,29 @@ def _has_double_crossing(w: Window, i: int, pos: Sequence[int]) -> bool:
 
 def _first_double_move(w: Window, pos: Sequence[int]) -> int:
     """The first i in [0, n) where g = s_i f s_i is bounded with a double
-    crossing at i, or -1; n >= 2.  Each index is read off f's window w and
-    its residue positions pos in O(1), without building g.
+    crossing at i, or -1, for a normal window w with residue positions pos:
+    n >= 2 and no displacement f(j) - j is 0, 1, n-1 or n.  Each index is
+    read off w and pos in O(1), without building g.
 
-    With s = s_i acting on values, g(i) = s(f(i+1)), g(i+1) = s(f(i)) and
-    g^-1(y) = s(f^-1(s(y))), so the pattern of `_has_double_crossing` on g
-    is s(f^-1(i)) < s(f^-1(i+1)) < i < i+1 < s(f(i)) < s(f(i+1)).  g agrees
-    with f off the residues i, i+1, f^-1(i) and f^-1(i+1).  At x = f^-1(i)
-    and x = f^-1(i+1), when x is not i or i+1, g(x) = f(x) + 1 or f(x) - 1
-    stays in [x, x+n]: f(x) = x + n would need x = i, and f(x) = x would
-    need x = i+1.  So g is bounded iff i <= g(i) <= i+n and
-    i+1 <= g(i+1) <= i+1+n, which the chain above reduces to g(i) <= i+n.
+    With s = s_i acting on values, the pattern of `_has_double_crossing` on
+    g is s(f^-1(i)) < s(f^-1(i+1)) < i < i+1 < s(f(i)) < s(f(i+1)).  On a
+    normal window s moves none of these four values: each would need a
+    fixed residue, f(i) = i+1 or f(i+1) = i+n.  Every displacement lies in
+    [2, n-2], so i+1 < f(i), f(i+1) <= i+n and f^-1(i+1) < i hold already:
+    g is bounded at i and i+1, and off them it stays bounded (see
+    `_c_class_members`).  So i is a move exactly when f(i) < f(i+1) and
+    f^-1(i) < f^-1(i+1), with f(n) = f(0) + n at the wrap.
     """
     n = len(w)
     top = n - 1
     for i in range(n):
         i1 = i + 1 if i < top else 0
-        # c = s(f(i)) and d = s(f(i+1)); s moves a value by one at most, and
-        # by its residue alone
-        c = w[i]
-        d = w[i + 1] if i1 else w[0] + n
-        if c > d + 1:
+        if w[i] > (w[i1] if i1 else w[0] + n):
             continue
-        r = c % n
-        if r == i:
-            c += 1
-        elif r == i1:
-            c -= 1
-        r = d % n
-        if r == i:
-            d += 1
-        elif r == i1:
-            d -= 1
-        if not i + 1 < c < d <= i + n:
-            continue
-        # a = s(f^-1(i)) and b = s(f^-1(i+1)); f^-1(y) has residue pos[y mod n]
+        # f^-1(y) = p + y - f(p) for the p = pos[y mod n] in [0, n)
         p = pos[i]
-        a = p + i - w[p] + (1 if p == i else -1 if p == i1 else 0)
-        p = pos[i1]
-        b = p + i + 1 - w[p] + (1 if p == i else -1 if p == i1 else 0)
-        if a < b < i:
+        q = pos[i1]
+        if p + i - w[p] < q + i + 1 - w[q]:
             return i
     return -1
 
@@ -575,10 +553,13 @@ def _c_class_members(w: Window) -> Iterator[Window]:
     f s_i is one longer than f iff f(i) < f(i+1), s_i f s_i is one longer
     than f s_i iff s(f^-1(i)) < s(f^-1(i+1)), and the length is kept iff
     exactly one of the two holds.  A kept length keeps s_i f s_i bounded,
-    so no bound is tested.  Off the positions i and i+1 its values stay in
-    range (see `_first_double_move`), and at them only s(f(i)) <= i or
-    s(f(i+1)) > i+n could break a bound.  The first needs f(i) = i+1 and
-    the second f(i+1) = i+n, and either makes both length changes +1.
+    so no bound is tested.  g = s_i f s_i agrees with f off the residues i,
+    i+1, f^-1(i) and f^-1(i+1).  At x = f^-1(i) and x = f^-1(i+1), when x
+    is not i or i+1, g(x) = f(x) + 1 or f(x) - 1 stays in [x, x+n]:
+    f(x) = x + n would need x = i, and f(x) = x would need x = i+1.  At
+    the positions i and i+1 only s(f(i)) <= i or s(f(i+1)) > i+n could
+    break a bound.  The first needs f(i) = i+1 and the second
+    f(i+1) = i+n, and either makes both length changes +1.
     """
     n = len(w)
     top = n - 1

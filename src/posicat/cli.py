@@ -198,7 +198,7 @@ def _cmd_enumerate(args) -> int:
             perm.length(),
             repfree,
             engine.compute_C(perm),
-            [p for p in ms.points() for _ in range(ms.multiplicity(p))],
+            [p for p in ms.points() for _ in range(ms.entries[p])],
             nu_bar(perm),
         )))
         if writer is None:

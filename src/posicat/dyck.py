@@ -325,6 +325,12 @@ def synthesize_profile(
     """
     points = set(_points(forbidden_sheared, "the forbidden set"))
     _require_cs_convex(points, k, n)
+    return _synthesize(points, k, n)
+
+
+def _synthesize(points: set[Point], k: int, n: int) -> ConcaveProfile:
+    """`synthesize_profile` on sheared integer points that `_require_cs_convex`
+    has accepted."""
     columns: list[list[int]] = [[] for _ in range(n)]
     for a, b in sorted(points):
         columns[b].append(a)
@@ -393,7 +399,7 @@ def synthesize_perm(
     """
     rect = set(_points(forbidden_rect, "the forbidden set"))
     _require_cs_convex(rect, k, n, rect=True)  # errors name the points as given
-    profile = synthesize_profile({rect_to_sheared(p) for p in rect}, k, n)
+    profile = _synthesize({rect_to_sheared(p) for p in rect}, k, n)
     perm = profile_to_perm(profile)
     failures = _synthesis_failures(perm, inversion_multiset(perm), profile, rect)
     if failures:

@@ -96,8 +96,10 @@ For a class-search hit, every normal member visited shares the value and
 is cached as well.
 
 A reduced node does O(n) Python-level work: one residue-position table and
-one pass of `affine._first_double_move`, which reads each index's test off f
-and that table in O(1) and stops at the first index that passes.  The
+one pass of `affine._first_double_move`, which stops at the first index that
+passes.  Every node reduced is normal, so s_i moves none of f(i), f(i+1),
+f^-1(i) and f^-1(i+1), g is bounded, and the test at i is f(i) < f(i+1) and
+f^-1(i) < f^-1(i+1), read off f and that table in O(1).  The
 polynomial ring tests that index for a shared cycle by a walk along one
 cycle of f; the integer ring first walks the cycle through residue 0, and
 only when it closes in fewer than n steps lists the cycles of f in one pass
@@ -127,7 +129,6 @@ from typing import Callable, Optional
 from .affine import (
     BoundedAffinePerm,
     _c_class_members,
-    _canonical_key,
     _conj_s,
     _cycles,
     _displacements,
@@ -433,7 +434,8 @@ class Engine:
         # class search: R~ is constant on the conjugation class, so the first
         # member that is not normal or admits a step determines the value.
         # Members are tried in discovery order; the normal members seen so far
-        # share the value and are cached with it.
+        # share the value and are cached with it, under the key of the
+        # displacement word `_normalise` returned for each.
         self._emit("class_search", w)
         members = _c_class_members(w)
         next(members)  # w itself, which `_normal_value` stores on return
@@ -443,11 +445,11 @@ class Engine:
             if v is not g:
                 value = self._normal_value(v, d, ring)
             else:
-                seen.append(g)
+                seen.append(d)
                 value = self._step(g, ring)
             if value is not None:
-                for member in seen:
-                    ring.cache.setdefault(_canonical_key(member), value)
+                for word in seen:
+                    ring.cache.setdefault(_orbit_key(word), value)
                 return value
         raise IrreducibleElement(
             f"no reduction applies anywhere in the class of {list(w)}"

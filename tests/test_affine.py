@@ -1,3 +1,4 @@
+import functools
 import inspect
 import pickle
 import random
@@ -13,9 +14,9 @@ from posicat import (
 from posicat.harness import _bounded_windows
 from posicat.affine import (
     _c_class_members,
-    _canonical_key,
     _conj_s,
     _cycles,
+    _displacements,
     _drop,
     _first_double_move,
     _has_double_crossing,
@@ -43,7 +44,7 @@ from posicat.errors import (
     PosicatError,
 )
 
-from window_reference import is_bounded, is_strictly_bounded
+from window_reference import is_bounded, is_normal, is_strictly_bounded
 
 FIG2 = (3, 6, 4, 5, 7, 8, 9)
 
@@ -106,6 +107,28 @@ def _sample_windows():
         yield from _bounded_windows(n)
     for n in (12, 16, 18):
         yield from _random_cycle_windows(f"sample-{n}", n, 200)
+
+
+@functools.lru_cache(maxsize=None)
+def _normal_sample_windows():
+    """The normal windows, on which `_first_double_move` is defined: every
+    one with n <= 8, then those among the random cycles of
+    `_sample_windows`."""
+    windows = [w for n in range(2, 9) for w in _bounded_windows(n) if is_normal(w)]
+    for n in (12, 16, 18):
+        windows += filter(is_normal, _random_cycle_windows(f"sample-{n}", n, 200))
+    return windows
+
+
+def _built_double_moves(w):
+    """Each i where the built g = s_i f s_i is bounded with a double
+    crossing at i."""
+    moves = []
+    for i in range(len(w)):
+        g = _conj_ref(w, i)
+        if is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g)):
+            moves.append(i)
+    return moves
 
 
 def brute_length(perm):
@@ -353,36 +376,30 @@ def test_double_crossing_detection():
 
 
 def test_conj_double_crossing_matches_built_conjugate():
-    """The scan read off f finds the first i where the built g = s_i f s_i
-    is bounded with a double crossing at i, or -1 when there is none."""
-    found = missing = 0
-    for w in _sample_windows():
-        expected = -1
-        for i in range(len(w)):
-            g = _conj_ref(w, i)
-            if is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g)):
-                expected = i
-                break
+    """On every normal sample window, the scan read off f finds the first i
+    where the built g = s_i f s_i is bounded with a double crossing at i, or
+    -1 when there is none."""
+    windows = _normal_sample_windows()
+    assert sum(len(w) <= 8 for w in windows) == 1432 and len(windows) == 1432 + 53
+    missing = 0
+    for w in windows:
+        expected = min(_built_double_moves(w), default=-1)
         assert _first_double_move(w, _residue_positions(w)) == expected, w
-        found += expected >= 0
         missing += expected < 0
-    assert found > 0 and missing > 0
+    assert missing == 24
 
 
 def test_first_double_move_reads_every_index_by_rotation():
-    """sigma^j moves index i to (i + j) mod n, so the scan of sigma^j(w)
-    stops at the first move of w so shifted: index i of w is a move exactly
-    when the scan of sigma^((n - i) mod n)(w) stops at 0.  The moves of w are
-    the i where the built g = s_i f s_i is bounded with a double crossing at
-    i, and every rotation of every window is scanned."""
+    """sigma^j moves index i to (i + j) mod n and keeps a window normal, so
+    the scan of sigma^j(w) stops at the first move of w so shifted: index i
+    of w is a move exactly when the scan of sigma^((n - i) mod n)(w) stops
+    at 0.  The moves of w are the i where the built g = s_i f s_i is bounded
+    with a double crossing at i, and every rotation of every normal sample
+    window is scanned."""
     several = 0
-    for w in _sample_windows():
+    for w in _normal_sample_windows():
         n = len(w)
-        moves = []
-        for i in range(n):
-            g = _conj_ref(w, i)
-            if is_bounded(g) and _has_double_crossing(g, i, _residue_positions(g)):
-                moves.append(i)
+        moves = _built_double_moves(w)
         rotated = w
         for j in range(n):
             expected = min(((i + j) % n for i in moves), default=-1)
@@ -570,7 +587,8 @@ def test_relabel_restriction():
 
 def test_canonical_key_sigma_invariant():
     for f in enumerate_theta(None, 6):
-        assert _canonical_key(f.cyclic_shift().window) == _canonical_key(f.window)
+        shifted = f.cyclic_shift().window
+        assert _orbit_key(_displacements(shifted)) == _orbit_key(_displacements(f.window))
 
 
 def _rotation_key(d):
@@ -581,9 +599,9 @@ def _rotation_key(d):
 def test_canonical_key_matches_rotation_reference():
     for n in range(1, 7):
         for w in _bounded_windows(n):
-            assert _canonical_key(w) == _rotation_key([w[i] - i for i in range(n)]), w
+            assert _orbit_key(_displacements(w)) == _rotation_key([w[i] - i for i in range(n)]), w
     for w in _random_cycle_windows("keys-18", 18, 200):
-        assert _canonical_key(w) == _rotation_key([w[i] - i for i in range(18)]), w
+        assert _orbit_key(_displacements(w)) == _rotation_key([w[i] - i for i in range(18)]), w
     # words whose minimum repeats: translations, sigma-periodic words, and
     # small alphabets at n = 18
     words = [
@@ -605,7 +623,7 @@ def test_canonical_key_matches_rotation_reference():
 
 
 def test_canonical_key_translation():
-    assert _canonical_key(BoundedAffinePerm.translation(2, 5).window) == (2,) * 5
+    assert _orbit_key(_displacements(BoundedAffinePerm.translation(2, 5).window)) == (2,) * 5
 
 
 def test_canonical_key_separates_orbits():
@@ -615,7 +633,7 @@ def test_canonical_key_separates_orbits():
             tuple((f.window[(i - t) % 5] + t - i) + i for i in range(5))
             for t in range(5)
         )
-        orbits.setdefault(_canonical_key(f.window), set()).add(f.window)
+        orbits.setdefault(_orbit_key(_displacements(f.window)), set()).add(f.window)
     for key, windows in orbits.items():
         shifts = set()
         w = next(iter(windows))

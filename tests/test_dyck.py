@@ -478,6 +478,30 @@ def test_synthesize_perm_fig2_set():
     assert count_avoiding_paths(3, 7, {(1, 2), (2, 5)}) == 3
 
 
+def test_synthesize_perm_validates_its_set_once(monkeypatch):
+    # the rectangular set is checked once, in the caller's frame; the
+    # sheared synthesis behind it does not check it again
+    import posicat.dyck as dyck
+
+    calls = []
+    original = dyck._require_cs_convex
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dyck, "_require_cs_convex", counted)
+    requests = 0
+    for n in range(2, 9):
+        for k in range(1, n):
+            for points in cs_convex_subsets(k, n):
+                calls.clear()
+                synthesize_perm(points, k, n)
+                assert len(calls) == 1, (k, n, points)
+                requests += 1
+    assert requests > 50
+
+
 def test_synthesize_perm_raises_on_missed_postcondition(monkeypatch):
     # an explicit raise, so the postconditions also hold under python -O
     import posicat.dyck as dyck

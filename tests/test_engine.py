@@ -33,7 +33,7 @@ from posicat.harness import _bounded_windows
 from posicat.polynomial import IntPoly, ONE, Q, Q_MINUS_1, ZERO
 
 from poly_reference import poly_add
-from window_reference import is_bounded
+from window_reference import is_bounded, is_normal
 
 FIG2 = BoundedAffinePerm([3, 6, 4, 5, 7, 8, 9])
 FIG3 = BoundedAffinePerm.from_cycle([0, 3, 2, 5, 1, 4])
@@ -407,6 +407,29 @@ def test_step_builds_the_conjugate_only_for_the_chosen_index(monkeypatch):
             total += len(moves)
             switched += sum(i != _first_double_move(w, _residue_positions(w)) for w, i in moves)
     assert total > 0 and switched == 0
+
+
+def test_the_double_move_scan_reads_only_normal_windows(monkeypatch):
+    # `_first_double_move` is defined on normal windows alone; every node
+    # the engine steps on is one, over the engine suite and in both rings
+    from posicat.harness import verify_engine
+
+    scanned = []
+    original = posicat.engine._first_double_move
+
+    def guarded(w, pos):
+        assert is_normal(w), w
+        scanned.append(w)
+        return original(w, pos)
+
+    monkeypatch.setattr(posicat.engine, "_first_double_move", guarded)
+    report = verify_engine(6)
+    assert report.passed and scanned
+    for method in ("compute_C", "compute_Rtilde"):
+        scanned.clear()
+        for cycle, *_ in GOLDEN + GOLDEN_12:
+            getattr(Engine(), method)(BoundedAffinePerm.from_cycle(cycle))
+        assert scanned, method
 
 
 def test_same_cycle_is_conjugation_invariant():
