@@ -27,7 +27,6 @@ from .errors import PosicatError
 from .harness import (
     VerificationReport,
     census_report,
-    classes_census,
     cs_convex_subsets,
     enumerate_theta,
     verify_engine,
@@ -64,7 +63,6 @@ __all__ = [
     "VerificationReport",
     "a_sequence",
     "census_report",
-    "classes_census",
     "count_avoiding_paths",
     "cs_convex_subsets",
     "enumerate_avoiding_paths",

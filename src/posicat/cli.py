@@ -2,7 +2,8 @@
 
 Subcommands: compute, dyck, synthesize, enumerate, verify.  Results go to
 stdout (JSON or plain values); progress and traces go to stderr.  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+0 success, 1 verification failure, 2 usage error, 141 (128 + SIGPIPE) when
+the reader closes stdout before the output ends.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -250,10 +252,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
     except PosicatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the flush at interpreter exit would raise again: send what is
+        # still buffered to devnull, and exit as a tool killed by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -51,8 +51,11 @@ from .paths import _orbit
 # ---------------------------------------------------------------------------
 
 def _admissible(a: int, b: int, k: int, n: int, forbidden: frozenset[Point]) -> bool:
-    if b == 0 or b == n:
-        return (a == 0) if b == 0 else (a == k)
+    """Whether a path may stand at (a, b), for a column b >= 1: only at
+    (k, n) in the last column, elsewhere on or above the diagonal and off
+    the forbidden set."""
+    if b == n:
+        return a == k
     return a * n >= k * b and (a, b) not in forbidden
 
 

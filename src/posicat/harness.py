@@ -502,24 +502,6 @@ def verify_structure(n_max: int, jobs: int = 1) -> VerificationReport:
 # census (observational)
 # ---------------------------------------------------------------------------
 
-def classes_census(k: int, n: int) -> dict:
-    """Group repetition-free permutations by inversion set and split each
-    group into conjugation classes.
-
-    Purely observational: the report records, per group, the class count,
-    class sizes, the rotation statistic of each class, whether the count
-    equals gcd(k, n), and whether `nu_bar` is a bijection from the classes
-    onto 0..gcd(k, n)-1 (one value per class, each value once); nothing is
-    asserted.  From period two on, a k outside 1..n-1 raises InvalidFrame,
-    as in `enumerate_theta`; below period two the report is empty for every
-    k.  A k or n that is not an integer raises InvalidFrame at every period.
-    """
-    k, n = _integers((k, n), "the frame (k, n)", InvalidFrame)
-    if n >= 2:
-        _require_theta_frame(k, n)
-    return _census_frame(k, n, _theta_windows(n, k))
-
-
 def _census_frame(k: int, n: int, windows: Iterable[Window]) -> dict:
     """The census of the frame (k, n) over its windows, in enumeration order."""
     d = math.gcd(k, n)

@@ -45,6 +45,9 @@ class IntPoly:
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("IntPoly is immutable")
+
     def __reduce__(self):
         # pickling and copying rebuild through the checked constructor
         return (IntPoly, (self.coeffs,))

@@ -304,6 +304,22 @@ def _run_python(*args):
     )
 
 
+def test_a_closed_pipe_exits_141_without_a_traceback():
+    # as `posicat enumerate --n 8 | head -n 1` does: 128 + SIGPIPE, the
+    # status of a shell tool killed on a closed pipe, not 1 for a failure
+    src = str(Path(posicat.__file__).resolve().parent.parent)
+    with subprocess.Popen(
+        [sys.executable, "-m", "posicat", "enumerate", "--n", "8", "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        assert json.loads(proc.stdout.readline())["n"] == 8
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 141
+    assert err == ""
+
+
 def _run_optimised(*argv):
     """`python -O -m posicat.cli argv`: -O strips assert statements, and
     every check must hold without them."""

@@ -10,7 +10,6 @@ import pytest
 from posicat import (
     BoundedAffinePerm,
     Engine,
-    classes_census,
     census_report,
     count_avoiding_paths,
     cs_convex_subsets,
@@ -54,19 +53,6 @@ def test_enumerate_theta_is_empty_below_period_two(n):
     assert list(enumerate_theta(1, n)) == []
 
 
-@pytest.mark.parametrize("n", [1, 0, -3])
-def test_classes_census_is_empty_below_period_two(n):
-    report = classes_census(1, n)
-    assert report["groups"] == [] and report["repetition_free_total"] == 0
-
-
-@pytest.mark.parametrize("k", [7, 0])
-def test_classes_census_refuses_a_k_outside_the_frame(k):
-    # Theta(7, 4) and Theta(0, 4) are empty: no report, not a vacuous match
-    with pytest.raises(InvalidFrame, match=f"got k={k}, n=4"):
-        classes_census(k, 4)
-
-
 # each call puts the bad value where the entry point reads k, n, n_max,
 # jobs or another integer argument; DOUBLE_CROSSING is a Theta(2, 5) window
 # with a double crossing at 1
@@ -98,7 +84,6 @@ NON_INTEGER_ENTRY_POINTS = {
     "count_avoiding_paths": (InvalidFrame, lambda x: count_avoiding_paths(x, 7, [])),
     "synthesize_profile": (InvalidFrame, lambda x: synthesize_profile([], x, 4)),
     "cs_convex_subsets": (InvalidFrame, lambda x: cs_convex_subsets(x, 4)),
-    "classes_census": (InvalidFrame, lambda x: classes_census(x, 4)),
     "f_min": (InvalidFrame, lambda x: f_min(x, 4)),
     "enumerate_theta(k)": (InvalidFrame, lambda x: enumerate_theta(x, 4)),
     "enumerate_theta(n)": (InvalidFrame, lambda x: enumerate_theta(2, x)),
@@ -725,8 +710,13 @@ def test_minimal_elements_single_orbit():
             assert closure == minimal, (k, n)
 
 
+def _census_frame_of(report, k, n):
+    [frame] = [f for f in report["frames"] if (f["k"], f["n"]) == (k, n)]
+    return frame
+
+
 def test_census_2_4():
-    report = classes_census(2, 4)
+    report = _census_frame_of(census_report(5), 2, 4)
     assert report["gcd"] == 2
     assert len(report["groups"]) == 1
     group = report["groups"][0]
@@ -738,7 +728,7 @@ def test_census_2_4():
 
 
 def test_census_2_5():
-    report = classes_census(2, 5)
+    report = _census_frame_of(census_report(5), 2, 5)
     assert report["gcd"] == 1
     assert all(g["class_count"] == 1 for g in report["groups"])
     assert report["all_match_gcd"]

@@ -133,6 +133,15 @@ def test_immutability_and_hash():
     assert IntPoly([5]) == 5
 
 
+def test_a_polynomial_refuses_del():
+    # without a __delattr__ guard, `del p.coeffs` left a polynomial on which
+    # every method raised AttributeError
+    p = IntPoly([1, 2])
+    with pytest.raises(AttributeError, match="immutable"):
+        del p.coeffs
+    assert p.coeffs == (1, 2) and p * p == IntPoly([1, 4, 4])
+
+
 @pytest.mark.parametrize("coeffs, value", [([5], 5), ([], 0), ([0, 0], 0), ([-3], -3)])
 def test_constants_hash_like_their_int(coeffs, value):
     # equal values must hash alike, or sets and dicts tell them apart

@@ -182,13 +182,13 @@ NEVER_RUN = {
     "invsets.LatticeMultiset.__repr__": DUNDER,
     "invsets.LatticeMultiset.__reduce__": DUNDER,
     "polynomial.IntPoly.__setattr__": DUNDER,
+    "polynomial.IntPoly.__delattr__": DUNDER,
     "polynomial.IntPoly.__bool__": DUNDER,
     "polynomial.IntPoly.__hash__": DUNDER,
     "polynomial.IntPoly.__repr__": DUNDER,
     "polynomial.IntPoly.__str__": DUNDER,
     "polynomial.IntPoly.__reduce__": DUNDER,
     "harness._fail": "runs only when a check fails",
-    "harness.classes_census": "the public census of one frame; census_report buckets its own",
     "polynomial.IntPoly.exact_div": TRACED + " as its polynomial-layer span",
 }
 
