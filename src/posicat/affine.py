@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from operator import index, sub
+from operator import attrgetter, index, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -362,7 +362,11 @@ def _window_from_cycle(cycle: Sequence[int]) -> Window:
 class BoundedAffinePerm:
     """Immutable bounded affine permutation, identified by its window."""
 
-    __slots__ = ("n", "window", "k", "_pos", "_cycle_cache")
+    # private slots behind setter-less properties: the fields refuse assignment
+    __slots__ = ("_window", "_n", "_k", "_pos", "_cycle_cache")
+    window = property(attrgetter("_window"))
+    n = property(attrgetter("_n"))
+    k = property(attrgetter("_k"))
 
     def __init__(self, window: Sequence[int]):
         w = _integers(window, "window")
@@ -378,9 +382,9 @@ class BoundedAffinePerm:
             pos[v % n] = i
         if -1 in pos:
             raise NotBijective(f"window residues collide: {list(w)}")
-        self.window = w
-        self.n = n
-        self.k = _k_of(w)
+        self._window = w
+        self._n = n
+        self._k = _k_of(w)
         self._pos = pos
         self._cycle_cache: Optional[tuple[tuple[int, ...], ...]] = None
 

@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 import time
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .affine import (
     BoundedAffinePerm,
@@ -102,36 +102,16 @@ def _bounded_windows(n: int) -> Iterator[Window]:
 # reports
 # ---------------------------------------------------------------------------
 
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """What a suite checked and what failed.  Equal field by field, and
-    unhashable since it is mutable."""
+    unhashable since `params` is a dict.  As a NamedTuple it also equals a
+    plain tuple of its five values and can be indexed; no caller does either."""
 
-    def __init__(
-        self,
-        suite: str,
-        params: dict,
-        checked: int = 0,
-        failures: Optional[list[dict]] = None,
-        elapsed: float = 0.0,
-    ):
-        self.suite = suite
-        self.params = params
-        self.checked = checked
-        self.failures = [] if failures is None else failures
-        self.elapsed = elapsed
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.suite, self.params, self.checked, self.failures, self.elapsed) == (
-            other.suite, other.params, other.checked, other.failures, other.elapsed
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(suite={self.suite!r}, params={self.params!r}, "
-            f"checked={self.checked!r}, failures={self.failures!r}, elapsed={self.elapsed!r})"
-        )
+    suite: str
+    params: dict
+    checked: int
+    failures: list[dict]
+    elapsed: float
 
     @property
     def passed(self) -> bool:

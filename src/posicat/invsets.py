@@ -279,24 +279,19 @@ def lambda_partition(perm: BoundedAffinePerm) -> tuple[int, ...]:
     corner (j, k-i) satisfies (k-i)(n-k) >= kj (corner touches with the bare
     diagonal are allowed) and every multiset point (a, b) with b in
     {j-1, j} lies strictly below the box, a < k-i (corner touches with a
-    point disqualify).  The result is asserted weakly decreasing.
+    point disqualify): the tops of columns j-1 and j, found in one pass over
+    the points, lie below k-i.  The result is asserted weakly decreasing.
     """
     ms = inversion_multiset(perm)
     if not ms.is_set():
         raise NotRepetitionFree(f"{perm!r} has repeated inversion types")
     k = perm.k
-    m = perm.n - perm.k
-    pts = ms.points()
-    rows = []
-    for i in range(1, k + 1):
-        cnt = 0
-        for j in range(1, m + 1):
-            if (k - i) * m < k * j:
-                continue
-            if any(b in (j - 1, j) and a >= k - i for a, b in pts):
-                continue
-            cnt += 1
-        rows.append(cnt)
+    m = perm.n - k
+    top = [-1] * (m + 1)  # the highest a in each column b = 0..m, -1 if none
+    for a, b in ms.points():
+        top[b] = max(top[b], a)
+    rows = [sum(max(top[j - 1], top[j]) < k - i for j in range(1, (k - i) * m // k + 1))
+            for i in range(1, k + 1)]
     if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
         raise PosicatError(f"row counts {rows} are not weakly decreasing")
     return tuple(rows)

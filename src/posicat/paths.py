@@ -25,7 +25,6 @@ the small path's vertices are the orbit `_orbit(f)` = [f^r(0) for r = 0..n].
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .affine import BoundedAffinePerm
 from .errors import AlphaOnDeltaLine, NonIntegralNu
@@ -85,19 +84,17 @@ def nu(perm: BoundedAffinePerm) -> int:
     """Pairing of the big path with the normal vector of the delta line.
 
     nu = sum_{r=0}^{n-1} (f^r(0) - k r)/n, minus 1/2 when k and n are both
-    even.  The value is asserted integral; the sum is window-independent so
-    the base window r = 0..n-1 is fixed here.
+    even, taken as 2n nu in integers and asserted integral; the sum is
+    window-independent so the base window r = 0..n-1 is fixed here.
     """
     perm.require_theta()
     n = perm.n
     k = perm.k
     orbit = _orbit(perm)
-    total = Fraction(sum(orbit[r] - k * r for r in range(n)), n)
-    if k % 2 == 0 and n % 2 == 0:
-        total -= Fraction(1, 2)
-    if total.denominator != 1:
-        raise NonIntegralNu(f"nu({list(perm.window)}) = {total}")
-    return int(total)
+    twice_n_nu = 2 * sum(orbit[r] - k * r for r in range(n)) - n * (k % 2 == n % 2 == 0)
+    if twice_n_nu % (2 * n):
+        raise NonIntegralNu(f"nu({list(perm.window)}) = {twice_n_nu}/{2 * n}")
+    return twice_n_nu // (2 * n)
 
 
 def nu_bar(perm: BoundedAffinePerm) -> int:

@@ -565,6 +565,19 @@ def test_relabel_restriction_refuses_a_set_f_does_not_preserve():
     assert refused == 7422
 
 
+def test_perm_fields_refuse_assignment_and_deletion():
+    # assigning a window used to succeed and leave n and k stale
+    f = BoundedAffinePerm([1, 2])
+    for change in (
+        lambda: setattr(f, "window", (5, 9)),
+        lambda: setattr(f, "n", 3),
+        lambda: delattr(f, "k"),
+    ):
+        with pytest.raises(AttributeError):
+            change()
+    assert (f.window, f.n, f.k) == ((1, 2), 2, 1)
+
+
 def test_cycle_tuples_are_immutable():
     # the cache itself is handed out, so it must hold tuples all the way down
     f = BoundedAffinePerm((1, 4, 3, 6))

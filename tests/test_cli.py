@@ -214,7 +214,7 @@ def test_verify_structure(capsys):
 
 def test_verify_structure_failure_exits_1(capsys, monkeypatch):
     def failing(n_max, jobs=1):
-        report = VerificationReport("structure", {"n_max": n_max, "jobs": jobs})
+        report = VerificationReport("structure", {"n_max": n_max, "jobs": jobs}, 0, [], 0.0)
         report.failures.append({"window": [2, 4], "check": "min_length",
                                 "expected": 1, "actual": 0})
         return report

@@ -766,9 +766,9 @@ def test_census_flags_a_nu_bar_that_is_not_a_bijection(monkeypatch):
 # -- the report record --------------------------------------------------------
 
 def test_verification_report_compares_and_prints_field_by_field():
-    report = harness.VerificationReport("main", {"n_max": 2})
+    report = harness.VerificationReport("main", {"n_max": 2}, 0, [], 0.0)
     assert report == harness.VerificationReport("main", {"n_max": 2}, 0, [], 0.0)
-    assert report != harness.VerificationReport("main", {"n_max": 2}, checked=1)
+    assert report != harness.VerificationReport("main", {"n_max": 2}, 1, [], 0.0)
     assert report != 0 and report.__eq__(0) is NotImplemented
     assert repr(report) == (
         "VerificationReport(suite='main', params={'n_max': 2}, checked=0, "
@@ -776,13 +776,7 @@ def test_verification_report_compares_and_prints_field_by_field():
     )
 
 
-def test_verification_report_failures_are_not_shared():
-    first = harness.VerificationReport("main", {})
-    second = harness.VerificationReport("main", {})
-    first.failures.append({"check": "x"})
-    assert second.failures == [] and first != second
-
-
 def test_verification_report_is_unhashable():
+    report = harness.VerificationReport("main", {}, 0, [], 0.0)
     with pytest.raises(TypeError):
-        hash(harness.VerificationReport("main", {}))
+        hash(report)

@@ -24,6 +24,7 @@ from posicat.invsets import (
 )
 
 from path_reference import intersection_count
+from statistic_reference import lambda_by_boxes
 
 FIG2 = BoundedAffinePerm([3, 6, 4, 5, 7, 8, 9])
 
@@ -415,6 +416,17 @@ def test_lambda_weakly_decreasing_exhaustive():
             lam = lambda_partition(f)
             assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
             assert all(x >= 0 for x in a_sequence(f))
+
+
+def test_lambda_matches_the_box_by_box_reference():
+    # every repetition-free window with n <= 8
+    checked = 0
+    for n in range(2, 9):
+        for f in enumerate_theta(None, n):
+            if inversion_multiset(f).is_set():
+                assert lambda_partition(f) == lambda_by_boxes(f), f
+                checked += 1
+    assert checked == 3033
 
 
 def test_lambda_requires_repetition_free():

@@ -10,11 +10,14 @@ from posicat import (
     nu,
     nu_bar,
 )
+from posicat import paths
 from posicat.affine import _c_class_members
-from posicat.errors import AlphaOnDeltaLine, NotTheta
+from posicat.errors import AlphaOnDeltaLine, NonIntegralNu, NotTheta
 from posicat.paths import _orbit
 
+import statistic_reference
 from path_reference import intersection_count, multiplicity_from_paths
+from statistic_reference import nu_by_fractions
 
 FIG2 = BoundedAffinePerm([3, 6, 4, 5, 7, 8, 9])
 FIG3 = BoundedAffinePerm.from_cycle([0, 3, 2, 5, 1, 4])
@@ -149,6 +152,30 @@ def test_nu_is_integral_exhaustive():
         for f in enumerate_theta(None, n):
             nu(f)  # raises NonIntegralNu on failure
             assert 0 <= nu_bar(f) < math.gcd(f.k, n)
+
+
+def test_nu_matches_the_fraction_reference():
+    # every Theta window with n <= 8
+    for n in range(2, 9):
+        for f in enumerate_theta(None, n):
+            assert nu(f) == nu_by_fractions(f), f
+
+
+def test_nu_raises_exactly_where_the_fraction_is_not_whole(monkeypatch):
+    # no Theta window has a fractional nu, so the orbit is shifted by hand:
+    # f^0(0) + d for every residue d modulo 2n, at k and n even and odd
+    for f in (next(enumerate_theta(2, 4)), next(enumerate_theta(2, 5))):
+        orbit = _orbit(f)
+        for d in range(2 * f.n):
+            shifted = [orbit[0] + d] + orbit[1:]
+            for module in (paths, statistic_reference):
+                monkeypatch.setattr(module, "_orbit", lambda perm, o=shifted: o)
+            expected = nu_by_fractions(f)
+            if expected.denominator == 1:
+                assert nu(f) == expected
+            else:
+                with pytest.raises(NonIntegralNu):
+                    nu(f)
 
 
 def test_nu_shift_rule_mod_gcd():

@@ -176,8 +176,6 @@ NEVER_RUN = {
     "dyck.ConcaveProfile.__hash__": DUNDER,
     "dyck.ConcaveProfile.__repr__": DUNDER,
     "dyck.ConcaveProfile.__reduce__": DUNDER,
-    "harness.VerificationReport.__eq__": DUNDER,
-    "harness.VerificationReport.__repr__": DUNDER,
     "invsets.LatticeMultiset.__eq__": DUNDER,
     "invsets.LatticeMultiset.__repr__": DUNDER,
     "invsets.LatticeMultiset.__reduce__": DUNDER,
