@@ -359,14 +359,19 @@ def _window_from_cycle(cycle: Sequence[int]) -> Window:
 # public types
 # ---------------------------------------------------------------------------
 
+def _refuse(self, *_):
+    """Setter and deleter of every field of the four value types, each a
+    property over a private slot; `object.__setattr__` meets it too."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class BoundedAffinePerm:
     """Immutable bounded affine permutation, identified by its window."""
 
-    # private slots behind setter-less properties: the fields refuse assignment
     __slots__ = ("_window", "_n", "_k", "_pos", "_cycle_cache")
-    window = property(attrgetter("_window"))
-    n = property(attrgetter("_n"))
-    k = property(attrgetter("_k"))
+    window = property(attrgetter("_window"), _refuse, _refuse)
+    n = property(attrgetter("_n"), _refuse, _refuse)
+    k = property(attrgetter("_k"), _refuse, _refuse)
 
     def __init__(self, window: Sequence[int]):
         w = _integers(window, "window")

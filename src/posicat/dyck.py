@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .affine import BoundedAffinePerm, _integers, _require_theta_frame
+from .affine import BoundedAffinePerm, _integers, _refuse, _require_theta_frame
 from .errors import (
     InvalidFrame,
     InvalidProfile,
@@ -130,49 +131,49 @@ class ConcaveProfile:
     immutable, equal field by field and hashed by its heights.
     """
 
+    __slots__ = ("_heights",)
+    heights = property(attrgetter("_heights"), _refuse, _refuse)
+
     def __init__(self, heights: Iterable[Rational]):
         heights = _fractions(heights)
-        object.__setattr__(self, "heights", heights)
         k = math.floor(heights[-1]) if heights else 0
         _, problems = validate_profile(heights, k, len(heights) - 1)
         if problems:
             raise InvalidProfile("; ".join(problems))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        self._heights = heights
 
     def __reduce__(self):
         # pickling and copying rebuild through the checked constructor
-        return (ConcaveProfile, (self.heights,))
+        return (ConcaveProfile, (self._heights,))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.heights == other.heights
+        return self._heights == other._heights
 
     def __hash__(self) -> int:
-        return hash((self.heights,))
+        return hash((self._heights,))
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(heights={self.heights!r})"
+        return f"{type(self).__qualname__}(heights={self._heights!r})"
 
     @property
     def n(self) -> int:
-        return len(self.heights) - 1
+        return len(self._heights) - 1
 
     @property
     def k(self) -> int:
-        return int(self.heights[-1])
+        return int(self._heights[-1])
 
 
 def _fractions(heights: Iterable[Rational]) -> tuple[Fraction, ...]:
     """The heights as Fractions; a Fraction is kept as it is.  Only
     `numbers.Rational` heights are read, so a float, string or None height
     raises MalformedText instead of being converted or rounded."""
-    heights = tuple(heights)
+    try:
+        heights = tuple(heights)
+    except TypeError:
+        raise MalformedText(f"profile heights must be a sequence: {heights!r}") from None
     if not all(type(h) in (Fraction, int) or isinstance(h, Rational) for h in heights):
         raise MalformedText(f"a profile height is not an integer or a rational: {heights!r}")
     return tuple(h if type(h) is Fraction else Fraction(h) for h in heights)
@@ -197,7 +198,9 @@ def validate_profile(
     N_b = H_b * D: N_0 = 0, N_n = kD, every increment N_{b+1} - N_b lies
     strictly between 0 and D and none rises, and the N_b mod D are distinct
     for b < n.  A violation's message, with its values as Fractions, is
-    built only when that violation occurs."""
+    built only when that violation occurs.  A k or n that is not an integer
+    raises InvalidFrame."""
+    k, n = _integers((k, n), "the frame (k, n)", InvalidFrame)
     H = _fractions(heights)
     if len(H) != n + 1:
         return False, [f"expected {n + 1} heights, got {len(H)}"]

@@ -152,9 +152,10 @@ TraceHook = Callable[[dict], None]
 _RECURSION_LIMIT = 20000
 
 
+# run on every reduced node of the polynomial ring, so they read the slot
 def _same_step(x: IntPoly, y: IntPoly) -> IntPoly:
     """x + q y, in one pass over the coefficients."""
-    a, b = x.coeffs, y.coeffs
+    a, b = x._coeffs, y._coeffs
     m = max(len(a), len(b) + 1)
     return IntPoly(map(add, a + (0,) * (m - len(a)), (0,) + b + (0,) * (m - 1 - len(b))))
 
@@ -162,7 +163,7 @@ def _same_step(x: IntPoly, y: IntPoly) -> IntPoly:
 def _apart_step(x: IntPoly, y: IntPoly) -> IntPoly:
     """(q-1)^2 x + q y, in one pass over the coefficients: the coefficient of
     q^j is x_j - 2 x_{j-1} + x_{j-2} + y_{j-1}."""
-    a, b = x.coeffs, y.coeffs
+    a, b = x._coeffs, y._coeffs
     m = max(len(a) + 2, len(b) + 1)
     return IntPoly([
         u - 2 * v + t + z

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import math
-from operator import floordiv, index
+from operator import attrgetter, floordiv, index
 from typing import Iterable, Optional
 
-from .affine import BoundedAffinePerm, _integers, _inversion_pairs, _swap_split
+from .affine import BoundedAffinePerm, _integers, _inversion_pairs, _refuse, _swap_split
 from .errors import InvalidFrame, MalformedText, NotRepetitionFree, PosicatError
 
 Point = tuple[int, int]
@@ -47,69 +47,82 @@ class LatticeMultiset:
 
     `delta` is (k, n-k) in the RECT frame and (k, n) in the SHEARED frame;
     entries map points to positive multiplicities.  A delta that is not a
-    pair of integers raises MalformedText, as an entry does.  Equal field by
-    field, and unhashable since it is mutable.
+    pair of integers raises MalformedText, as entries that are not a dict of
+    integer points and multiplicities do.  Its fields refuse assignment and
+    deletion, but the entries dict is mutable, so a multiset is equal field
+    by field and unhashable.
     """
+
+    __slots__ = ("_frame", "_delta", "_entries")
+    frame = property(attrgetter("_frame"), _refuse, _refuse)
+    delta = property(attrgetter("_delta"), _refuse, _refuse)
+    entries = property(attrgetter("_entries"), _refuse, _refuse)
 
     def __init__(self, frame: str, delta: Point, entries: Optional[dict[Point, int]] = None):
         if frame not in (RECT, SHEARED):
             raise PosicatError(f"unknown frame {frame!r}")
-        self.frame = frame
-        (self.delta,) = _points([delta], "a lattice multiset's delta")
+        self._frame = frame
+        (self._delta,) = _points([delta], "a lattice multiset's delta")
         if entries is None:
             entries = {}
         # the rule of `_points`, in the one pass that also reads the
         # multiplicities: every window of the main sweep builds two multisets
         try:
             entries = {(index(a), index(b)): index(m) for (a, b), m in entries.items()}
+        except AttributeError:
+            raise MalformedText(
+                f"a lattice multiset's entries must be a dict of points: {entries!r}"
+            ) from None
         except (TypeError, ValueError):
             raise MalformedText(
                 "a point or multiplicity of a lattice multiset is not an integer"
             ) from None
         if 0 in entries.values():
             entries = {p: m for p, m in entries.items() if m}
-        self.entries = entries
+        self._entries = entries
         if min(entries.values(), default=0) < 0:
             raise PosicatError("negative multiplicity")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.frame, self.delta, self.entries) == (other.frame, other.delta, other.entries)
+        return (self._frame, self._delta, self._entries) == (
+            other._frame, other._delta, other._entries
+        )
 
     def __repr__(self) -> str:
         return (
-            f"{type(self).__qualname__}(frame={self.frame!r}, delta={self.delta!r}, "
-            f"entries={self.entries!r})"
+            f"{type(self).__qualname__}(frame={self._frame!r}, delta={self._delta!r}, "
+            f"entries={self._entries!r})"
         )
 
     def __reduce__(self):
         # pickling and copying rebuild through the checked constructor
-        return (LatticeMultiset, (self.frame, self.delta, self.entries))
+        return (LatticeMultiset, (self._frame, self._delta, self._entries))
 
     # -- views ----------------------------------------------------------------
 
     def multiplicity(self, p: Point) -> int:
         (p,) = _points([p], "a multiplicity query")
-        return self.entries.get(p, 0)
+        return self._entries.get(p, 0)
 
     def total(self) -> int:
-        return sum(self.entries.values())
+        return sum(self._entries.values())
 
     def points(self) -> list[Point]:
-        return sorted(self.entries)
+        return sorted(self._entries)
 
     def is_set(self) -> bool:
-        return all(m == 1 for m in self.entries.values())
+        return all(m == 1 for m in self._entries.values())
 
     # -- frame conversion --------------------------------------------------------
 
     def to_sheared(self) -> "LatticeMultiset":
         """The same multiset in the SHEARED frame; a sheared one is its own."""
-        if self.frame == SHEARED:
+        if self._frame == SHEARED:
             return self
-        k, m = self.delta
-        entries = {rect_to_sheared(p): c for p, c in self.entries.items()}
+        k, m = self._delta
+        entries = {rect_to_sheared(p): c for p, c in self._entries.items()}
         return LatticeMultiset(SHEARED, (k, k + m), entries)
 
     # -- text and JSON -------------------------------------------------------------
@@ -118,16 +131,16 @@ class LatticeMultiset:
         """`1,1;2,3` with entries repeated by multiplicity, sorted."""
         items: list[Point] = []
         for p in self.points():
-            items.extend([p] * self.entries[p])
+            items.extend([p] * self._entries[p])
         return ";".join(f"{a},{b}" for a, b in items)
 
     def as_json(self) -> str:
-        k, second = self.delta
+        k, second = self._delta
         points: list[list[int]] = []
         for p in self.points():
-            points.extend([list(p)] * self.entries[p])
-        m = second if self.frame == RECT else second - k
-        return json.dumps({"frame": self.frame, "k": k, "m": m, "points": points})
+            points.extend([list(p)] * self._entries[p])
+        m = second if self._frame == RECT else second - k
+        return json.dumps({"frame": self._frame, "k": k, "m": m, "points": points})
 
 
 def parse_forbidden(text: str) -> list[Point]:
@@ -173,10 +186,11 @@ def inversion_multiset(perm: BoundedAffinePerm) -> LatticeMultiset:
 
 def is_centrally_symmetric(ms: LatticeMultiset) -> bool:
     """multiplicity(p) == multiplicity(delta - p) for every point."""
-    dk, dn = ms.delta
+    # the slots, not the properties: every window of the main sweep runs this
+    dk, dn = ms._delta
     # the entries' points are integer pairs already: no `multiplicity` check
-    get = ms.entries.get
-    return all(get((dk - a, dn - b), 0) == m for (a, b), m in ms.entries.items())
+    get = ms._entries.get
+    return all(get((dk - a, dn - b), 0) == m for (a, b), m in ms._entries.items())
 
 
 # -- lattice convexity via one integer monotone chain ---------------------------
@@ -253,7 +267,7 @@ def is_convex(ms: LatticeMultiset) -> bool:
     """
     if not ms.is_set():
         return False
-    return is_convex_points(ms.entries, *ms.delta)
+    return is_convex_points(ms._entries, *ms._delta)
 
 
 # -- extremal sets ----------------------------------------------------------------

@@ -20,17 +20,18 @@ zero divisor.
 
 from __future__ import annotations
 
-from operator import index
+from operator import attrgetter, index
 from typing import Iterable
 
-from .affine import _integer
+from .affine import _integer, _refuse
 from .errors import InexactDivision, MalformedText, PosicatError
 
 
 class IntPoly:
     """Immutable integer polynomial."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_coeffs",)
+    coeffs = property(attrgetter("_coeffs"), _refuse, _refuse)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         # through operator.index: a float or string raises, not truncated
@@ -40,34 +41,28 @@ class IntPoly:
             raise MalformedText(f"polynomial coefficients must be integers: {coeffs!r}") from None
         while c and c[-1] == 0:
             c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("IntPoly is immutable")
+        self._coeffs = tuple(c)
 
     def __reduce__(self):
         # pickling and copying rebuild through the checked constructor
-        return (IntPoly, (self.coeffs,))
+        return (IntPoly, (self._coeffs,))
 
     # -- structure ------------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._coeffs
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = IntPoly((other,))
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
+        return isinstance(other, IntPoly) and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
         # a constant equals its int (see __eq__), so it hashes like one
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash(self.coeffs)
+        if len(self._coeffs) <= 1:
+            return hash(self._coeffs[0] if self._coeffs else 0)
+        return hash(self._coeffs)
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -77,7 +72,7 @@ class IntPoly:
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         if type(other) is not IntPoly:
             raise PosicatError(f"an IntPoly multiplies only an IntPoly, not {other!r}")
-        a, b = self.coeffs, other.coeffs
+        a, b = self._coeffs, other._coeffs
         if not a or not b:
             return IntPoly()
         out = [0] * (len(a) + len(b) - 1)
@@ -105,7 +100,7 @@ class IntPoly:
         """Horner evaluation at an integer point."""
         x = _integer(x, "the evaluation point")
         value = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self._coeffs):
             value = value * x + c
         return value
 
@@ -115,8 +110,8 @@ class IntPoly:
             raise InexactDivision("division by the zero polynomial")
         if self.is_zero:
             return IntPoly()
-        rem = list(self.coeffs)
-        div = divisor.coeffs
+        rem = list(self._coeffs)
+        div = divisor._coeffs
         if len(rem) < len(div):
             raise InexactDivision(f"degree {len(rem) - 1} < degree {len(div) - 1}")
         out = [0] * (len(rem) - len(div) + 1)
@@ -136,7 +131,7 @@ class IntPoly:
     # -- rendering ---------------------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"IntPoly({list(self.coeffs)})"
+        return f"IntPoly({list(self._coeffs)})"
 
     def __str__(self) -> str:
         return self.text()
@@ -146,8 +141,8 @@ class IntPoly:
         if self.is_zero:
             return "0"
         parts = []
-        for d in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[d]
+        for d in range(len(self._coeffs) - 1, -1, -1):
+            c = self._coeffs[d]
             if c == 0:
                 continue
             if d == 0:

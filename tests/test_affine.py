@@ -2,16 +2,21 @@ import functools
 import inspect
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
 from posicat import (
     BoundedAffinePerm,
+    ConcaveProfile,
+    IntPoly,
+    LatticeMultiset,
     enumerate_theta,
     min_length_witness,
     parse_perm,
 )
 from posicat.harness import _bounded_windows
+from posicat.invsets import RECT
 from posicat.affine import (
     _c_class_members,
     _conj_s,
@@ -576,6 +581,41 @@ def test_perm_fields_refuse_assignment_and_deletion():
         with pytest.raises(AttributeError):
             change()
     assert (f.window, f.n, f.k) == ((1, 2), 2, 1)
+
+
+VALUE_TYPES = {
+    "BoundedAffinePerm": lambda: BoundedAffinePerm([1, 2]),
+    "IntPoly": lambda: IntPoly([1, 2]),
+    "ConcaveProfile": lambda: ConcaveProfile((0, Fraction(1, 2), 1)),
+    "LatticeMultiset": lambda: LatticeMultiset(RECT, (3, 4), {(1, 1): 1}),
+}
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("BoundedAffinePerm", "window", (5, 9)),
+    ("BoundedAffinePerm", "n", 3),
+    ("BoundedAffinePerm", "k", 0),
+    ("IntPoly", "coeffs", (3,)),
+    ("ConcaveProfile", "heights", (0, 2)),
+    # assigning a frame used to succeed, and as_json then printed "m": 1
+    ("LatticeMultiset", "frame", "bogus"),
+    ("LatticeMultiset", "delta", (1, 1)),
+    ("LatticeMultiset", "entries", {}),
+])
+def test_value_type_fields_refuse_assignment_and_deletion(kind, field, value):
+    # one rule and one message for the four types, whatever the Python
+    # version: object.__setattr__ goes through the same property
+    x = VALUE_TYPES[kind]()
+    for change in (
+        lambda: setattr(x, field, value),
+        lambda: object.__setattr__(x, field, value),
+        lambda: delattr(x, field),
+    ):
+        with pytest.raises(AttributeError, match=f"^{kind} is immutable$"):
+            change()
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x == VALUE_TYPES[kind]()
 
 
 def test_cycle_tuples_are_immutable():

@@ -307,11 +307,11 @@ def test_a_profile_pickles_and_copies(duplicate):
 
 
 def test_a_tampered_profile_pickle_is_refused():
-    # heights set past the immutability guard: Fraction pickles differently
-    # across Python versions, so the state is edited rather than the bytes.
-    # Loading and copying used to keep the broken heights
+    # heights set in the private slot, past the read-only property: Fraction
+    # pickles differently across Python versions, so the state is edited
+    # rather than the bytes. Loading and copying used to keep the broken heights
     profile = ConcaveProfile((0, F(1, 2), 1))
-    object.__setattr__(profile, "heights", (F(0), F(3, 2), F(1)))
+    profile._heights = (F(0), F(3, 2), F(1))
     data = pickle.dumps(profile)
     for load in (lambda: pickle.loads(data), lambda: copy.copy(profile)):
         with pytest.raises(InvalidProfile):
@@ -333,14 +333,15 @@ def test_degenerate_profiles_raise_invalid_profile(heights, message):
 
 
 @pytest.mark.parametrize("heights", [
-    (0.0, 0.5, 1.0), ("0", "1/2", "1"), (0, None, 1),
-], ids=["float", "string", "None"])
+    (0.0, 0.5, 1.0), ("0", "1/2", "1"), (0, None, 1), 5, None,
+], ids=["float", "string", "None", "int-heights", "None-heights"])
 @pytest.mark.parametrize("entry", [
     lambda heights: profile_to_perm(ConcaveProfile(heights)), ConcaveProfile,
     lambda heights: validate_profile(heights, 1, 2),
 ], ids=["profile_to_perm", "ConcaveProfile", "validate_profile"])
 def test_non_rational_heights_raise(entry, heights):
-    # Fraction() would read 0.5 and "1/2" and answer
+    # Fraction() would read 0.5 and "1/2" and answer; heights that are not a
+    # sequence raised a bare TypeError
     with pytest.raises(MalformedText):
         entry(heights)
 

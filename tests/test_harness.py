@@ -18,6 +18,7 @@ from posicat import (
     f_min,
     inversion_multiset,
     synthesize_profile,
+    validate_profile,
     verify_engine,
     verify_main_theorem,
     verify_structure,
@@ -85,6 +86,8 @@ NON_INTEGER_ENTRY_POINTS = {
     "synthesize_profile": (InvalidFrame, lambda x: synthesize_profile([], x, 4)),
     "cs_convex_subsets": (InvalidFrame, lambda x: cs_convex_subsets(x, 4)),
     "f_min": (InvalidFrame, lambda x: f_min(x, 4)),
+    "validate_profile(k)": (InvalidFrame, lambda x: validate_profile((0, 1), x, 1)),
+    "validate_profile(n)": (InvalidFrame, lambda x: validate_profile((0, 1), 1, x)),
     "enumerate_theta(k)": (InvalidFrame, lambda x: enumerate_theta(x, 4)),
     "enumerate_theta(n)": (InvalidFrame, lambda x: enumerate_theta(2, x)),
     "enumerate_theta(None, n)": (InvalidFrame, lambda x: enumerate_theta(None, x)),

@@ -121,6 +121,9 @@ def test_central_symmetry():
     {(1.5, 2): 1},
     {("a", 2): 2},
     {(1, 2, 3): 1},
+    # entries that are not a dict raised a bare AttributeError
+    [((1, 1), 1)],
+    5,
 ])
 def test_multiset_constructor_rejects_non_integers(entries):
     with pytest.raises(MalformedText):

@@ -29,6 +29,41 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_hand_written_attribute_guards():
+    # the value types refuse assignment through read-only properties whose
+    # setter and deleter are affine._refuse; a __setattr__ or __delattr__
+    # guard, or an object.__setattr__ write past one, is a second mechanism
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    f"{path.name}:{item.lineno} {node.name}.{name}"
+                    for item in node.body
+                    for name in _bound_names(item)
+                    if name in ("__setattr__", "__delattr__")
+                ]
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("__setattr__", "__delattr__")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                found.append(f"{path.name}:{node.lineno} object.{node.attr}")
+    assert found == []
+
+
+def _bound_names(statement):
+    """The names a class-body statement defines: a def's name, or the
+    plain names an assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [statement.name]
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def test_exports_resolve_once():
     # a deletion that leaves its name behind in __all__ fails here
     names = posicat.__all__
@@ -170,8 +205,6 @@ NEVER_RUN = {
     "affine.BoundedAffinePerm.__eq__": DUNDER,
     "affine.BoundedAffinePerm.__hash__": DUNDER,
     "affine.BoundedAffinePerm.__reduce__": DUNDER,
-    "dyck.ConcaveProfile.__setattr__": DUNDER,
-    "dyck.ConcaveProfile.__delattr__": DUNDER,
     "dyck.ConcaveProfile.__eq__": DUNDER,
     "dyck.ConcaveProfile.__hash__": DUNDER,
     "dyck.ConcaveProfile.__repr__": DUNDER,
@@ -179,13 +212,12 @@ NEVER_RUN = {
     "invsets.LatticeMultiset.__eq__": DUNDER,
     "invsets.LatticeMultiset.__repr__": DUNDER,
     "invsets.LatticeMultiset.__reduce__": DUNDER,
-    "polynomial.IntPoly.__setattr__": DUNDER,
-    "polynomial.IntPoly.__delattr__": DUNDER,
     "polynomial.IntPoly.__bool__": DUNDER,
     "polynomial.IntPoly.__hash__": DUNDER,
     "polynomial.IntPoly.__repr__": DUNDER,
     "polynomial.IntPoly.__str__": DUNDER,
     "polynomial.IntPoly.__reduce__": DUNDER,
+    "affine._refuse": "runs only on a refused assignment",
     "harness._fail": "runs only when a check fails",
     "polynomial.IntPoly.exact_div": TRACED + " as its polynomial-layer span",
 }
