@@ -425,11 +425,11 @@ class BoundedAffinePerm:
     @classmethod
     def from_json(cls, text: str) -> "BoundedAffinePerm":
         """Read `{"window": [...]}`; optional `n` and `k` fields must be JSON
-        integers that agree with the window.  Text of another shape raises
-        MalformedText."""
+        integers that agree with the window.  Text of another shape, JSON
+        nested too deeply to decode included, raises MalformedText."""
         try:
             obj = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedText(f"invalid JSON permutation {text!r}: {exc}") from None
         window = obj.get("window") if isinstance(obj, dict) else None
         # a JSON boolean is not an integer, though Python's bool is an int
@@ -623,9 +623,10 @@ def parse_perm(text: str, one_based: bool = False) -> BoundedAffinePerm:
     """Parse `window:3,6,4`, `cycle:(0,3,2)`, or a JSON object string.
 
     With one_based=True, cycle entries are read on the alphabet 1..n (n plays
-    the role of 0); windows are read as (f(1), ..., f(n)).  Either way the
-    same affine permutation results, expressed in 0-based form.  Text that
-    follows none of these forms raises MalformedText.
+    the role of 0), and a label outside 1..n raises NotNCycle; windows are
+    read as (f(1), ..., f(n)).  Either way the same affine permutation
+    results, expressed in 0-based form.  Text that follows none of these
+    forms raises MalformedText.
     """
     text = text.strip()
     if text.startswith("{"):
@@ -642,7 +643,10 @@ def parse_perm(text: str, one_based: bool = False) -> BoundedAffinePerm:
             body = body[1:-1]
         entries = _parse_ints(body, text)
         if one_based:
-            entries = [e % len(entries) for e in entries]
+            n = len(entries)
+            if not all(1 <= e <= n for e in entries):
+                raise NotNCycle(f"not a cycle through 1..n (n = {n}): {text!r}")
+            entries = [e % n for e in entries]
         return BoundedAffinePerm.from_cycle(entries)
     raise MalformedText(f"unrecognised permutation format: {text!r}")
 

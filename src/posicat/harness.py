@@ -1,14 +1,15 @@
 """Exhaustive enumeration and the theorem-verification suites.
 
 Every `verify_*` suite is one or more phases, each a list of items and a
-check `checks(item, engine, failures)` that appends failure records: a
-structured record carries the window and the expected/actual values.  One
-runner, `_run_suite`, drives them all; it builds the item lists inside the
-report's clock.  One item is one checked instance; an item whose checks
-raise is recorded as an `exception` failure and the sweep goes on.  With
-`jobs` > 1 each phase's items are striped across worker processes, each
-chunk with its own engine, and the failures are sorted once, so serial and
-parallel reports differ only in `elapsed` and `params.jobs`.
+check `checks(item, engine)` that yields `(window, check, expected,
+actual)` for each check the item fails.  One runner, `_run_suite`, drives
+them all; it builds the item lists inside the report's clock, and
+`_checked_chunk` turns what the checks yield into failure records.  One
+item is one checked instance; an item whose checks raise is recorded as an
+`exception` failure and the sweep goes on.  With `jobs` > 1 each phase's
+items are striped across `jobs` worker processes, each stripe with its own
+engine, and the failures are sorted once, so serial and parallel reports
+differ only in `elapsed` and `params.jobs`.
 
 The census is observational: it reports conjugation class counts per
 inversion set and flags, without asserting, whether they match gcd(k, n)
@@ -148,16 +149,19 @@ def _sort_failures(failures: list[dict]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _checked_chunk(checks, items: list) -> tuple[int, list[dict]]:
-    """Run `checks(item, engine, failures)` on each item with one engine.
+    """Run `checks(item, engine)` on each item with one engine, and record
+    a failure for each `(window, check, expected, actual)` it yields.
 
     One item is one checked instance.  An item whose checks raise is
-    recorded as an `exception` failure and the sweep goes on.
+    recorded as an `exception` failure, after whatever its checks yielded,
+    and the sweep goes on.
     """
     engine = Engine()
     failures: list[dict] = []
     for item in items:
         try:
-            checks(item, engine, failures)
+            for failed in checks(item, engine):
+                failures.append(_fail(*failed))
         except Exception as exc:  # report, do not abort the sweep
             failures.append(_fail(item, "exception", None, repr(exc)))
     return len(items), failures
@@ -174,28 +178,24 @@ def _require_n_max(n_max: int) -> None:
 
 def _run_suite(suite: str, n_max: int, jobs: int, build_phases) -> VerificationReport:
     """Check `n_max` and `jobs`, start the clock, then run each `(checks,
-    items)` phase of `build_phases()` through `_checked_chunk`, serially or
-    with its items striped across `jobs` processes, and report the checked
-    count and the sorted failures of all phases."""
+    items)` phase of `build_phases()` through `_checked_chunk`: whole with
+    `jobs` 1, else cut into `jobs` stripes that one pool of `jobs` processes
+    runs.  Report the checked count and the sorted failures of all phases."""
     _require_n_max(n_max)
     (jobs,) = _integers((jobs,), "jobs", PosicatError)
     if jobs < 1:
         raise PosicatError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
     phases = build_phases()
-    chunks = []
-    for checks, items in phases:
-        if jobs <= 1 or len(items) < 2 * jobs:
-            chunks.append((checks, items))
-        else:
-            chunks.extend((checks, items[i::jobs]) for i in range(jobs))
-    if len(chunks) > len(phases):
+    if jobs == 1:
+        results = [_checked_chunk(checks, items) for checks, items in phases]
+    else:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.starmap(_checked_chunk, chunks)
-    else:
-        results = [_checked_chunk(checks, items) for checks, items in chunks]
+            results = pool.starmap(_checked_chunk, [
+                (checks, items[i::jobs]) for checks, items in phases for i in range(jobs)
+            ])
     return VerificationReport(
         suite,
         {"n_max": n_max, "jobs": jobs},
@@ -214,17 +214,15 @@ def _theta_range(n_max: int) -> list[Window]:
 # main-theorem suite
 # ---------------------------------------------------------------------------
 
-def _main_theorem_checks(
-    w: Window, engine: Engine, failures: list[dict], sets: dict
-) -> None:
-    """Run every main-theorem check on one window, appending failure records.
+def _main_theorem_checks(w: Window, engine: Engine, sets: dict) -> Iterator[tuple]:
+    """Run every main-theorem check on one window, yielding each it fails.
 
     Convexity and the Dyck count of a repetition-free window depend on
     (k, n, F) alone, so they are computed once per forbidden set: `sets`
     maps (k, n, frozenset of the sheared points) to (convex, Dyck count)
     and gains an entry the first time a set is met.  Everything else, `C`
-    included, is computed per window, and every failure record is still
-    per window.  The caller passes a fresh dict for each suite call (each
+    included, is computed per window, and every failure is still per
+    window.  The caller passes a fresh dict for each suite call (each
     chunk under `--jobs` unpickles its own), so no result outlives the call
     that computed it and a later call computes every set again.
     """
@@ -234,32 +232,27 @@ def _main_theorem_checks(
     sheared = ms.to_sheared()
     # total multiplicity is the length
     if ms.total() != perm.length():
-        failures.append(_fail(w, "total_multiplicity", perm.length(), ms.total()))
+        yield w, "total_multiplicity", perm.length(), ms.total()
     # central symmetry holds for every permutation
     if not is_centrally_symmetric(ms):
-        failures.append(_fail(w, "central_symmetry", "symmetric", ms.points()))
+        yield w, "central_symmetry", "symmetric", ms.points()
     # the geometric oracle agrees multiplicity by multiplicity
     path_fset = fset_from_paths(perm)
     if path_fset != sheared.entries:
-        failures.append(
-            _fail(w, "path_oracle", sorted(sheared.entries.items()),
-                  sorted(path_fset.items()))
-        )
+        yield w, "path_oracle", sorted(sheared.entries.items()), sorted(path_fset.items())
     # slope-equal points always occur
     if not f_min(k, n) <= set(sheared.entries):
-        failures.append(
-            _fail(w, "f_min_subset", sorted(f_min(k, n)), sheared.points())
-        )
+        yield w, "f_min_subset", sorted(f_min(k, n)), sheared.points()
     if ms.is_set():
         key = (k, n, frozenset(sheared.entries))
         if key not in sets:
             sets[key] = (is_convex(ms), count_avoiding_paths(k, n, sheared.points()))
         convex, dyck = sets[key]
         if not convex:
-            failures.append(_fail(w, "convexity", "convex", ms.points()))
+            yield w, "convexity", "convex", ms.points()
         catalan = engine.compute_C(perm)
         if catalan != dyck:
-            failures.append(_fail(w, "counting_formula", catalan, dyck))
+            yield w, "counting_formula", catalan, dyck
 
 
 def verify_main_theorem(n_max: int, jobs: int = 1) -> VerificationReport:
@@ -325,9 +318,9 @@ def cs_convex_subsets(k: int, n: int) -> list[frozenset[tuple[int, int]]]:
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def _synthesis_checks(task: tuple, engine: Engine, failures: list[dict]) -> None:
+def _synthesis_checks(task: tuple, engine: Engine) -> Iterator[tuple]:
     """Synthesize a permutation for one (k, n, points) task and check the
-    round trip; a task that raises records a `synthesis_error` of (k, n), so
+    round trip; a task that raises yields a `synthesis_error` of (k, n), so
     every failure record has an integer window."""
     k, n, points = task
     rect = set(points)
@@ -335,12 +328,10 @@ def _synthesis_checks(task: tuple, engine: Engine, failures: list[dict]) -> None
         sheared = {rect_to_sheared(p) for p in rect}
         profile = synthesize_profile(sheared, k, n)
         perm = profile_to_perm(profile)
-        for check, expected, actual in _synthesis_failures(
-            perm, inversion_multiset(perm), profile, rect
-        ):
-            failures.append(_fail(perm.window, check, expected, actual))
+        for triple in _synthesis_failures(perm, inversion_multiset(perm), profile, rect):
+            yield (perm.window, *triple)
     except Exception as exc:  # report, do not abort the sweep
-        failures.append(_fail((k, n), "synthesis_error", sorted(rect), repr(exc)))
+        yield (k, n), "synthesis_error", sorted(rect), repr(exc)
 
 
 def verify_synthesis(n_max: int, jobs: int = 1) -> VerificationReport:
@@ -358,32 +349,34 @@ def verify_synthesis(n_max: int, jobs: int = 1) -> VerificationReport:
 # engine suite
 # ---------------------------------------------------------------------------
 
-def _engine_theta_checks(w: Window, engine: Engine, failures: list[dict]) -> None:
+def _engine_theta_checks(w: Window, engine: Engine) -> Iterator[tuple]:
     """R~ at q = 1 against C, shift invariance, the double-crossing identity,
     and the shape of the whole polynomial: on Theta, R~ has degree exactly
-    k(n-k) - length - (n-1), constant term 1, and palindromic coefficients."""
+    k(n-k) - length - (n-1), constant term 1, and palindromic coefficients.
+
+    The shift has f's orbit key, so through this one engine `sigma_C` and
+    `sigma_Rtilde` read f's entries back: they test `cyclic_shift` and the
+    orbit key, not the recurrence, whose shift invariance
+    `tests/test_engine.py` checks on separate cold engines."""
     perm = BoundedAffinePerm(w)
     c = engine.compute_C(perm)
     rt = engine.compute_Rtilde(perm)
     if rt.eval_at(1) != c:
-        failures.append(_fail(w, "rtilde_at_1", c, rt.eval_at(1)))
+        yield w, "rtilde_at_1", c, rt.eval_at(1)
     coeffs = rt.coeffs
     degree = perm.k * (perm.n - perm.k) - perm.length() - (perm.n - 1)
     if len(coeffs) != degree + 1 or coeffs[:1] != (1,) or coeffs != coeffs[::-1]:
-        failures.append(_fail(w, "rtilde_symmetry",
-                              f"palindromic, degree {degree}, constant term 1", list(coeffs)))
+        yield (w, "rtilde_symmetry",
+               f"palindromic, degree {degree}, constant term 1", list(coeffs))
     shifted = perm.cyclic_shift()
     if engine.compute_C(shifted) != c:
-        failures.append(_fail(w, "sigma_C", c, engine.compute_C(shifted)))
+        yield w, "sigma_C", c, engine.compute_C(shifted)
     if engine.compute_Rtilde(shifted) != rt:
-        failures.append(
-            _fail(w, "sigma_Rtilde", list(rt.coeffs),
-                  list(engine.compute_Rtilde(shifted).coeffs))
-        )
+        yield w, "sigma_Rtilde", list(rt.coeffs), list(engine.compute_Rtilde(shifted).coeffs)
     for i in range(perm.n):
         if perm.has_double_crossing_at(i):
             if not engine.double_crossing_recurrence_check(perm, i):
-                failures.append(_fail(w, f"double_crossing_identity_{i}", True, False))
+                yield w, f"double_crossing_identity_{i}", True, False
 
 
 def _class_reps(windows) -> dict[Window, Window]:
@@ -398,35 +391,32 @@ def _class_reps(windows) -> dict[Window, Window]:
 
 
 def _engine_class_checks(
-    w: Window, engine: Engine, failures: list[dict], rep_of: dict[Window, Window]
-) -> None:
+    w: Window, engine: Engine, rep_of: dict[Window, Window]
+) -> Iterator[tuple]:
     """Class invariance: a member shares C and the normalised polynomial
     with its class representative `rep_of[w]`."""
     rep = BoundedAffinePerm(rep_of[w])
     member = BoundedAffinePerm(w)
     c = engine.compute_C(rep)
     if engine.compute_C(member) != c:
-        failures.append(_fail(w, "class_C", c, engine.compute_C(member)))
+        yield w, "class_C", c, engine.compute_C(member)
     rt = engine.compute_Rtilde(rep)
     if engine.compute_Rtilde(member) != rt:
-        failures.append(
-            _fail(w, "class_Rtilde", list(rt.coeffs),
-                  list(engine.compute_Rtilde(member).coeffs))
-        )
+        yield w, "class_Rtilde", list(rt.coeffs), list(engine.compute_Rtilde(member).coeffs)
 
 
-def _engine_bounded_checks(w: Window, engine: Engine, failures: list[dict]) -> None:
+def _engine_bounded_checks(w: Window, engine: Engine) -> Iterator[tuple]:
     perm = BoundedAffinePerm(w)
     c = engine.compute_C(perm)
     if c < 1:
-        failures.append(_fail(w, "positivity", ">= 1", c))
+        yield w, "positivity", ">= 1", c
     rt = engine.compute_Rtilde(perm)
     if rt.eval_at(1) != c:
-        failures.append(_fail(w, "rtilde_at_1", c, rt.eval_at(1)))
+        yield w, "rtilde_at_1", c, rt.eval_at(1)
     if perm.cycle_count() > 1:
         decoupled = engine.compute_C_decoupled(perm)
         if decoupled != c:
-            failures.append(_fail(w, "decoupling", c, decoupled))
+            yield w, "decoupling", c, decoupled
 
 
 def verify_engine(n_max: int, jobs: int = 1) -> VerificationReport:
@@ -450,21 +440,21 @@ def verify_engine(n_max: int, jobs: int = 1) -> VerificationReport:
 # structural suite (minimal lengths)
 # ---------------------------------------------------------------------------
 
-def _structure_checks(w: Window, engine: Engine, failures: list[dict]) -> None:
+def _structure_checks(w: Window, engine: Engine) -> Iterator[tuple]:
     expected = math.gcd(_k_of(w), len(w)) - 1
     ell = _length(w)
     if ell < expected:
-        failures.append(_fail(w, "min_length", f">= {expected}", ell))
+        yield w, "min_length", f">= {expected}", ell
 
 
-def _witness_checks(frame: tuple, engine: Engine, failures: list[dict]) -> None:
+def _witness_checks(frame: tuple, engine: Engine) -> Iterator[tuple]:
     """The explicit witness of the frame (k, n) is a member of Theta(k, n)
     and has length gcd(k, n) - 1."""
     k, n = frame
     expected = math.gcd(k, n) - 1
     witness = min_length_witness(k, n)
     if witness.length() != expected or not witness.is_theta or witness.k != k:
-        failures.append(_fail(witness.window, "witness_length", expected, witness.length()))
+        yield witness.window, "witness_length", expected, witness.length()
 
 
 def verify_structure(n_max: int, jobs: int = 1) -> VerificationReport:

@@ -1,7 +1,9 @@
 import functools
 import inspect
+import json
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -200,6 +202,15 @@ def test_from_cycle_one_based_reading():
     f = parse_perm("cycle:(1,4,6,2,5,7,3)", one_based=True)
     assert f.window == (3, 4, 5, 8, 6, 7, 9)
     assert [f(i) for i in range(1, 8)] == [4, 5, 8, 6, 7, 9, 10]
+
+
+@pytest.mark.parametrize("text", [
+    "cycle:(1,5,3)", "cycle:(4,2,3)", "cycle:(0,1,2)", "cycle:(-2,2,3)",
+])
+def test_one_based_cycle_labels_lie_in_1_to_n(text):
+    # taken mod 3, each of these would read as cycle:(1,2,3)
+    with pytest.raises(NotNCycle, match=re.escape(repr(text))):
+        parse_perm(text, one_based=True)
 
 
 def test_cycle_round_trip_exhaustive():
@@ -772,6 +783,7 @@ def test_parse_and_format():
     "cycle:(0,x)",
     "cycle:()",
     "strand:1,2,3",
+    pytest.param('{"window": ' + "[" * 100_000, id="nested_100000_deep"),
 ])
 def test_parse_perm_malformed_text(text):
     with pytest.raises(MalformedText):
@@ -785,7 +797,7 @@ def test_window_non_integer_entries_raise(window):
     with pytest.raises(MalformedText):
         BoundedAffinePerm(window)
     with pytest.raises(MalformedText):
-        BoundedAffinePerm(window)
+        BoundedAffinePerm.from_json(json.dumps({"window": window}))
 
 
 @pytest.mark.parametrize("cycle", [[0, 2.5, 1], [0, "2", 1], [0, None, 1], [0, 2.0, 1]])

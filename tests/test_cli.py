@@ -263,6 +263,7 @@ def test_bad_forbidden_entry_exits_2(capsys):
 
 @pytest.mark.parametrize("text", [
     '{"x":1}', "window:a,b", '{"window": [1, 2', "cycle:(0,x)", '{"window": [1, 2], "k": 1.0}',
+    pytest.param('{"window": ' + "[" * 100_000, id="nested_100000_deep"),
 ])
 def test_bad_perm_text_exits_2(capsys, text):
     code, out, err = run(capsys, "compute", "--perm", text, "--what", "catalan")

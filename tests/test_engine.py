@@ -111,6 +111,17 @@ def test_sigma_invariance(engine):
             assert engine.compute_Rtilde(s) == engine.compute_Rtilde(f)
 
 
+def test_sigma_invariance_of_the_recurrence():
+    # the shift has f's orbit key, so through one engine it reads f's entry
+    # back; on an engine of its own each reduces from its own window
+    for n in range(2, 8):
+        for f in enumerate_theta(None, n):
+            s = f.cyclic_shift()
+            cold_f, cold_s = Engine(), Engine()
+            assert cold_s.compute_C(s) == cold_f.compute_C(f)
+            assert cold_s.compute_Rtilde(s) == cold_f.compute_Rtilde(f)
+
+
 def test_positivity(engine):
     for n in range(1, 6):
         for f in map(BoundedAffinePerm, _bounded_windows(n)):

@@ -328,11 +328,9 @@ def test_structure_records_a_short_window():
 
     # the translation by 2 at n = 4: length 0, below gcd(2, 4) - 1 (it has
     # two cycles, so no single-cycle window is this short)
-    failures = []
-    harness._structure_checks((2, 3, 4, 5), None, failures)
-    assert failures == [
+    assert harness._checked_chunk(harness._structure_checks, [(2, 3, 4, 5)]) == (1, [
         {"window": [2, 3, 4, 5], "check": "min_length", "expected": ">= 1", "actual": 0}
-    ]
+    ])
 
 
 def _plus_one(original):
@@ -475,11 +473,9 @@ def test_rtilde_symmetry_reads_each_condition(monkeypatch, coeffs):
     # the window's R~ is 1 + q^2; each polynomial breaks one of the three
     # conditions and keeps the other two
     w = BoundedAffinePerm.from_cycle([0, 3, 2, 5, 1, 4]).window
-    failures = []
-    harness._engine_theta_checks(w, Engine(), failures)
-    assert failures == []
+    assert harness._checked_chunk(harness._engine_theta_checks, [w]) == (1, [])
     monkeypatch.setattr(Engine, "compute_Rtilde", lambda self, perm: IntPoly(coeffs))
-    harness._engine_theta_checks(w, Engine(), failures)
+    _, failures = harness._checked_chunk(harness._engine_theta_checks, [w])
     assert [f for f in failures if f["check"] == "rtilde_symmetry"] == [
         {"window": list(w), "check": "rtilde_symmetry",
          "expected": "palindromic, degree 2, constant term 1", "actual": coeffs}
