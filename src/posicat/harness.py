@@ -51,6 +51,7 @@ from .invsets import (
     is_centrally_symmetric,
     is_convex,
     rect_to_sheared,
+    sheared_to_rect,
 )
 from .paths import fset_from_paths, nu_bar
 
@@ -217,19 +218,25 @@ def _theta_range(n_max: int) -> list[Window]:
 def _main_theorem_checks(w: Window, engine: Engine, sets: dict) -> Iterator[tuple]:
     """Run every main-theorem check on one window, yielding each it fails.
 
-    Convexity and the Dyck count of a repetition-free window depend on
-    (k, n, F) alone, so they are computed once per forbidden set: `sets`
-    maps (k, n, frozenset of the sheared points) to (convex, Dyck count)
-    and gains an entry the first time a set is met.  Everything else, `C`
-    included, is computed per window, and every failure is still per
-    window.  The caller passes a fresh dict for each suite call (each
-    chunk under `--jobs` unpickles its own), so no result outlives the call
-    that computed it and a later call computes every set again.
+    One multiset is built per window, the RECT one of crossing resolution.
+    The shear is a bijection, so the path oracle's sheared multiset is
+    compared with it through `sheared_to_rect`, and the sheared points a
+    record names are built only when its check fails.
+
+    `sets` is a cache for this call.  `f_min(k, n)` and its RECT image are
+    computed once per frame, under the key (k, n).  Convexity and the Dyck
+    count of a repetition-free window depend on (k, n, F) alone, so they
+    are computed once per forbidden set, under (k, n, frozenset of the RECT
+    points).  Everything else, `C` included, is computed per window, and
+    every failure is still per window.  The caller passes a fresh dict for
+    each suite call (each chunk under `--jobs` unpickles its own), so no
+    result outlives the call that computed it and a later call computes
+    every frame and set again.
     """
     perm = BoundedAffinePerm(w)
     n, k = perm.n, perm.k
     ms = inversion_multiset(perm)
-    sheared = ms.to_sheared()
+    entries = ms.entries
     # total multiplicity is the length
     if ms.total() != perm.length():
         yield w, "total_multiplicity", perm.length(), ms.total()
@@ -238,15 +245,21 @@ def _main_theorem_checks(w: Window, engine: Engine, sets: dict) -> Iterator[tupl
         yield w, "central_symmetry", "symmetric", ms.points()
     # the geometric oracle agrees multiplicity by multiplicity
     path_fset = fset_from_paths(perm)
-    if path_fset != sheared.entries:
-        yield w, "path_oracle", sorted(sheared.entries.items()), sorted(path_fset.items())
+    if {sheared_to_rect(p): m for p, m in path_fset.items()} != entries:
+        yield (w, "path_oracle", sorted((rect_to_sheared(p), m) for p, m in entries.items()),
+               sorted(path_fset.items()))
     # slope-equal points always occur
-    if not f_min(k, n) <= set(sheared.entries):
-        yield w, "f_min_subset", sorted(f_min(k, n)), sheared.points()
+    if (k, n) not in sets:
+        lowest = f_min(k, n)
+        sets[k, n] = (lowest, {sheared_to_rect(p) for p in lowest})
+    lowest, lowest_rect = sets[k, n]
+    if not lowest_rect <= entries.keys():
+        yield w, "f_min_subset", sorted(lowest), sorted(map(rect_to_sheared, entries))
     if ms.is_set():
-        key = (k, n, frozenset(sheared.entries))
+        key = (k, n, frozenset(entries))
         if key not in sets:
-            sets[key] = (is_convex(ms), count_avoiding_paths(k, n, sheared.points()))
+            sheared = [rect_to_sheared(p) for p in entries]
+            sets[key] = (is_convex(ms), count_avoiding_paths(k, n, sheared))
         convex, dyck = sets[key]
         if not convex:
             yield w, "convexity", "convex", ms.points()
@@ -260,9 +273,10 @@ def verify_main_theorem(n_max: int, jobs: int = 1) -> VerificationReport:
     to n_max: central symmetry, the path oracle, and for repetition-free
     permutations convexity and the counting formula.
 
-    Convexity and the Dyck count are shared by the windows of one forbidden
-    set, through a dict that lives for this call only (one per chunk under
-    `jobs` > 1); `C` is computed for every window."""
+    `f_min` is shared by the windows of one frame, and convexity and the
+    Dyck count by the windows of one forbidden set, through a dict that
+    lives for this call only (one per chunk under `jobs` > 1); `C` is
+    computed for every window."""
     return _run_suite("main", n_max, jobs, lambda: [
         (functools.partial(_main_theorem_checks, sets={}), _theta_range(n_max))
     ])
@@ -318,10 +332,19 @@ def cs_convex_subsets(k: int, n: int) -> list[frozenset[tuple[int, int]]]:
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
+# the largest period at which CI runs `verify main` exhaustively; past it the
+# synthesis suite checks the counting formula on each set it synthesizes
+MAIN_EXHAUSTIVE_N = 10
+
+
 def _synthesis_checks(task: tuple, engine: Engine) -> Iterator[tuple]:
     """Synthesize a permutation for one (k, n, points) task and check the
     round trip; a task that raises yields a `synthesis_error` of (k, n), so
-    every failure record has an integer window."""
+    every failure record has an integer window.
+
+    Past `MAIN_EXHAUSTIVE_N` it also checks the counting formula, `C` of
+    the synthesized window against the Dyck count of the requested set, on
+    the sets that the main suite's exhaustive run does not reach."""
     k, n, points = task
     rect = set(points)
     try:
@@ -330,6 +353,11 @@ def _synthesis_checks(task: tuple, engine: Engine) -> Iterator[tuple]:
         perm = profile_to_perm(profile)
         for triple in _synthesis_failures(perm, inversion_multiset(perm), profile, rect):
             yield (perm.window, *triple)
+        if n > MAIN_EXHAUSTIVE_N:
+            catalan = engine.compute_C(perm)
+            dyck = count_avoiding_paths(k, n, sheared)
+            if catalan != dyck:
+                yield perm.window, "counting_formula", catalan, dyck
     except Exception as exc:  # report, do not abort the sweep
         yield (k, n), "synthesis_error", sorted(rect), repr(exc)
 

@@ -15,7 +15,7 @@ import math
 from operator import attrgetter, floordiv, index
 from typing import Iterable, Optional
 
-from .affine import BoundedAffinePerm, _integers, _inversion_pairs, _refuse, _swap_split
+from .affine import BoundedAffinePerm, _integers, _inversion_pairs, _refuse
 from .errors import InvalidFrame, MalformedText, NotRepetitionFree, PosicatError
 
 Point = tuple[int, int]
@@ -66,7 +66,7 @@ class LatticeMultiset:
         if entries is None:
             entries = {}
         # the rule of `_points`, in the one pass that also reads the
-        # multiplicities: every window of the main sweep builds two multisets
+        # multiplicities: every window of the main sweep builds a multiset
         try:
             entries = {(index(a), index(b)): index(m) for (a, b), m in entries.items()}
         except AttributeError:
@@ -167,19 +167,32 @@ def inversion_multiset(perm: BoundedAffinePerm) -> LatticeMultiset:
     """Resolve every crossing and collect the first factor's type, in the
     RECT frame (`to_sheared` gives the SHEARED one).
 
-    The first factor is the cycle through i of the window swapped at the
+    The first factor is the cycle through i of the window g swapped at the
     inversion (i, j).  Its type (k_1, n_1 - k_1) is read off the raw window:
     n_1 is the cycle's length and k_1 the sum of g(s) // n over its residues
     s, which is what relabelling the cycle onto [0, n_1) would give as k.
+
+    No swapped copy of the window is made: the cycle is walked on f's own
+    window.  With j = r + tn and r = j mod n, the swap changes only
+    g(i) = f(r) + tn, the walk's first step, and g(r) = f(i) - tn, read as
+    an override should the walk meet r.
     """
     perm.require_theta()
     w = perm.window
     n = perm.n
     entries: dict[Point, int] = {}
     for i, j in _inversion_pairs(w):
-        g, cyc = _swap_split(w, i, j)
-        k1 = sum(g[s] // n for s in cyc)
-        p = (k1, len(cyc) - k1)
+        r = j % n
+        shift = j - r
+        v = w[r] + shift
+        k1, n1 = v // n, 1
+        x = v % n
+        while x != i:
+            v = w[x] if x != r else w[i] - shift
+            k1 += v // n
+            n1 += 1
+            x = v % n
+        p = (k1, n1 - k1)
         entries[p] = entries.get(p, 0) + 1
     return LatticeMultiset(RECT, (perm.k, perm.n - perm.k), entries)
 

@@ -346,7 +346,11 @@ def _raising(original):
 def _suite_report(suite):
     """The report of `suite` at n_max = 5; `engine_theta` and
     `engine_bounded` run one phase of the engine suite alone, since both
-    phases have an `rtilde_at_1` check."""
+    phases have an `rtilde_at_1` check.  `synthesis_past_main` is the
+    synthesis suite at n_max = 11, the first period at which it checks the
+    counting formula."""
+    if suite == "synthesis_past_main":
+        return verify_synthesis(harness.MAIN_EXHAUSTIVE_N + 1)
     phases = {
         "engine_theta": (harness._engine_theta_checks, harness._theta_range(5)),
         "engine_bounded": (harness._engine_bounded_checks,
@@ -381,6 +385,7 @@ FAILING_CHECKS = [
     ("convexity", "main", harness, "is_convex", lambda original: lambda ms: False),
     ("counting_formula", "main", harness, "count_avoiding_paths", _plus_one),
     ("synthesis_error", "synthesis", harness, "synthesize_profile", _raising),
+    ("counting_formula", "synthesis_past_main", harness, "count_avoiding_paths", _plus_one),
     ("rtilde_at_1", "engine_theta", Engine, "compute_Rtilde",
      lambda original: lambda *args: poly_add(original(*args), ONE)),
     ("rtilde_symmetry", "engine_theta", BoundedAffinePerm, "length", _plus_one),
@@ -406,6 +411,40 @@ def test_every_check_is_seen_to_fail(monkeypatch, check, suite, owner, name, rep
     monkeypatch.setattr(owner, name, replace(getattr(owner, name)))
     failed = {f["check"] for f in _suite_report(suite).failures}
     assert check in failed, failed
+
+
+def _sheared(ms):
+    return sorted(ms.to_sheared().entries.items())
+
+
+# each main-suite check made to fail, the windows it then fails on (by their
+# inversion multiset ms), and the expected and actual values its records
+# carry: the points of ms in the RECT frame, or its sheared entries or points
+MAIN_FAILURE_RECORDS = {
+    "central_symmetry": (harness, "is_centrally_symmetric", lambda ms: False,
+                         lambda ms: True, lambda ms: ("symmetric", ms.points())),
+    "convexity": (harness, "is_convex", lambda ms: False,
+                  LatticeMultiset.is_set, lambda ms: ("convex", ms.points())),
+    # the translations have no inversion, so the empty oracle agrees there
+    "path_oracle": (harness, "fset_from_paths", lambda perm: {},
+                    LatticeMultiset.total, lambda ms: (_sheared(ms), [])),
+    "f_min_subset": (harness, "f_min", lambda k, n: {(0, 0)},
+                     lambda ms: True, lambda ms: ([(0, 0)], [p for p, _ in _sheared(ms)])),
+}
+
+
+@pytest.mark.parametrize("check", sorted(MAIN_FAILURE_RECORDS))
+def test_main_failure_records_name_their_points_in_their_frame(monkeypatch, check):
+    owner, name, replacement, fails, record = MAIN_FAILURE_RECORDS[check]
+    expected = {}
+    for w in harness._theta_range(5):
+        ms = inversion_multiset(BoundedAffinePerm(w))
+        if fails(ms):
+            expected[w] = record(ms)
+    monkeypatch.setattr(owner, name, replacement)
+    records = {tuple(f["window"]): (f["expected"], f["actual"])
+               for f in verify_main_theorem(5).failures if f["check"] == check}
+    assert len(expected) > 10 and records == expected
 
 
 def test_decoupling_sees_one_wrong_cycle_factor(monkeypatch):

@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import itertools
 import pickle
 import random
@@ -75,6 +77,32 @@ def test_inversion_multiset_named():
     assert ms.entries == {(1, 1): 1, (2, 3): 1}
     e75 = parse_perm("cycle:(1,4,6,2,5,7,3)", one_based=True)
     assert inversion_multiset(e75).entries == {(1, 1): 1, (2, 3): 1}
+
+
+def test_inversion_multiset_digest_of_every_theta_window_up_to_period_8():
+    # pinned from the crossing resolution that copied the window once per
+    # inversion, so the walk on the window itself must give the same points
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(2, 9):
+        for f in enumerate_theta(None, n):
+            digest.update(repr((f.window, sorted(inversion_multiset(f).entries.items()))).encode())
+            count += 1
+    assert count == 5913
+    assert digest.hexdigest() == (
+        "647c95e1d629ecd39220873e092b16ed5ad903adf1e346ac2d5095504cede114"
+    )
+
+
+def test_inversion_multiset_equals_the_types_of_the_resolved_factors():
+    # `resolve_crossing` swaps on a copy, relabels each cycle and builds the
+    # factor through the checked constructor: no step is shared with the walk
+    for n in range(2, 8):
+        for f in enumerate_theta(None, n):
+            types = collections.Counter(
+                (f1.k, f1.n - f1.k) for f1, _ in map(f.resolve_crossing, f.inversions())
+            )
+            assert inversion_multiset(f).entries == types, f
 
 
 def test_inversion_multiset_translation_empty():

@@ -19,6 +19,10 @@ tables:
   with the engine's counters.  A row that runs out of its budget is killed
   and records the budget and its exit code instead of a time.
 
+A perfbench or suite process that ends without printing its JSON line is
+recorded too, as a row with its exit code and no metrics, and the run goes
+on.
+
 Every row records `peak_rss_mb`, the `ru_maxrss` that `wait4` reports for
 its process: the largest of the process and the workers it reaped.  Rows
 from one run compare with each other; rows from runs in different sessions
@@ -95,18 +99,28 @@ def _run(argv: list[str], budget_s: float | None = None) -> tuple[int, str, floa
     return proc.returncode, out, usage.ru_maxrss / 1024
 
 
+def _last_json(out: str) -> dict | None:
+    """The JSON object on the last line of `out`, or None when there is
+    none: the process died, or printed something else last."""
+    lines = out.splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except ValueError:
+        return None
+    return result if isinstance(result, dict) else None
+
+
 def perfbench_rows() -> list[dict]:
     rows = []
     for name in WORKLOADS:
         code, out, _ = _run([sys.executable, "perfbench/run.py", "--workload", name,
                              "--seed", "1", "--seconds", "20", "--trace", "0"])
-        result = json.loads(out.splitlines()[-1])
-        rows.append({
-            "workload": name,
-            "exit": code,
-            "correct": result["correct"],
-            "metrics": {key: m["value"] for key, m in result["metrics"].items()},
-        })
+        row = {"workload": name, "exit": code}
+        result = _last_json(out)
+        if result is not None:
+            row["correct"] = result["correct"]
+            row["metrics"] = {key: m["value"] for key, m in result["metrics"].items()}
+        rows.append(row)
     return rows
 
 
@@ -116,16 +130,18 @@ def suite_rows() -> list[dict]:
         for jobs in jobs_list:
             code, out, rss = _run([sys.executable, "-m", "posicat", "verify", "--suite", suite,
                                    "--n-max", str(n_max), "--jobs", str(jobs)])
-            report = json.loads(out)
+            report = _last_json(out)
             row = {"suite": suite, "n_max": n_max, "jobs": jobs, "exit": code}
-            if suite == "census":
-                row["groups"] = sum(len(f["groups"]) for f in report["frames"])
-                row["all_match_gcd"] = report["all_match_gcd"]
-                row["all_nu_bar_bijective"] = report["all_nu_bar_bijective"]
-            else:
-                row["checked"] = report["checked"]
-                row["failures"] = len(report["failures"])
-            row["elapsed_s"] = report["elapsed"]
+            # with no report, the exit code says what went wrong
+            if report is not None:
+                if suite == "census":
+                    row["groups"] = sum(len(f["groups"]) for f in report["frames"])
+                    row["all_match_gcd"] = report["all_match_gcd"]
+                    row["all_nu_bar_bijective"] = report["all_nu_bar_bijective"]
+                else:
+                    row["checked"] = report["checked"]
+                    row["failures"] = len(report["failures"])
+                row["elapsed_s"] = report["elapsed"]
             row["peak_rss_mb"] = rss
             rows.append(row)
     return rows
