@@ -544,6 +544,22 @@ def test_rtilde_digest_of_every_bounded_window_up_to_period_7():
     )
 
 
+def test_catalan_digest_of_every_bounded_window_up_to_period_7():
+    # pinned from the engine whose C ring normalised, keyed and stored the
+    # two-cycle w s_i of each double move before decoupling it
+    engine = Engine()
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 8):
+        for w in _bounded_windows(n):
+            digest.update(repr((w, engine.compute_C(BoundedAffinePerm(w)))).encode())
+            count += 1
+    assert count == 16071
+    assert digest.hexdigest() == (
+        "3a25cd17a4aeb3a80e7acd6e60b14c932116557565a9082e6cc8f5dc24ea9f84"
+    )
+
+
 def test_dual_is_the_bounded_involution_of_gr_k_n_onto_gr_n_minus_k_n():
     engine = Engine()
     checked = 0
