@@ -33,19 +33,26 @@ the side with 2k >= n.  Only the request is oriented: orienting every
 normal node as well cut the misses of a random n = 14 sample further
 (5,245 to 4,970) but raised them by 15-27% on two windows with 2k = n
 (n = 20 and 22), whose children fall on both sides.  The integer ring does
-not orient: it decouples every window with two or more cycles (rule D
-below), and orienting its requests too saved 17 of 3,682 misses on a
-random n = 18 sample and read 9-14% slower there.
+not orient: it decouples (rule D below), and orienting its requests too
+saved 17 of 3,682 misses on a random n = 18 sample, when the ring still
+reduced each f s_i of rule 3 as a node, and read 9-14% slower there.
 
-The integer ring gives C directly, and decouples before rule 3:
+The integer ring gives C directly, and decouples:
 
-  D. a normal window with two or more cycles has C = the product of C over
-     the restrictions of f to its cycles, each relabeled onto [0, m) by
+  D. a window with two or more cycles has C = the product of C over the
+     restrictions of f to its cycles, each relabeled onto [0, m) by
      `affine._relabel_restriction` and reduced as a child.
 
-So the integer ring steps only on single cycles, where i and i+1 always
-share the cycle and its step is x + y.  R~ has no such rule: it is the
-product over the non-crossing blocks of cycles (Ardila, Rincon and
+It applies D in two places.  At a double move of a single cycle f, f s_i
+is f with the crossing at (i, i+1) resolved, and it has exactly two
+cycles; so the step is C(f) = C(f_1) C(f_2) + C(g) over those two cycles,
+and f s_i itself is never normalised, keyed or stored.  That halves the
+ring's nodes: on a random n = 18 sample, 3,682 misses became 2,005.  And a
+request whose normal form has two or more cycles is decoupled before rule
+3.  Normalising a single cycle leaves a single cycle, and g is a conjugate
+of f, so every other window the ring reduces is one cycle, where i and i+1
+always share the cycle and its step is x + y.  R~ has no such rule: it is
+the product over the non-crossing blocks of cycles (Ardila, Rincon and
 Williams, "Positroids and non-crossing partitions"), and on every bounded
 window with n <= 7 whose cycles cross it differs from the product over
 cycles.  Rule D is checked, not proven here: `verify --suite engine`
@@ -86,24 +93,27 @@ dual, and a repeated request with 2k < n hits its own key.  That lookup
 serves a new rotation of an orbit already requested, often a window that
 is not normal, without normalising it; sending requests down the
 normal-form path instead doubled the time of `verify_engine(6)`.  Every
-other window, a child of a step or a class member that is not normal, is
-normalised first and then looked up and stored under its normal form's
-key alone.  Normality depends only on the displacement word up to
-rotation, so one sigma-orbit always meets the same entry.  Windows passed
-through inside a chain get no entry, so their `simple_factor` and
-`remove_fixed_points` trace records repeat each time the window is met.
-For a class-search hit, every normal member visited shares the value and
-is cached as well.
+other window, a child of a step (in the integer ring, a factor of f s_i
+or g) or a class member that is not normal, is normalised first and then
+looked up and stored under its normal form's key alone.  Normality depends
+only on the displacement word up to rotation, so one sigma-orbit always
+meets the same entry.  Windows passed through inside a chain get no entry,
+so their `simple_factor` and `remove_fixed_points` trace records repeat
+each time the window is met.  For a class-search hit, every normal member
+visited shares the value and is cached as well.
 
 A reduced node does O(n) Python-level work: one residue-position table and
 one pass of `affine._first_double_move`, which stops at the first index that
 passes.  Every node reduced is normal, so s_i moves none of f(i), f(i+1),
 f^-1(i) and f^-1(i+1), g is bounded, and the test at i is f(i) < f(i+1) and
-f^-1(i) < f^-1(i+1), read off f and that table in O(1).  The
-polynomial ring tests that index for a shared cycle by a walk along one
-cycle of f; the integer ring first walks the cycle through residue 0, and
-only when it closes in fewer than n steps lists the cycles of f in one pass
-(`affine._cycles`), to decouple.  g is built once, for the chosen index, by
+f^-1(i) < f^-1(i+1), read off f and that table in O(1).  The polynomial
+ring tests that index for a shared cycle by a walk along one cycle of f.
+The integer ring first walks the cycle through residue 0,
+which closes in fewer than n steps only on a request's normal form with
+several cycles; that one it lists in one pass (`affine._cycles`) and
+decouples.  At its step it builds f s_i by swapping two entries of a copy
+of the window (`affine._right_s`), lists its two cycles the same way and
+relabels each in one pass.  g is built once, for the chosen index, by
 editing four entries of a copy of the window (`affine._conj_s`).  The keys
 cost a few native passes over the word, plus one rotation per repeated
 occurrence of its minimum.  A class search builds one residue table per
@@ -182,9 +192,10 @@ class _Ring:
     `same(x, y)` is R~(f) from x = R~(f s_i) and y = R~(g) when i, i+1 share
     a cycle of the reduction of g, and `apart(x, y)` when they do not.  An
     `apart` of None marks a ring that is multiplicative over cycles (rule D
-    of the module docstring): a normal window with two or more cycles is the
-    product over its cycles, so the ring steps only on single cycles and
-    never takes an apart move.  `cache` maps sigma-orbit keys to values;
+    of the module docstring): a window with two or more cycles is the
+    product over its cycles, so the ring takes x as the product over the
+    two cycles of f s_i, steps only on single cycles and never takes an
+    apart move.  `cache` maps sigma-orbit keys to values;
     `hits` and `misses` count lookups.
     """
 
@@ -247,10 +258,11 @@ class Engine:
         cycles, which one cycle is; each relabeled window goes to the C table
         without a `BoundedAffinePerm` of its own.
 
-        The integer ring decouples too (rule D), at the normal form, so
-        comparing this with `compute_C` compares two groupings of one ring
-        and its tables.  The guard that does not decouple is `R~(1)` from the
-        polynomial ring: the engine suite's `rtilde_at_1`."""
+        The integer ring decouples too (rule D), at a request's normal form
+        and at every double move, so comparing this with `compute_C`
+        compares two groupings of one ring and its tables.  The guard that
+        does not decouple is `R~(1)` from the polynomial ring: the engine
+        suite's `rtilde_at_1`."""
         w = perm.window
         product = 1
         for cyc in perm._cycle_tuples():
@@ -280,7 +292,8 @@ class Engine:
         count the keys stored: the request's and the normal form's for a
         public request (the dual's normal form when rule 0 orients it), the
         normal form's for every other window, and one per normal member a
-        successful class search visited."""
+        successful class search visited.  The two-cycle f s_i of a C-ring
+        step is none of these: only its two factors are looked up."""
         return {
             "r_hits": self._rtilde.hits,
             "r_misses": self._rtilde.misses,
@@ -392,7 +405,8 @@ class Engine:
     def _step(self, w: Window, ring: _Ring):
         """R~ of the normal window w in `ring` by rule 2 or its first double
         move, or None.  In a ring multiplicative over cycles w has one cycle,
-        so every double move shares it."""
+        so every double move shares it, and x is the product over the two
+        cycles of w s_i."""
         n = len(w)
         if n == 1:
             self._emit("base", w)
@@ -408,17 +422,31 @@ class Engine:
         if self._trace is not None:
             self._emit("double_move", w, i=i, same_cycle=same_cycle)
         # x = R~(f s_i) is evaluated before y = R~(g), as the trace records
+        x = _right_s(w, i)
+        if ring.apart is None:
+            # resolving the crossing splits the one cycle of w in two, and
+            # the ring is multiplicative over cycles: x is the product of its
+            # factors, and w s_i itself is never normalised or stored
+            cycles = _cycles(x)
+            if self._trace is not None:
+                self._emit("decouple", x, cycles=cycles)
+            return ring.same(
+                prod(self._child_value(_relabel_restriction(x, c), ring) for c in cycles),
+                self._child_value(g, ring),
+            )
         step = ring.same if same_cycle else ring.apart
-        return step(self._child_value(_right_s(w, i), ring), self._child_value(g, ring))
+        return step(self._child_value(x, ring), self._child_value(g, ring))
 
     def _reduce(self, w: Window, ring: _Ring):
         """R~ of the normal window w in `ring`: a step, else a class search.
         It recurses through `_child_value`, under the limit `_value` raised.
-        A ring multiplicative over cycles answers two or more cycles as the
-        product over their restrictions."""
+        A ring multiplicative over cycles answers two or more cycles, which
+        only a request's normal form has, as the product over their
+        restrictions."""
         if ring.apart is None:
             # the cycle through 0 has all n residues exactly when w is one
-            # cycle, about half the misses; only the others list their cycles
+            # cycle: every miss but a request's normal form with several
+            # cycles, the only window listed and decoupled here
             n = len(w)
             x, m = w[0] % n, 1
             while x:

@@ -174,8 +174,9 @@ def inversion_multiset(perm: BoundedAffinePerm) -> LatticeMultiset:
 
     No swapped copy of the window is made: the cycle is walked on f's own
     window.  With j = r + tn and r = j mod n, the swap changes only
-    g(i) = f(r) + tn, the walk's first step, and g(r) = f(i) - tn, read as
-    an override should the walk meet r.
+    g(i) = f(r) + tn, the walk's first step, and g(r) = f(i) - tn, which the
+    walk never reads.  From the successor of r on f's one cycle, f's own
+    steps reach i before they could return to r, and the walk stops at i.
     """
     perm.require_theta()
     w = perm.window
@@ -183,12 +184,11 @@ def inversion_multiset(perm: BoundedAffinePerm) -> LatticeMultiset:
     entries: dict[Point, int] = {}
     for i, j in _inversion_pairs(w):
         r = j % n
-        shift = j - r
-        v = w[r] + shift
+        v = w[r] + j - r
         k1, n1 = v // n, 1
         x = v % n
         while x != i:
-            v = w[x] if x != r else w[i] - shift
+            v = w[x]
             k1 += v // n
             n1 += 1
             x = v % n

@@ -25,6 +25,7 @@ from posicat.affine import (
     _relabel_restriction,
     _remove_fixed,
     _residue_positions,
+    _right_s,
     _value_at,
 )
 from posicat.engine import _apart_step, _same_cycle, _same_step
@@ -326,27 +327,28 @@ def test_trace_contains_double_move():
 # test off f.  The R~ counters are from the engine whose nested windows are
 # keyed by their normal form alone; r_hits and r_misses are unchanged since
 # the engine that also keyed them by their own window.  The C counters are
-# from the engine whose C ring answers a window with two or more cycles as
-# the product over its cycles.  Equal counters mean the same reduction path.
+# from the engine whose C ring answers the two-cycle f s_i of each double
+# move as the product over its cycles, without normalising or storing it.
+# Equal counters mean the same reduction path.
 GOLDEN = [
     ([0, 8, 4, 3, 9, 1, 7, 5, 6, 2], 2, [1, 0, 1],
-     {"r_hits": 2, "r_misses": 4, "c_hits": 2, "c_misses": 3,
-      "r_entries": 5, "c_entries": 4}),
+     {"r_hits": 2, "r_misses": 4, "c_hits": 2, "c_misses": 2,
+      "r_entries": 5, "c_entries": 3}),
     ([0, 6, 3, 1, 2, 4, 5, 7, 8, 9], 1, [1],
      {"r_hits": 0, "r_misses": 1, "c_hits": 0, "c_misses": 1,
       "r_entries": 2, "c_entries": 2}),
     ([0, 9, 8, 6, 3, 7, 1, 4, 10, 5, 2], 5, [1, 0, 1, 1, 1, 0, 1],
-     {"r_hits": 11, "r_misses": 20, "c_hits": 8, "c_misses": 9,
-      "r_entries": 21, "c_entries": 10}),
+     {"r_hits": 11, "r_misses": 20, "c_hits": 8, "c_misses": 5,
+      "r_entries": 21, "c_entries": 6}),
     ([0, 8, 2, 3, 1, 10, 4, 7, 9, 6, 5], 3, [1, 0, 1, 0, 1],
-     {"r_hits": 4, "r_misses": 6, "c_hits": 4, "c_misses": 5,
-      "r_entries": 7, "c_entries": 6}),
+     {"r_hits": 4, "r_misses": 6, "c_hits": 4, "c_misses": 3,
+      "r_entries": 7, "c_entries": 4}),
     ([0, 6, 8, 1, 7, 11, 4, 3, 5, 10, 9, 2], 7, [1, 0, 1, 1, 1, 1, 1, 0, 1],
-     {"r_hits": 15, "r_misses": 17, "c_hits": 8, "c_misses": 9,
-      "r_entries": 18, "c_entries": 10}),
+     {"r_hits": 15, "r_misses": 17, "c_hits": 8, "c_misses": 5,
+      "r_entries": 18, "c_entries": 6}),
     ([0, 3, 10, 1, 9, 11, 5, 4, 2, 7, 8, 6], 5, [1, 0, 1, 1, 1, 0, 1],
-     {"r_hits": 13, "r_misses": 15, "c_hits": 6, "c_misses": 7,
-      "r_entries": 16, "c_entries": 8}),
+     {"r_hits": 13, "r_misses": 15, "c_hits": 6, "c_misses": 4,
+      "r_entries": 16, "c_entries": 5}),
 ]
 
 
@@ -359,29 +361,29 @@ GOLDEN = [
 # counted.
 GOLDEN_12 = [
     ([0, 8, 6, 2, 1, 3, 7, 4, 10, 5, 11, 9], 7, [1, 0, 1, 1, 1, 1, 1, 0, 1],
-     {"r_hits": 19, "r_misses": 22, "c_hits": 8, "c_misses": 9,
-      "r_entries": 23, "c_entries": 10}),
+     {"r_hits": 19, "r_misses": 22, "c_hits": 8, "c_misses": 5,
+      "r_entries": 23, "c_entries": 6}),
     ([0, 11, 6, 3, 7, 9, 8, 5, 10, 2, 4, 1], 3, [1, 0, 1, 0, 1],
-     {"r_hits": 5, "r_misses": 7, "c_hits": 4, "c_misses": 5,
-      "r_entries": 8, "c_entries": 6}),
+     {"r_hits": 5, "r_misses": 7, "c_hits": 4, "c_misses": 3,
+      "r_entries": 8, "c_entries": 4}),
     ([0, 6, 2, 11, 3, 4, 9, 10, 8, 5, 7, 1], 3, [1, 0, 1, 0, 1],
-     {"r_hits": 4, "r_misses": 5, "c_hits": 4, "c_misses": 5,
-      "r_entries": 6, "c_entries": 6}),
+     {"r_hits": 4, "r_misses": 5, "c_hits": 4, "c_misses": 3,
+      "r_entries": 6, "c_entries": 4}),
     ([0, 11, 2, 3, 10, 9, 1, 8, 4, 7, 5, 6], 2, [1, 0, 1],
-     {"r_hits": 2, "r_misses": 3, "c_hits": 2, "c_misses": 3,
-      "r_entries": 4, "c_entries": 4}),
+     {"r_hits": 2, "r_misses": 3, "c_hits": 2, "c_misses": 2,
+      "r_entries": 4, "c_entries": 3}),
     ([0, 2, 9, 7, 4, 11, 10, 5, 6, 3, 1, 8], 5, [1, 0, 1, 1, 1, 0, 1],
-     {"r_hits": 11, "r_misses": 16, "c_hits": 8, "c_misses": 9,
-      "r_entries": 17, "c_entries": 10}),
+     {"r_hits": 11, "r_misses": 16, "c_hits": 8, "c_misses": 5,
+      "r_entries": 17, "c_entries": 6}),
     ([0, 1, 11, 3, 8, 4, 5, 10, 6, 2, 7, 9], 5, [1, 0, 1, 1, 1, 0, 1],
-     {"r_hits": 11, "r_misses": 13, "c_hits": 7, "c_misses": 8,
-      "r_entries": 14, "c_entries": 9}),
+     {"r_hits": 11, "r_misses": 13, "c_hits": 8, "c_misses": 5,
+      "r_entries": 14, "c_entries": 6}),
     ([0, 6, 5, 3, 7, 11, 1, 4, 10, 2, 9, 8], 7, [1, 0, 1, 1, 1, 1, 1, 0, 1],
-     {"r_hits": 27, "r_misses": 33, "c_hits": 8, "c_misses": 9,
-      "r_entries": 34, "c_entries": 10}),
+     {"r_hits": 27, "r_misses": 33, "c_hits": 8, "c_misses": 5,
+      "r_entries": 34, "c_entries": 6}),
     ([0, 1, 10, 5, 6, 9, 2, 8, 4, 7, 3, 11], 3, [1, 0, 1, 0, 1],
-     {"r_hits": 4, "r_misses": 6, "c_hits": 4, "c_misses": 5,
-      "r_entries": 7, "c_entries": 6}),
+     {"r_hits": 4, "r_misses": 6, "c_hits": 4, "c_misses": 3,
+      "r_entries": 7, "c_entries": 4}),
 ]
 
 
@@ -468,11 +470,14 @@ def _double_moves(w):
     return moves
 
 
-def test_c_ring_decouples_every_node_with_two_or_more_cycles(monkeypatch):
-    # the C ring answers each normal window with two or more cycles by one
-    # `decouple` record and one restriction per cycle, so it steps only on
-    # single cycles and every double move it takes shares its cycle; the R~
-    # ring never decouples and takes its first double move, apart or not
+def test_every_window_the_c_ring_reduces_is_one_cycle(monkeypatch):
+    # the C ring resolves the crossing of each double move at once: f s_i
+    # has exactly two cycles, and it is answered by one `decouple` record
+    # and one restriction per cycle, never normalised, reduced or stepped
+    # on.  So the only window with two or more cycles that reaches `_reduce`
+    # is a request's normal form, which is decoupled there, and `_step` sees
+    # single cycles alone.  The R~ ring never decouples and takes its first
+    # double move, apart or not
     built = []
     original = posicat.engine._relabel_restriction
 
@@ -481,33 +486,60 @@ def test_c_ring_decouples_every_node_with_two_or_more_cycles(monkeypatch):
         return original(w, residues)
 
     monkeypatch.setattr(posicat.engine, "_relabel_restriction", counted)
+    request = [None]  # the normal form of the request being answered
     rings = {"compute_C": [], "compute_Rtilde": []}
-    reduced = []
+    reduced, stepped = [], []
     for method, records in rings.items():
+
+        def hook(record, records=records):
+            records.append((record, request[0]))
+
         # one engine for every bounded window with n <= 6, a cold one per cycle
-        runs = [(Engine(trace_hook=records.append),
+        runs = [(Engine(trace_hook=hook),
                  [BoundedAffinePerm(w) for n in range(2, 7) for w in _bounded_windows(n)])]
-        runs += [(Engine(trace_hook=records.append), [BoundedAffinePerm.from_cycle(cycle)])
+        runs += [(Engine(trace_hook=hook), [BoundedAffinePerm.from_cycle(cycle)])
                  for cycle, *_ in GOLDEN + GOLDEN_12]
         for engine, perms in runs:
             if method == "compute_C":
-                reduce = engine._reduce
+                reduce, step = engine._reduce, engine._step
 
-                def recorded(w, ring, reduce=reduce):
-                    reduced.append(w)
+                def reduce_recorded(w, ring, reduce=reduce):
+                    reduced.append((w, request[0]))
                     return reduce(w, ring)
 
-                monkeypatch.setattr(engine, "_reduce", recorded)
+                def step_recorded(w, ring, step=step):
+                    stepped.append(w)
+                    return step(w, ring)
+
+                monkeypatch.setattr(engine, "_reduce", reduce_recorded)
+                monkeypatch.setattr(engine, "_step", step_recorded)
             for perm in perms:
+                w = perm.window
+                request[0] = engine._normalise(w, _displacements(w))[0]
                 getattr(engine, method)(perm)
-    decouples = [r for r in rings["compute_C"] if r["rule"] == "decouple"]
-    assert [tuple(r["window"]) for r in decouples] == [w for w in reduced if len(_cycles(w)) > 1]
-    assert all(r["cycles"] == _cycles(r["window"]) for r in decouples)
+    assert all(len(_cycles(w)) == 1 or w == normal for w, normal in reduced)
+    assert stepped and all(len(_cycles(w)) == 1 for w in stepped)
+    records = rings["compute_C"]
+    splits = requests = 0
+    for (before, _), (record, normal) in zip(records, records[1:]):
+        if record["rule"] != "decouple":
+            continue
+        w = tuple(record["window"])
+        assert record["cycles"] == _cycles(w)
+        if before["rule"] == "double_move":
+            assert w == _right_s(tuple(before["window"]), before["i"])
+            assert len(record["cycles"]) == 2
+            splits += 1
+        else:
+            assert w == normal and len(record["cycles"]) > 1
+            requests += 1
+    decouples = [r for r, _ in records if r["rule"] == "decouple"]
+    assert splits + requests == len(decouples) and splits > 0 and requests > 0
     restrictions = [(tuple(r["window"]), tuple(c)) for r in decouples for c in r["cycles"]]
     assert sorted(built) == sorted(restrictions)
     apart = 0
     for method, records in rings.items():
-        for record in records:
+        for record, _ in records:
             assert method == "compute_C" or record["rule"] != "decouple"
             if record["rule"] != "double_move":
                 continue
@@ -516,15 +548,15 @@ def test_c_ring_decouples_every_node_with_two_or_more_cycles(monkeypatch):
             if method == "compute_C":
                 assert record["same_cycle"] and len(_cycles(w)) == 1
             apart += not record["same_cycle"]
-    assert decouples and apart > 0
+    assert apart > 0
 
 
 def test_translation_cold_engine_stats():
     # C(7, 16) on a cold engine; the README's `compute --stats` example
     engine = Engine()
     assert engine.compute_C(BoundedAffinePerm.translation(7, 16)) == 715
-    assert engine.stats == {"r_hits": 0, "r_misses": 0, "c_hits": 312, "c_misses": 316,
-                            "r_entries": 0, "c_entries": 316}
+    assert engine.stats == {"r_hits": 0, "r_misses": 0, "c_hits": 322, "c_misses": 165,
+                            "r_entries": 0, "c_entries": 165}
 
 
 def test_rtilde_digest_of_every_bounded_window_up_to_period_7():
@@ -721,7 +753,7 @@ def test_limit_is_restored_when_the_computation_raises(monkeypatch):
 
 
 def test_the_recursion_guard_runs_once_per_request(monkeypatch):
-    # a cold C(7, 16) reduces 316 normal windows under one raised limit
+    # a cold C(7, 16) reduces 165 normal windows under one raised limit
     reads, writes = [], []
     get, set_ = sys.getrecursionlimit, sys.setrecursionlimit
     monkeypatch.setattr(sys, "getrecursionlimit", lambda: reads.append(1) or get())
@@ -729,7 +761,7 @@ def test_the_recursion_guard_runs_once_per_request(monkeypatch):
     engine = Engine()
     value = engine.compute_C(BoundedAffinePerm.translation(7, 16))
     monkeypatch.undo()
-    assert value == 715 and engine.stats["c_misses"] == 316
+    assert value == 715 and engine.stats["c_misses"] == 165
     assert len(reads) <= 1 and len(writes) <= 2
 
 
