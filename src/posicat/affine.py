@@ -235,27 +235,38 @@ def _relabel_restriction(w: Window, residues: Iterable[int]) -> Window:
     return tuple(out)
 
 
-def _drop(w: Window, p: int) -> Window:
-    """Delete position p and the residue r = w[p] mod n, mapping every other
-    value y to y - y//n - [y mod n > r]: the period n-1 window on the
-    positions and residues left.  When w[p] is p or p + n, this is
-    `_relabel_restriction` onto the residues other than p.
-
-    The map is one floor division, y - (y + n-1-r)//n, since y mod n + n-1-r
-    reaches n exactly when y mod n > r.  Window values are distinct, so w[p]
-    is skipped by value rather than sliced out.
+def _contract(w: Window, i: int) -> Window:
+    """`_remove_fixed(_left_s(w, i))` in one pass, for w with no fixed residue
+    and a simple factor at i.  s_i f fixes i when f(i) = i + 1 and i + 1 when
+    f(i+1) = i + n, with i + 1 read mod n.  Their entries are skipped, and
+    every other value y is renumbered by one floor division: for i < n-1,
+    y - (y + n-2-i)//n per fixed residue, or y - (y + n-1-i)//n when i + 1
+    alone is fixed.  The result has no fixed residue; an emptied window is (0,).
     """
     n = len(w)
-    v = w[p]
-    c = n - 1 - v % n
-    return tuple([y - (y + c) // n for y in w if y != v])
+    top = n - 1
+    if i == top:
+        if w[top] != n:
+            out = [y - (y + n) // n for y in w[1:]]
+        elif w[0] == top:
+            out = [y - 2 * (y // n) - 1 for y in w[1:top]]
+        else:
+            out = [y - y // n for y in w[:top]]
+    else:
+        c = top - 1 - i
+        if w[i] != i + 1:
+            out = [y - (y + c + 1) // n for y in w[:i + 1] + w[i + 2:]]
+        elif w[i + 1] == i + n:
+            out = [y - 2 * ((y + c) // n) for y in w[:i] + w[i + 2:]]
+        else:
+            out = [y - (y + c) // n for y in w[:i] + w[i + 1:]]
+    return tuple(out) if out else (0,)
 
 
 def _remove_fixed(w: Window) -> Window:
     """Drop all residues with f(i) = i or f(i) = i + n in one pass:
     `_relabel_restriction` onto the rest, a union of cycles since each fixed
-    residue is a cycle of its own.  It gives what a chain of `_drop`s, the
-    last first, would.
+    residue is a cycle of its own.
 
     When every residue is fixed the canonical period-1 identity (0,) is
     returned, so that recurrences bottom out at the n = 1 base case.

@@ -71,15 +71,14 @@ reduction, hence IrreducibleElement signals a bug.
 Normalisation reads the displacement word d = (f(0) - 0, ..., f(n-1) -
 (n-1)): residue j is fixed iff d[j] is 0 or n, and a simple factor applies
 at i iff d[i] = 1 or d[i+1] = n-1 (d[0] for i = n-1).  So a normal window
-costs four native membership tests.  A simple factor at i < n-1 that fixes
-one residue is fused with its removal into one contraction,
-`affine._drop(w, p)`: delete position p and the residue r = f(p) mod n
-(p = i and r = i+1 when f(i) = i+1, p = i+1 and r = i when f(i+1) = i+n),
-and map every other value y to y - y//n - [y mod n > r].  Each pass scans
-the new word from 0.  The simple factor at i = n-1, and one that fixes
-both i and i+1, go through s_i f and the removal.  The removal,
-`affine._remove_fixed`, restricts f to the residues that are not fixed in
-one `_relabel_restriction` pass.  Each contraction is one O(n) pass and
+costs four native membership tests.  The fixed residues are removed once,
+on entry, by `affine._remove_fixed`, which restricts f to the other
+residues in one `_relabel_restriction` pass.  Each simple factor is then
+fused with the removal of what s_i f fixes (i, i+1 or both, the wrap at
+i = n-1 included) into one contraction, `affine._contract(w, i)`: skip the
+fixed entries and renumber every other value by one floor division.  A
+contraction leaves no fixed residue, so each pass scans the new word from 0
+for the next simple factor alone.  Each contraction is one O(n) pass and
 lowers the period, so a chain costs O(n) per step it takes.
 
 Values are cached per sigma-orbit: R~ is invariant under the cyclic shift,
@@ -140,9 +139,9 @@ from .affine import (
     BoundedAffinePerm,
     _c_class_members,
     _conj_s,
+    _contract,
     _cycles,
     _displacements,
-    _drop,
     _dual,
     _first_double_move,
     _left_s,
@@ -369,35 +368,33 @@ class Engine:
 
     def _normalise(self, w: Window, d: Window) -> tuple[Window, Window]:
         """The normal form of w and its displacement word, given w's word d:
-        rule 1 of the module docstring.  Returns w itself when it is normal,
-        and emits the records of the steps it takes."""
+        rule 1 of the module docstring, with the fixed residues removed once
+        on entry and one `affine._contract` per simple factor.  Returns w
+        itself when it is normal, and emits the records of the steps it takes."""
         trace = self._trace
         n = len(w)
+        if n > 1 and (0 in d or n in d):
+            if trace is not None:
+                self._emit("remove_fixed_points", w)
+            w = _remove_fixed(w)
+            n = len(w)
+            d = _displacements(w)
         while n > 1:
             top = n - 1
-            if 0 in d or n in d:
-                if trace is not None:
-                    self._emit("remove_fixed_points", w)
-                w = _remove_fixed(w)
-            elif 1 in d or top in d:
-                # first i with d[i] == 1 or d[i+1 mod n] == n-1
-                i = d.index(1) if 1 in d else n
-                if top in d:
-                    # with no n-1 past d[0], it is d[0]: the wrap i = n-1
-                    try:
-                        i = min(i, d.index(top, 1) - 1)
-                    except ValueError:
-                        i = min(i, top)
-                if trace is not None:
-                    self._emit("simple_factor", w, i=i)
-                if i == top or d[i] == 1 and d[i + 1] == top:
-                    w = _left_s(w, i)  # the next pass removes what it fixes
-                else:
-                    if trace is not None:
-                        self._emit("remove_fixed_points", _left_s(w, i))
-                    w = _drop(w, i if d[i] == 1 else i + 1)
-            else:
+            if 1 not in d and top not in d:
                 break
+            # first i with d[i] == 1 or d[i+1 mod n] == n-1
+            i = d.index(1) if 1 in d else n
+            if top in d:
+                # with no n-1 past d[0], it is d[0]: the wrap i = n-1
+                try:
+                    i = min(i, d.index(top, 1) - 1)
+                except ValueError:
+                    i = min(i, top)
+            if trace is not None:  # the records of s_i f and of its removal
+                self._emit("simple_factor", w, i=i)
+                self._emit("remove_fixed_points", _left_s(w, i))
+            w = _contract(w, i)
             n = len(w)
             d = _displacements(w)
         return w, d

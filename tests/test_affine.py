@@ -22,9 +22,9 @@ from posicat.invsets import RECT
 from posicat.affine import (
     _c_class_members,
     _conj_s,
+    _contract,
     _cycles,
     _displacements,
-    _drop,
     _first_double_move,
     _has_double_crossing,
     _inverse_at,
@@ -51,7 +51,7 @@ from posicat.errors import (
     PosicatError,
 )
 
-from window_reference import is_bounded, is_normal, is_strictly_bounded
+from window_reference import drop, is_bounded, is_normal, is_strictly_bounded
 
 FIG2 = (3, 6, 4, 5, 7, 8, 9)
 
@@ -489,14 +489,14 @@ def test_remove_fixed_matches_restriction():
 
 
 def _drop_chain(w):
-    """Reference removal: drop each fixed residue with `_drop`, the last
+    """Reference removal: drop each fixed residue with `drop`, the last
     first, so each drop leaves the positions still to drop in place."""
     n = len(w)
     fixed = [i for i in range(n) if w[i] == i or w[i] == i + n]
     if len(fixed) == n:
         return (0,)
     for p in reversed(fixed):
-        w = _drop(w, p)
+        w = drop(w, p)
     return w
 
 
@@ -513,25 +513,33 @@ def test_remove_fixed_matches_the_drop_chain():
     assert checked == 13896
 
 
-def test_drop_matches_simple_factor_then_removal():
-    # the engine's fused contraction: at a simple factor i < n-1 whose s_i f
-    # fixes one residue, dropping the position it fixes equals s_i f with
-    # its fixed residue removed
-    cases = {"f(i) = i+1": 0, "f(i+1) = i+n": 0}
-    for n in range(2, 7):
+def test_contract_is_simple_factor_then_removal():
+    # the engine's contraction: on every bounded window with n <= 8 and no
+    # fixed residue, at every simple factor i, one pass gives s_i f with its
+    # fixed residues removed, and leaves no fixed residue
+    cases = dict.fromkeys(["drop i", "drop i+1", "two fixed", "wrap, f(n-1) = n",
+                           "wrap, f(0) = n-1", "wrap, both"], 0)
+    for n in range(2, 9):
         for w in _bounded_windows(n):
-            for i in range(n - 1):
-                if (w[i] == i + 1) == (w[i + 1] == i + n):
-                    continue  # no simple factor at i, or one fixing two residues
-                v = _left_s(w, i)
-                fixed = [j for j in range(n) if v[j] in (j, j + n)]
-                if len(fixed) != 1:
+            if any(w[j] in (j, j + n) for j in range(n)):
+                continue
+            for i in range(n):
+                first, second = w[i] == i + 1, _value_at(w, i + 1) == i + n
+                if not (first or second):
                     continue
-                p = i if w[i] == i + 1 else i + 1
-                assert fixed == [p]
-                assert _drop(w, p) == _remove_fixed(v), (w, i)
-                cases["f(i) = i+1" if p == i else "f(i+1) = i+n"] += 1
+                v = _contract(w, i)
+                assert v == _remove_fixed(_left_s(w, i)), (w, i)
+                m = len(v)
+                assert v == (0,) or all(v[j] not in (j, j + m) for j in range(m)), (w, i)
+                if i == n - 1:
+                    case = ("wrap, both" if first and second else
+                            "wrap, f(n-1) = n" if first else "wrap, f(0) = n-1")
+                else:
+                    case = ("two fixed" if first and second else
+                            "drop i" if first else "drop i+1")
+                cases[case] += 1
     assert all(cases.values()), cases
+    assert sum(cases.values()) == 36512
 
 
 def _relabel_restriction_reference(w, residues):

@@ -664,7 +664,7 @@ def _stepwise_normal_form(w):
 
 
 def _simple_factor_case(w, i):
-    """Which branch of the fused loop a simple factor at i takes."""
+    """Which case of `affine._contract` a simple factor at i takes."""
     n = len(w)
     d = _displacements(w)
     if i == n - 1:
@@ -677,7 +677,7 @@ def _simple_factor_case(w, i):
 def test_normalise_matches_stepwise_reference():
     cases = set()
     windows = 0
-    for n in range(1, 7):
+    for n in range(1, 8):
         for f in map(BoundedAffinePerm, _bounded_windows(n)):
             w = f.window
             records = []
@@ -691,7 +691,7 @@ def test_normalise_matches_stepwise_reference():
             assert got == steps, w
             cases.update(_simple_factor_case(v, i) for rule, v, i in steps if rule == "simple_factor")
             windows += 1
-    assert windows == 2371
+    assert windows == 16071
     assert cases == {"wrap", "two_fixed", "drop_i", "drop_i_plus_1"}
 
 

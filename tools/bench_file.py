@@ -16,8 +16,10 @@ tables:
 - `suites`: `python -m posicat verify` per suite, n_max and jobs, with the
   report's `checked` and `elapsed` (raw seconds);
 - `frontier`: one request per process on a cold `Engine`, in raw seconds,
-  with the engine's counters.  A row that runs out of its budget is killed
-  and records the budget and its exit code instead of a time.
+  with the engine's counters and the value computed (C as an int, R~ as its
+  coefficient list), so two files show whether both trees agree.  A row that
+  runs out of its budget is killed and records the budget and its exit code
+  instead of a time.
 
 A perfbench or suite process that ends without printing its JSON line is
 recorded too, as a row with its exit code and no metrics, and the run goes
@@ -66,16 +68,18 @@ WINDOWS = [
     [7, 8, 18, 17, 15, 23, 11, 19, 20, 28, 26, 16, 14, 34, 31, 25, 21, 35, 22, 27, 32, 24],
 ]
 
-# one request on a cold engine: prints its seconds and the engine's counters
+# one request on a cold engine: prints its seconds, the engine's counters and
+# the value, C as an int and R~ as its coefficient list
 ROW_PROBE = (
     "import json, sys, time\n"
     "from posicat import BoundedAffinePerm, Engine\n"
     "request, window = sys.argv[1], json.loads(sys.argv[2])\n"
     "perm, engine = BoundedAffinePerm(window), Engine()\n"
     "start = time.perf_counter()\n"
-    "getattr(engine, 'compute_' + request)(perm)\n"
+    "value = getattr(engine, 'compute_' + request)(perm)\n"
     "seconds = time.perf_counter() - start\n"
-    "print(json.dumps({'seconds': seconds, 'stats': engine.stats}))\n"
+    "value = value if request == 'C' else list(value.coeffs)\n"
+    "print(json.dumps({'seconds': seconds, 'stats': engine.stats, 'value': value}))\n"
 )
 
 
